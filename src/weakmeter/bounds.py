@@ -1,10 +1,14 @@
 """Bounds on conditional pointer shifts, and the search for extremal selections.
 
 In the weak regime (g * Delta_p <= 0.01) the conditional position shift of
-the Gaussian pointer can never exceed 1/(2 Delta_p) = Delta, and the
-momentum shift can never exceed Delta_p, no matter how anomalous the weak
-value is.  At arbitrary coupling, for a projector observable, the exact
-extremes over all pure pre/postselections are
+the Gaussian pointer of a two-level observable can never exceed
+1/(2 Delta_p) = Delta, and the momentum shift can never exceed Delta_p, no
+matter how anomalous the weak value is.  An observable with K distinct
+eigenvalues can go further: as g -> 0 its displaced pointers span the first
+K Hermite functions, on which <q> reaches z_K * Delta, z_K the largest zero
+of the Hermite polynomial He_K (z_2 = 1, z_3 = sqrt(3), z_4 ~ 2.334).  At
+arbitrary coupling, for a projector observable, the exact extremes over all
+pure pre/postselections are
 
     q_max/min = (g/2) * (1 +/- 1 / sqrt(1 - exp(-g^2 / (4 Delta^2)))),
 
@@ -17,7 +21,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .errors import (
     ContractError,
@@ -41,8 +44,6 @@ WEAK_REGIME_LIMIT = 0.01
 
 # Relative slack allowed on |delta_q| <= Delta and |delta_p| <= Delta_p.
 BOUND_RELATIVE_TOL = 1e-6
-
-_PENALTY = 1e100
 
 
 @dataclass(frozen=True)
@@ -123,7 +124,10 @@ def check_weak_bounds(setup: MeasurementSetup) -> BoundReport:
 
     Requires g * Delta_p <= 0.01 (RegimeError otherwise).  The K factor is
     filled in when the observable is a projector and the g -> 0 selection
-    probability is nonzero; otherwise it is NaN.
+    probability is nonzero; otherwise it is NaN.  The position ceiling is
+    Delta, which holds for two-level observables; one with K > 2 distinct
+    eigenvalues can reach z_K * Delta on selections tuned to it (see the
+    module notes), so `satisfied` may be False there.
     """
     u = setup.g * setup.pointer.delta_p
     if u > WEAK_REGIME_LIMIT * (1.0 + 1e-12):
@@ -161,7 +165,8 @@ def extreme_shifts_projector(g: float, delta: float) -> tuple[float, float]:
     ------
     UndefinedExtremeError
         At g = 0, where both extremes collapse to zero shift and the
-        envelope is undefined as a selection limit.
+        envelope is undefined as a selection limit, and when g / delta
+        underflows so that the envelope cannot be told from that limit.
     """
     if not np.isfinite(delta) or delta <= 0.0:
         raise ValidationError(f"delta must be positive, got {delta!r}")
@@ -169,7 +174,12 @@ def extreme_shifts_projector(g: float, delta: float) -> tuple[float, float]:
         raise ValidationError(f"coupling g must be finite and >= 0, got {g!r}")
     if g == 0.0:
         raise UndefinedExtremeError("extreme shifts are undefined at g = 0")
-    x = (g**2) / (4.0 * delta**2)
+    ratio = g / delta
+    x = 0.25 * ratio * ratio  # saturates to inf, where G = 0 and the pair is (g, 0)
+    if x == 0.0:
+        raise UndefinedExtremeError(
+            f"g / delta = {ratio!r} underflows: the envelope is unresolvable, as at g = 0"
+        )
     if x > np.log(2.0):
         # ell = ln(1 - e^-x) is tiny here; routing q_min through expm1(-ell/2)
         # keeps relative precision even when it falls below 1e-10 * g
@@ -183,92 +193,98 @@ def extreme_shifts_projector(g: float, delta: float) -> tuple[float, float]:
     return (g / 2.0) * (1.0 + spread), q_min
 
 
-class _SampleTracker:
-    """Running extremes of every valid delta_q sampled during a search."""
-
-    def __init__(self) -> None:
-        self.best_max = -np.inf
-        self.best_min = np.inf
-        self.states_max: tuple[np.ndarray, np.ndarray] | None = None
-        self.states_min: tuple[np.ndarray, np.ndarray] | None = None
-
-    def record(self, dq: float, psi_i: np.ndarray, psi_f: np.ndarray) -> None:
-        if dq > self.best_max:
-            self.best_max = dq
-            self.states_max = (psi_i.copy(), psi_f.copy())
-        if dq < self.best_min:
-            self.best_min = dq
-            self.states_min = (psi_i.copy(), psi_f.copy())
-
-
 def _phase_canonical(v: np.ndarray) -> np.ndarray:
     idx = int(np.argmax(np.abs(v) > 1e-12 * float(np.max(np.abs(v)))))
     phase = v[idx] / abs(v[idx])
     return v * np.conj(phase)
 
 
-def _level_representatives(observable: HermitianObservable) -> list[np.ndarray]:
-    reps = []
-    for _, proj in observable.spectrum:
-        m = proj.matrix
-        col = int(np.argmax(np.real(np.diag(m))))
-        v = m[:, col]
-        reps.append(v / np.linalg.norm(v))
-    return reps
+# Sweeps (pairs of half-steps) per ascent.  A start that overlaps every
+# eigenspace reaches the optimum in one half-step; where the postselection
+# floor binds, each further sweep gains only about 1e-6 relative.
+_MAX_SWEEPS = 4
+# N-form eigenvalues below this fraction of the largest are rounding noise.
+_RANGE_TOL = 1e-15
+# 20 halvings of +/- 3 decades pin the floor's kappa to 6e-6 of a decade.
+_FLOOR_BISECTIONS = 20
+_KAPPA_DECADES = 3.0
 
 
-def _structured_starts(observable: HermitianObservable) -> list[np.ndarray]:
-    """Deterministic starting PPS pairs: eigenlevel anchors and the
-    balanced near-orthogonal combinations where extremes live."""
-    reps = _level_representatives(observable)
-    d = observable.dimension
-    starts = []
+def _eigen_step(
+    fixed: np.ndarray,
+    sign: float,
+    pstack: np.ndarray,
+    eigs: np.ndarray,
+    ratio: float,
+    kernels: tuple[np.ndarray, np.ndarray, np.ndarray],
+    floor: float,
+) -> np.ndarray:
+    """The selection state that extremizes sign * delta_q, the other one fixed.
 
-    def pack(vi: np.ndarray, vf: np.ndarray) -> np.ndarray:
-        return np.concatenate([vi.real, vi.imag, vf.real, vf.imag])
+    With v = `fixed` the u_k = P_k v are orthogonal, and the other state
+    x = sum_k x_k u_k / n_k (n_k = |u_k|, |x| = 1) has c_k = n_k x_k, so
 
-    for v in reps:
-        starts.append(pack(v, v))
-    for i in range(len(reps)):
-        for j in range(i + 1, len(reps)):
-            plus = (reps[i] + reps[j]) / np.sqrt(2.0)
-            minus = (reps[i] - reps[j]) / np.sqrt(2.0)
-            starts.append(pack(plus, minus))
-            starts.append(pack(minus, plus))
-    assert all(s.size == 4 * d for s in starts)
-    return starts
+        N     = (n . x)^2 - x^T D h D x,
+        q_num = g [(n . x)((n o a) . x) - x^T D qker D x],    D = diag(n),
 
+    with the engine's kernels h = 1 - G and qker = (a + a')/2 h (g = `ratio`,
+    pointer units).  In a frame whose first axis is n, only that axis
+    carries the g-independent terms; eliminating it (a Schur complement)
+    before whitening N keeps relative precision at any coupling.  The top
+    eigenvector of the whitened sign * q-form M is then the exact
+    extremizer.  If its N is at or below `floor`, the best state above the
+    floor is the top eigenvector of M - kappa W^T W (W the whitening map)
+    at the kappa where N meets the floor; N grows with kappa, so kappa is
+    bisected, with N from the cancellation-free sum.  Pre- and
+    postselection play symmetric roles, so this is both half-steps.
+    """
+    h, qker, _ = kernels
+    u = pstack @ fixed
+    n = np.linalg.norm(u, axis=1)
+    live = n > 0.0
+    basis = u[live] / n[live, None]
+    scale = n[live]
+    h = h[np.ix_(live, live)]
+    rot = np.linalg.qr(scale[:, None], mode="complete")[0]
+    head = rot[:, 0] @ scale
+    n_small = rot.T @ (scale[:, None] * h * scale) @ rot
+    q_form = -(rot.T @ (scale[:, None] * qker[np.ix_(live, live)] * scale) @ rot)
+    cross = (rot.T @ (scale * eigs[live])) * (head / 2.0)
+    q_form[0] += cross
+    q_form[:, 0] += cross
+    pivot = head**2 - n_small[0, 0]
+    elim = -n_small[1:, 0] / pivot
+    w, v = np.linalg.eigh(-n_small[1:, 1:] - pivot * np.outer(elim, elim))
+    keep = w > _RANGE_TOL * w.max(initial=0.0)
+    white = np.zeros((scale.size, 1 + int(keep.sum())))
+    white[0, 0] = 1.0 / np.sqrt(pivot)
+    white[1:, 1:] = v[:, keep] / np.sqrt(w[keep])
+    white[0, 1:] = -elim @ white[1:, 1:]
+    m = white.T @ ((sign * ratio) * q_form) @ white
+    m /= max(float(np.max(np.abs(m))), np.finfo(float).tiny)  # unit scale, same eigenvectors
 
-def _coordinate_polish(fun, x0: np.ndarray, f0: float, step: float, min_step: float = 1e-11):
-    """Derivative-free polish: cycle coordinates, fit a parabola through
-    three points, jump to its vertex when that helps, shrink the step when
-    a full cycle stalls."""
-    x, fb = x0.copy(), f0
-    h = step
-    while h > min_step:
-        improved = False
-        for i in range(x.size):
-            xp = x.copy()
-            xp[i] += h
-            fp = fun(xp)
-            xm = x.copy()
-            xm[i] -= h
-            fm = fun(xm)
-            cands = [(fp, xp), (fm, xm)]
-            curv = fp + fm - 2.0 * fb
-            if curv > 0.0:
-                shift = 0.5 * h * (fm - fp) / curv
-                shift = float(np.clip(shift, -2.0 * h, 2.0 * h))
-                xv = x.copy()
-                xv[i] += shift
-                cands.append((fun(xv), xv))
-            fc, xc = min(cands, key=lambda t: t[0])
-            if fc < fb:
-                fb, x = fc, xc
-                improved = True
-        if not improved:
-            h *= 0.35
-    return x, fb
+    def state_and_n(z: np.ndarray) -> tuple[np.ndarray, float]:
+        x = rot @ (white @ z)
+        x /= np.linalg.norm(x)
+        c = scale * x
+        return x, float(c.sum() ** 2 - c @ h @ c)
+
+    x, n_val = state_and_n(np.linalg.eigh(m)[1][:, -1])
+    if n_val <= floor:
+        penalty = white.T @ white
+        # kappa lands near sqrt(floor / |W^T W|) on the unit scale of M: the
+        # geometric mean of the floor and the smallest N-form eigenvalue
+        mid_log = 0.5 * np.log(floor / np.trace(penalty))
+        lo, hi = mid_log - _KAPPA_DECADES * np.log(10.0), mid_log + _KAPPA_DECADES * np.log(10.0)
+        for _ in range(_FLOOR_BISECTIONS):
+            mid = 0.5 * (lo + hi)
+            trial, n_val = state_and_n(np.linalg.eigh(m - np.exp(mid) * penalty)[1][:, -1])
+            if n_val > floor:
+                x, hi = trial, mid
+            else:
+                lo = mid
+    state = x @ basis
+    return state / np.linalg.norm(state)
 
 
 def optimize_pps(
@@ -282,23 +298,34 @@ def optimize_pps(
 ) -> ExtremePair:
     """Search pure pre/postselection pairs for extremal position shifts.
 
-    Multistart search over the product of unit spheres (4d real
-    parameters): deterministic structured starts seeded on the eigenlevel
-    structure plus `restarts` random starts, each refined by Nelder-Mead
-    and the best few polished to convergence.  Both directions are always
-    explored; `objective` only selects which extremal pair of states is
-    returned.  Fully deterministic for a fixed seed.
+    Alternating Rayleigh-quotient ascent from `restarts` random pure pairs.
+    With the preselection fixed, N and the q-numerator are quadratic forms
+    in the postselection, so the postselection that maximizes (or
+    minimizes) delta_q = q_num / N is an eigenvector of the whitened pair,
+    found exactly (:func:`_eigen_step`); the next half-step does the same
+    for the preselection.  Each half-step is exact, so the ascent is
+    monotone; it stops when a half-step gains no more than rounding, or
+    after a fixed number of sweeps.  Both directions are explored from
+    every start; `objective` only selects which extremal pair of states is
+    returned.  Every iterate is scored with the exact engine's
+    cancellation-free amplitude sums, never with the eigenvalue.  Fully
+    deterministic for a fixed seed.
 
-    Candidate selections with postselection probability <= `min_postselect`
-    are discarded: below that, double precision cannot certify shifts
-    against the envelope.  (The engine's own orthogonality floor is 1e-14;
-    callers probing the saturation ridge may lower `min_postselect`
-    toward it.)
+    Selections with postselection probability <= `min_postselect` are not
+    recorded: below that, double precision cannot certify shifts against
+    the envelope.  (The engine's own orthogonality floor is 1e-14; callers
+    probing the saturation ridge may lower `min_postselect` toward it.)
+    Where a half-step's extremizer lies below the floor it takes the best
+    state above it, so at weak coupling the search follows the
+    floor-limited ridge rather than the envelope.
 
     Raises
     ------
     UndefinedExtremeError
-        At g = 0.
+        At g = 0, or when g / Delta is too small to tell the displaced
+        pointers apart in double precision.
+    ValidationError
+        When g / Delta overflows.
     InternalConsistencyError
         If any sampled shift escapes the closed-form envelope by more than
         1e-9 (scaled), for projector observables.
@@ -309,16 +336,24 @@ def optimize_pps(
         raise ValidationError(f"restarts must be >= 1, got {restarts!r}")
     if not np.isfinite(g) or g < 0.0:
         raise ValidationError(f"coupling g must be finite and >= 0, got {g!r}")
-    if g == 0.0:
-        raise UndefinedExtremeError("extremal search is undefined at g = 0")
+    delta = pointer.delta
+    # delta_q / Delta depends on g only through g / Delta, so the search runs
+    # in pointer units; no kernel then scales with a power of Delta.
+    ratio = g / delta
+    if not np.isfinite(ratio):
+        raise ValidationError(f"g / delta = {g!r} / {delta!r} overflows")
     if min_postselect < 1e-14:
         raise ValidationError("min_postselect must be >= the 1e-14 orthogonality floor")
 
     d = observable.dimension
-    delta = pointer.delta
     eigs = np.array([a for a, _ in observable.spectrum])
     pstack = np.stack([p.matrix for _, p in observable.spectrum])
-    kernels = _overlap_kernels(eigs, g, delta)
+    kernels = _overlap_kernels(eigs, ratio, 1.0)
+    # 1 - G below the normal range has no precision left: the displaced
+    # pointers cannot be told apart, as at g = 0 (the identity masks the
+    # zero diagonal)
+    if ratio == 0.0 or np.any(kernels[0] + np.eye(len(eigs)) < np.finfo(float).tiny):
+        raise UndefinedExtremeError(f"extremal search is undefined at g / delta = {ratio!r}")
 
     # closed-form envelope where one exists
     if observable.is_projector():
@@ -329,55 +364,47 @@ def optimize_pps(
     else:
         env_max = env_min = float("nan")
 
-    tracker = _SampleTracker()
+    samples = []  # (delta_q, preselection, postselection) above the floor
 
-    def evaluate(x: np.ndarray, sign: float) -> float:
-        vi = x[:d] + 1j * x[d : 2 * d]
-        vf = x[2 * d : 3 * d] + 1j * x[3 * d :]
-        ni, nf = np.linalg.norm(vi), np.linalg.norm(vf)
-        if ni < 1e-8 or nf < 1e-8:
-            return _PENALTY
-        vi = vi / ni
-        vf = vf / nf
-        c = np.einsum("kij,j->ki", pstack, vi) @ vf.conj()
-        n_val, q_num, _, _ = _amplitude_stats(c, eigs, g, delta, kernels)
+    def score(pre: np.ndarray, post: np.ndarray) -> float | None:
+        c = (pstack @ pre) @ post.conj()
+        n_val, q_num, _, _ = _amplitude_stats(c, eigs, ratio, 1.0, kernels)
         if n_val <= min_postselect:
-            return _PENALTY
-        dq = q_num / n_val
-        tracker.record(dq, vi, vf)
-        return sign * dq
+            return None
+        dq = delta * (q_num / n_val)
+        samples.append((dq, pre, post))
+        return dq
 
-    starts = _structured_starts(observable)
     rng = np.random.default_rng(np.random.SeedSequence(seed))
-    starts.extend(rng.standard_normal(4 * d) for _ in range(restarts))
+    draws = rng.standard_normal((restarts, 2, 2, d))
+    starts = draws[:, :, 0] + 1j * draws[:, :, 1]
+    starts /= np.linalg.norm(starts, axis=2, keepdims=True)
 
-    fscale = max(delta, g * float(np.max(np.abs(eigs))), 1e-6)
-    for sign in (-1.0, 1.0):  # -1: maximize delta_q, +1: minimize
-        fun = lambda x: evaluate(x, sign)
-        coarse = []
-        for x0 in starts:
-            res = minimize(
-                fun,
-                x0,
-                method="Nelder-Mead",
-                options={"xatol": 1e-4, "fatol": 1e-9 * fscale, "maxfev": 400},
-            )
-            coarse.append((float(res.fun), res.x))
-        coarse.sort(key=lambda t: t[0])
-        for fv, xv in coarse[:3]:
-            res = minimize(
-                fun,
-                xv,
-                method="Nelder-Mead",
-                options={"xatol": 1e-12, "fatol": 1e-15 * fscale, "maxfev": 4000},
-            )
-            _coordinate_polish(fun, res.x, float(res.fun), step=1e-3)
+    rounding = 1e-14 * max(delta, g * float(np.max(np.abs(eigs))))
+    for pre, post in starts:
+        score(pre, post)
+        for sign in (1.0, -1.0):
+            pair = [pre, post]
+            best = -np.inf
+            for half in range(2 * _MAX_SWEEPS):
+                side = 1 - half % 2  # the postselection moves first
+                pair[side] = _eigen_step(
+                    pair[1 - side], sign, pstack, eigs, ratio, kernels, min_postselect
+                )
+                dq = score(*pair)
+                if dq is None:
+                    continue
+                if sign * dq <= best + rounding:
+                    break
+                best = sign * dq
 
-    best_max, best_min = tracker.best_max, tracker.best_min
-    if not np.isfinite(best_max) or not np.isfinite(best_min):
+    if not samples:
         raise InternalConsistencyError(
             "no valid selection found above the postselection-probability floor"
         )
+    top = max(samples, key=lambda sample: sample[0])
+    bottom = min(samples, key=lambda sample: sample[0])
+    best_max, best_min = top[0], bottom[0]
     tol = 1e-9 * max(1.0, delta, g * float(np.max(np.abs(eigs))))
     if np.isfinite(env_max) and (best_max > env_max + tol or best_min < env_min - tol):
         raise InternalConsistencyError(
@@ -385,10 +412,6 @@ def optimize_pps(
             f"[{env_min!r}, {env_max!r}]"
         )
 
-    chosen = tracker.states_max if objective == "max" else tracker.states_min
-    assert chosen is not None
-    arg_states = (
-        StateVector(_phase_canonical(chosen[0])),
-        StateVector(_phase_canonical(chosen[1])),
-    )
+    _, pre, post = top if objective == "max" else bottom
+    arg_states = (StateVector(_phase_canonical(pre)), StateVector(_phase_canonical(post)))
     return ExtremePair(env_max, env_min, best_max, best_min, arg_states)

@@ -205,14 +205,17 @@ def _overlap_kernels(eigenvalues: np.ndarray, g: float, delta: float):
     """Precomputed K x K kernels for the cancellation-free shift sums.
 
     Returns (h, qker, pker) with h = 1 - G elementwise (via expm1, exact for
-    tiny arguments), qker = (a + a')/2 * h, and the Hermitian momentum
-    kernel pker = i g (a - a') / (4 delta^2) * h.
+    tiny arguments and saturating cleanly to 1 as g / delta grows),
+    qker = (a + a')/2 * h, and the Hermitian momentum kernel
+    pker = i g (a - a') / (4 delta^2) * h.
     """
     a = np.asarray(eigenvalues, dtype=float)
     da = a[:, None] - a[None, :]
-    h = -np.expm1(-((g * da) ** 2) / (8.0 * delta**2))
+    t = g * da / delta
+    # |t| > 1e150 already gives G = 0 exactly; clipping keeps t^2 finite
+    h = -np.expm1(-np.square(np.clip(t, -1e150, 1e150)) / 8.0)
     qker = (a[:, None] + a[None, :]) / 2.0 * h
-    pker = 1j * (g * da / (4.0 * delta**2)) * h
+    pker = 1j * (t / (4.0 * delta)) * h
     return h, qker, pker
 
 

@@ -12,10 +12,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import minimize
+from numpy.polynomial.hermite_e import hermeroots
 
 from . import hardy, infogain
-from .bounds import check_weak_bounds, k_value
+from .bounds import check_weak_bounds, k_value, optimize_pps
 from .errors import (
     InternalConsistencyError,
     OrthogonalSelectionError,
@@ -25,8 +25,6 @@ from .exactengine import (
     GaussianPointer,
     GridSpec,
     MeasurementSetup,
-    _amplitude_stats,
-    _overlap_kernels,
     exact_shifts,
     grid_shifts,
 )
@@ -127,53 +125,18 @@ def schwarz_suite() -> SuiteResult:
     )
 
 
-def _polish_abs_shift(x0, sign, pstack, eigs, kernels, g, delta, maxfev=200):
-    d = pstack.shape[1]
-
-    def fun(x):
-        vi = x[:d] + 1j * x[d : 2 * d]
-        vf = x[2 * d : 3 * d] + 1j * x[3 * d :]
-        ni, nf = np.linalg.norm(vi), np.linalg.norm(vf)
-        if ni < 1e-8 or nf < 1e-8:
-            return 1e100
-        c = np.einsum("kij,j->ki", pstack, vi / ni) @ (vf / nf).conj()
-        n_val, q_num, _, _ = _amplitude_stats(c, eigs, g, delta, kernels)
-        if n_val <= 1e-12:
-            return 1e100
-        return sign * q_num / n_val
-
-    res = minimize(fun, x0, method="Nelder-Mead", options={"xatol": 1e-8, "maxfev": maxfev})
-    return float(res.fun)
+# Random starts of each extremal search in the bounds suite.
+_SEARCH_RESTARTS = 4
 
 
-def _optimized_abs_shift(rng, observable, g: float, delta: float, samples: int = 1000) -> float:
-    """Best |delta_q| found by batched random selections plus a local polish."""
-    d = observable.dimension
-    eigs = np.array([a for a, _ in observable.spectrum])
-    pstack = np.stack([p.matrix for _, p in observable.spectrum])
-    kernels = _overlap_kernels(eigs, g, delta)
+def _weak_ceiling(levels: int) -> float:
+    """z_K, the largest zero of the probabilists' Hermite polynomial He_K.
 
-    vi = rng.standard_normal((samples, d)) + 1j * rng.standard_normal((samples, d))
-    vf = rng.standard_normal((samples, d)) + 1j * rng.standard_normal((samples, d))
-    vi /= np.linalg.norm(vi, axis=1, keepdims=True)
-    vf /= np.linalg.norm(vf, axis=1, keepdims=True)
-    c = np.einsum("kij,sj->ski", pstack, vi)
-    c = np.einsum("ski,si->sk", c, vf.conj())
-    h, qker, _ = kernels
-    s0 = c.sum(axis=1)
-    s1 = c @ eigs
-    n_val = (s0.conj() * s0).real - np.einsum("sk,kl,sl->s", c.conj(), h, c).real
-    q_num = g * ((s0.conj() * s1).real - np.einsum("sk,kl,sl->s", c.conj(), qker, c).real)
-    valid = n_val > 1e-12
-    dq = q_num[valid] / n_val[valid]
-    if dq.size == 0:
-        return 0.0
-    idx = np.flatnonzero(valid)
-    best = 0.0
-    for pick, sign in ((idx[np.argmax(dq)], -1.0), (idx[np.argmin(dq)], 1.0)):
-        x0 = np.concatenate([vi[pick].real, vi[pick].imag, vf[pick].real, vf[pick].imag])
-        best = max(best, abs(_polish_abs_shift(x0, sign, pstack, eigs, kernels, g, delta)))
-    return best
+    As g -> 0 the displaced pointers Phi(q - g a_k) of K distinct levels span
+    the first K Hermite functions, on which <q> is at most z_K * Delta:
+    z_2 = 1, z_3 = sqrt(3), z_4 = sqrt(3 + sqrt(6)).
+    """
+    return float(np.max(hermeroots([0.0] * levels + [1.0])))
 
 
 def bounds_suite() -> SuiteResult:
@@ -182,8 +145,8 @@ def bounds_suite() -> SuiteResult:
     10^4 projector setups with g * Delta_p in (0, 1] against K >= -1e-10;
     2 * 10^3 weak-regime setups against |delta_q| <= Delta and
     |delta_p| <= Delta_p (relative 1e-6); 500 random Hermitian observables
-    (d <= 4, spectrum in [-1, 1]) at g * Delta_p = 0.01 against the 2%
-    headroom of the optimized-position-shift bound.
+    (d <= 4, spectrum in [-1, 1]) at g * Delta_p = 0.01, searched with
+    :func:`optimize_pps`, against 1.02 times the K-level ceiling z_K * Delta.
     """
     rng = np.random.default_rng(20240812)
     worst = _Worst()
@@ -223,9 +186,11 @@ def bounds_suite() -> SuiteResult:
     for _ in range(500):
         dim = int(rng.integers(2, 5))
         obs = random_hermitian(rng, dim)
-        top = _optimized_abs_shift(rng, obs, g, delta)
+        search = optimize_pps(obs, g, pointer, restarts=_SEARCH_RESTARTS, seed=int(rng.integers(2**32)))
+        top = max(search.optimizer_best_max, -search.optimizer_best_min)
+        ceiling = _weak_ceiling(len(obs.spectrum)) * delta
         worst.update(
-            (1.02 * delta - top) / delta, "optimized |delta_q| <= 1.02 * Delta",
+            (1.02 * ceiling - top) / ceiling, "optimized |delta_q| <= 1.02 * z_K * Delta",
             _instance_json(DensityOperator(np.eye(dim) / dim), random_projector(rng, dim, 1), obs, g, delta),
         )
     return SuiteResult(

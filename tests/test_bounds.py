@@ -1,14 +1,22 @@
 """Shift bounds, the positivity factor, and the selection optimizer."""
 
+import os
+import subprocess
+import sys
+import time
+from pathlib import Path
+
 import numpy as np
 import pytest
 from pytest import approx
 
+import weakmeter
 from weakmeter import (
     ContractError,
     GaussianPointer,
     HermitianObservable,
     MeasurementSetup,
+    OrthogonalSelectionError,
     ProjectionOperator,
     RegimeError,
     StateVector,
@@ -23,6 +31,7 @@ from weakmeter import (
     optimize_pps,
     weak_moments,
 )
+from weakmeter.sampling import random_hermitian, random_state
 
 PATH = HermitianObservable(np.diag([1.0, 0.0]))
 POINTER = GaussianPointer(1.0)
@@ -210,3 +219,52 @@ class TestOptimizer:
     def test_bad_objective(self):
         with pytest.raises(ValidationError):
             optimize_pps(_which_path(2), 1.0, POINTER, objective="widest")
+
+    def test_three_level_observable_reaches_sqrt3_delta(self):
+        """At g * Delta_p = 0.01 the three displaced pointers span nearly the
+        first three Hermite functions, where <q> reaches z_3 = sqrt(3) Delta,
+        past the two-level ceiling Delta."""
+        obs = HermitianObservable(np.diag([-1.0, 0.0, 1.0]))
+        result = optimize_pps(obs, 0.02, POINTER, restarts=8, seed=0)
+        ceiling = np.sqrt(3.0) * POINTER.delta
+        assert 0.98 * ceiling <= result.optimizer_best_max <= 1.02 * ceiling
+        assert -1.02 * ceiling <= result.optimizer_best_min <= -0.98 * ceiling
+        pre, post = result.argmax_states
+        setup = MeasurementSetup.from_pure(obs, pre, post, 0.02, POINTER)
+        assert exact_shifts(setup).delta_q == approx(result.optimizer_best_max, rel=1e-9)
+
+    @pytest.mark.parametrize("seed", [5, 17, 29])
+    def test_four_level_search_is_quick_and_beats_random_draws(self, seed):
+        """A d = 4 Hermitian search finishes in seconds and is at least the
+        best of 1000 random pure selections, in both directions."""
+        rng = np.random.default_rng(seed)
+        obs = random_hermitian(rng, 4)
+        g = float(rng.uniform(0.3, 3.0))
+        t0 = time.perf_counter()
+        result = optimize_pps(obs, g, POINTER, restarts=4, seed=seed)
+        assert time.perf_counter() - t0 < 5.0
+        drawn = []
+        for _ in range(1000):
+            setup = MeasurementSetup.from_pure(obs, random_state(rng, 4), random_state(rng, 4), g, POINTER)
+            try:
+                outcome = exact_shifts(setup)
+            except OrthogonalSelectionError:
+                continue
+            if outcome.postselect_prob > 1e-12:
+                drawn.append(outcome.delta_q)
+        tol = 1e-9 * max(POINTER.delta, g)
+        assert result.optimizer_best_max >= max(drawn) - tol
+        assert result.optimizer_best_min <= min(drawn) + tol
+
+
+def test_import_does_not_load_scipy():
+    """scipy is a test-time oracle only; the package runs on numpy alone."""
+    src = str(Path(weakmeter.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, weakmeter, weakmeter.cli; print('scipy' in sys.modules)"],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

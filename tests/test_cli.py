@@ -176,6 +176,34 @@ class TestBoundsOptimize:
         assert float(report["gap_to_envelope"]) == approx(0.0, abs=1e-15)
 
 
+class TestExtremeScales:
+    """Finite but extreme couplings and widths end in a result or a clean
+    input error, never in a Python traceback."""
+
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--g", "1e200"],
+            ["--g", "1e300"],
+            ["--g", "1e-155"],
+            ["--g", "1e-200"],
+            ["--delta", "1e200"],
+            ["--delta", "1e-200"],
+            ["--g", "1e200", "--delta", "1e-200"],
+        ],
+        ids=lambda flags: " ".join(flags),
+    )
+    def test_bounds_optimize_exits_cleanly(self, flags):
+        proc = subprocess.run(
+            [sys.executable, "-m", "weakmeter.cli", "bounds-optimize", "--restarts", "1", *flags],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode in (0, 2), proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr == "" or proc.stderr.startswith("error:")
+
+
 class TestVerifySubcommand:
     def test_single_suite_line_format(self, capsys):
         code, out, _ = _run(capsys, "verify", "--suite", "hardy")
