@@ -37,7 +37,6 @@ from .exactengine import (
     MeasurementSetup,
     exact_shifts,
     grid_shifts,
-    overlap_elements,
 )
 from .hardy import (
     PATH_LABELS,
@@ -51,7 +50,6 @@ from .hardy import (
 )
 from .infogain import (
     InfoGainResult,
-    WhichPathEnsemble,
     info_curve,
     information_gain,
     reduced_device_states,
@@ -68,7 +66,6 @@ from .qcore import (
 from .scenario import load_scenario, parse_scenario, setup_to_json
 from .verify import SUITE_NAMES, SuiteResult, run_suites
 from .weakvalue import (
-    GAUSSIAN_ANTICOMMUTATOR_MEAN,
     WeakMoments,
     WeakValue,
     jozsa_shifts,
@@ -81,7 +78,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BOUND_RELATIVE_TOL",
-    "GAUSSIAN_ANTICOMMUTATOR_MEAN",
     "PATH_LABELS",
     "SUITE_NAMES",
     "WEAK_REGIME_LIMIT",
@@ -109,7 +105,6 @@ __all__ = [
     "WeakMeterError",
     "WeakMoments",
     "WeakValue",
-    "WhichPathEnsemble",
     "build_hardy",
     "check_weak_bounds",
     "closed_form_shifts",
@@ -124,7 +119,6 @@ __all__ = [
     "k_value",
     "load_scenario",
     "optimize_pps",
-    "overlap_elements",
     "parse_scenario",
     "probability_curve",
     "reduced_device_states",

@@ -32,8 +32,8 @@ from .errors import (
 from .exactengine import (
     GaussianPointer,
     MeasurementSetup,
-    _amplitude_stats,
     _overlap_kernels,
+    _pointer_sums,
     exact_shifts,
 )
 from .qcore import HermitianObservable, StateVector
@@ -216,7 +216,7 @@ def _eigen_step(
     pstack: np.ndarray,
     eigs: np.ndarray,
     ratio: float,
-    kernels: tuple[np.ndarray, np.ndarray, np.ndarray],
+    kernels: np.ndarray,
     floor: float,
 ) -> np.ndarray:
     """The selection state that extremizes sign * delta_q, the other one fixed.
@@ -348,7 +348,7 @@ def optimize_pps(
     d = observable.dimension
     eigs = np.array([a for a, _ in observable.spectrum])
     pstack = np.stack([p.matrix for _, p in observable.spectrum])
-    kernels = _overlap_kernels(eigs, ratio, 1.0)
+    kernels = _overlap_kernels(eigs, ratio)
     # 1 - G below the normal range has no precision left: the displaced
     # pointers cannot be told apart, as at g = 0 (the identity masks the
     # zero diagonal)
@@ -368,10 +368,10 @@ def optimize_pps(
 
     def score(pre: np.ndarray, post: np.ndarray) -> float | None:
         c = (pstack @ pre) @ post.conj()
-        n_val, q_num, _, _ = _amplitude_stats(c, eigs, ratio, 1.0, kernels)
+        n_val, q_num, _, _ = _pointer_sums(c[:, None], eigs, kernels)
         if n_val <= min_postselect:
             return None
-        dq = delta * (q_num / n_val)
+        dq = g * float(q_num / n_val)
         samples.append((dq, pre, post))
         return dq
 

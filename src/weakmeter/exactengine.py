@@ -14,6 +14,13 @@ mean position / momentum shifts are computed here in closed form
 grid (:func:`grid_shifts`).  The two routes share no algebra beyond the
 pointer definition, which is what makes the second one an oracle for the
 first.
+
+The closed form has one path for every selection.  (rho, Pi) is factored
+once into pure-state amplitudes (:func:`_selection_amplitudes`), and one
+kernel (:func:`_pointer_sums`) forms the Gaussian-overlap sums in pointer
+units, where only g / Delta enters, for one coupling or a batch of them.
+The extremal search in :mod:`.bounds` and the which-path sweep in
+:mod:`.hardy` call the same kernel.
 """
 
 from __future__ import annotations
@@ -181,111 +188,128 @@ class GridSpec:
         return cls(reach, num_points)
 
 
-def overlap_elements(a: float, a_prime: float, g: float, delta: float) -> tuple[float, float, complex]:
-    """Matrix elements of 1, q, p between two displaced pointer components.
+def _coupling_grid(g_min: float, g_max: float, points: int, spacing: str) -> np.ndarray:
+    """`points` couplings from g_min to g_max, "lin" or "log" spaced.
 
-    For the Gaussian pointer, with G = exp(-g^2 (a - a')^2 / (8 delta^2)):
-
-        <Phi_a | Phi_a'>     = G
-        <Phi_a | q | Phi_a'> = g (a + a') / 2 * G
-        <Phi_a | p | Phi_a'> = i g (a - a') / (4 delta^2) * G
-
-    where Phi_a(q) = Phi(q - g a).  Returns (s, q_elem, p_elem).
+    Requires finite 0 <= g_min < g_max (g_min > 0 for "log") and points >= 2.
     """
-    if delta <= 0.0:
-        raise ValidationError(f"delta must be positive, got {delta!r}")
-    da = a - a_prime
-    s = float(np.exp(-((g * da) ** 2) / (8.0 * delta**2)))
-    q_elem = g * (a + a_prime) / 2.0 * s
-    p_elem = 1j * g * da / (4.0 * delta**2) * s
-    return s, q_elem, complex(p_elem)
+    if not np.isfinite(g_min) or not np.isfinite(g_max) or g_min < 0.0 or g_max <= g_min:
+        raise ValidationError(f"need 0 <= g_min < g_max, got {g_min!r}, {g_max!r}")
+    if points < 2:
+        raise ValidationError(f"points must be >= 2, got {points!r}")
+    if spacing == "lin":
+        return np.linspace(g_min, g_max, points)
+    if spacing != "log":
+        raise ValidationError(f"spacing must be 'lin' or 'log', got {spacing!r}")
+    if g_min == 0.0:
+        raise ValidationError("log spacing requires g_min > 0")
+    return np.geomspace(g_min, g_max, points)
 
 
-def _overlap_kernels(eigenvalues: np.ndarray, g: float, delta: float):
-    """Precomputed K x K kernels for the cancellation-free shift sums.
+def _overlap_kernels(eigenvalues: np.ndarray, ratio) -> np.ndarray:
+    """Stacked real K x K kernels of the cancellation-free shift sums.
 
-    Returns (h, qker, pker) with h = 1 - G elementwise (via expm1, exact for
-    tiny arguments and saturating cleanly to 1 as g / delta grows),
-    qker = (a + a')/2 * h, and the Hermitian momentum kernel
-    pker = i g (a - a') / (4 delta^2) * h.
+    Pointer units: only ratio = g / delta enters.  With t = ratio (a - a')
+    and G = exp(-t^2 / 8) the pointer overlap, returns [h, qker, pker] with
+    h = 1 - G elementwise (via expm1, exact for tiny t and saturating
+    cleanly to 1 as t grows), qker = (a + a')/2 * h and pker = (a - a')/4 * h
+    (the Hermitian momentum kernel is i * pker).  A 1-d `ratio` gives a
+    leading coupling axis: shape ratio.shape + (3, K, K).
     """
     a = np.asarray(eigenvalues, dtype=float)
     da = a[:, None] - a[None, :]
-    t = g * da / delta
-    # |t| > 1e150 already gives G = 0 exactly; clipping keeps t^2 finite
-    h = -np.expm1(-np.square(np.clip(t, -1e150, 1e150)) / 8.0)
-    qker = (a[:, None] + a[None, :]) / 2.0 * h
-    pker = 1j * (t / (4.0 * delta)) * h
-    return h, qker, pker
+    coef = np.array([np.ones_like(da), (a[:, None] + a[None, :]) / 2.0, da / 4.0])
+    # an overflowed g / delta (inf) would put inf * 0 on the diagonal; every
+    # off-diagonal G is already 0 at 1e300, and |t| > 1e150 gives G = 0 exactly
+    r = np.minimum(ratio, 1e300)[..., None, None]
+    t = np.minimum(r * np.abs(da), 1e150)
+    h = -np.expm1(np.square(t) / -8.0)
+    return h[..., None, :, :] * coef
 
 
-def _amplitude_stats(c: np.ndarray, eigenvalues: np.ndarray, g: float, delta: float, kernels=None):
-    """Selection probability and shift numerators from selection amplitudes.
+def _selection_factors(
+    rho: DensityOperator, pi: ProjectionOperator
+) -> tuple[np.ndarray, np.ndarray]:
+    """The selection (rho, Pi) as pure-state factors (bras, kets).
 
-    `c[k] = <psi_f| P_k |psi_i>` for a pure preselection and rank-one
-    postselection.  Uses the identity s = 1 - h so that near-orthogonal
-    selections keep full relative precision:
-
-        N     = |sum_k c_k|^2 - sum_kl c_k* c_l h_kl
-        q_num = g (Re[S0* S1]  - sum_kl c_k* c_l qker_kl)
-        p_num = g Im[S0* S1] / (2 delta^2) - sum_kl c_k* c_l pker_kl
-
-    with S0 = sum c_k, S1 = sum a_k c_k.  Returns (N, q_num, p_num, resid)
-    where resid is the worst imaginary residue of the (mathematically real)
-    quadratic forms, already normalized by their absolute mass.
+    Rows of `bras` (B) are <f_j|, an orthonormal basis of the range of Pi;
+    columns of `kets` (K) are sqrt(w_m) |chi_m> over the spectral ensemble
+    {w_m, chi_m} of rho.  Every trace over the selection then becomes a sum
+    of pure-state products: tr(Pi X rho Y) = sum_jm (B X K)_jm (B Y^+ K)_jm^*.
     """
-    if kernels is None:
-        kernels = _overlap_kernels(eigenvalues, g, delta)
-    h, qker, pker = kernels
-    s0 = c.sum()
-    s1 = (np.asarray(eigenvalues) * c).sum()
-    anchor = np.conj(s0) * s1
-    qf_n = np.vdot(c, h @ c)
-    qf_q = np.vdot(c, qker @ c)
-    qf_p = np.vdot(c, pker @ c)
-    n_val = (np.conj(s0) * s0).real - qf_n.real
-    q_num = g * (anchor.real - qf_q.real)
-    p_num = g / (2.0 * delta**2) * anchor.imag - qf_p.real
-    cmass = float(np.sum(np.abs(c))) ** 2 + 1e-300
-    resid = max(
-        abs(qf_n.imag) / (cmass * max(1.0, float(np.max(h)))),
-        abs(qf_q.imag) / (cmass * max(1.0, float(np.max(np.abs(qker))))),
-        abs(qf_p.imag) / (cmass * max(1.0, float(np.max(np.abs(pker.imag))))),
-    )
-    return float(n_val), float(q_num), float(p_num), float(resid)
+    weights, kets = rho.eigen_ensemble()
+    vals, vecs = np.linalg.eigh(pi.matrix)
+    return vecs[:, vals > 0.5].conj().T, kets.T * np.sqrt(weights)  # Pi's eigenvalues are 0 or 1
 
 
-def _range_vector(projector: ProjectionOperator) -> np.ndarray:
-    """Unit vector spanning a rank-one projector's range."""
-    vals, vecs = np.linalg.eigh(projector.matrix)
-    assert vals[-1] > 0.5
-    return vecs[:, -1]
+def _selection_amplitudes(
+    rho: DensityOperator, pi: ProjectionOperator, observable: HermitianObservable
+) -> np.ndarray:
+    """Factored selection amplitudes c[k, r] = sqrt(w_m) <f_j| P_k |chi_m>.
+
+    The factors are those of :func:`_selection_factors`, P_k the
+    eigenprojectors of A, and r runs over the pairs (j, m).  Every
+    selection weight is then a sum of pure-state products,
+    tr(Pi P_l rho P_k) = sum_r c[k, r]^* c[l, r], so no sum over the
+    selection needs a trace or a purity test.
+    """
+    bras, kets = _selection_factors(rho, pi)
+    pstack = np.stack([p.matrix for _, p in observable.spectrum])
+    return (bras @ pstack @ kets).reshape(len(pstack), -1)
 
 
-def _selection_weights(setup: MeasurementSetup) -> np.ndarray:
-    """w[k, l] = tr(Pi_f P_l rho_s P_k) over eigenprojector pairs (Hermitian K x K)."""
-    pi = setup.postselection.matrix
-    rho = setup.preselection.matrix
-    pk_pi = np.stack([p.matrix @ pi for _, p in setup.observable.spectrum])
-    pl_rho = np.stack([p.matrix @ rho for _, p in setup.observable.spectrum])
-    return np.einsum("kij,lji->kl", pk_pi, pl_rho)
+def _pointer_sums(c: np.ndarray, eigenvalues: np.ndarray, kernels: np.ndarray):
+    """Selection probability and shift numerators from factored amplitudes.
+
+    `c` comes from :func:`_selection_amplitudes` (a pure pair is one column)
+    and `kernels` from :func:`_overlap_kernels`.  With S0 = sum_k c_k and
+    S1 = sum_k a_k c_k per column, W = c^* c^T, and the identity G = 1 - h,
+
+        N = sum |S0|^2            - sum_kl W_kl h_kl
+        q = Re sum S0^* S1        - sum_kl W_kl qker_kl,    delta_q = g q / N
+        p = Im sum S0^* S1 / 2 + Im sum_kl W_kl pker_kl,    delta_p = (g / delta) p / (N delta)
+
+    The g-independent parts come from the column sums S0, S1 before any
+    product is formed, so N keeps its relative precision down to the
+    orthogonality floor.  Returns (N, q, p, resid), resid being the worst
+    imaginary residue of the (mathematically real) kernel sums relative to
+    a bound on their absolute mass; a leading coupling axis on `kernels`
+    carries through to all four.
+    """
+    k = len(eigenvalues)
+    s0 = c.sum(axis=0)
+    anchor = np.vdot(s0, eigenvalues @ c)
+    w = c.conj() @ c.T
+    # one matmul: real and imaginary parts of sum_kl W_kl kernel_kl, (..., 3, 2)
+    sums = kernels.reshape(*kernels.shape[:-2], k * k) @ w.view(float).reshape(k * k, 2)
+    n_val = np.vdot(s0, s0).real - sums[..., 0, 0]
+    q_num = anchor.real - sums[..., 1, 0]
+    p_num = 0.5 * anchor.imag + sums[..., 2, 1]
+    # kernel entries are at most max(1, |a|) (h <= 1, |qker| <= |a|, |pker| <= |a| / 2;
+    # eigenvalues ascending), so this bounds the absolute mass of every sum
+    scale = np.vdot(c, c).real * max(1.0, -eigenvalues[0], eigenvalues[-1]) + 1e-300
+    res = np.abs(sums)
+    resid = np.maximum(res[..., :2, 1].max(axis=-1), res[..., 2, 0]) / scale
+    return n_val, q_num, p_num, resid
 
 
 def exact_shifts(setup: MeasurementSetup) -> MeasurementOutcome:
     """Exact conditional pointer shifts at arbitrary coupling strength.
 
-    Evaluates, with weights w(a, a') = tr(Pi_f P_a' rho_s P_a) and the
-    overlap elements of :func:`overlap_elements`,
+    With the overlaps G(a, a') = exp(-g^2 (a - a')^2 / (8 delta^2)) of the
+    displaced pointers and the selection weights w(a, a') =
+    tr(Pi_f P_a' rho_s P_a),
 
-        N       = sum w s,
-        delta_q = sum w q_elem / N,
-        delta_p = sum w p_elem / N,
+        N       = sum w G,
+        delta_q = g sum w (a + a')/2 G / N,
+        delta_p = i g sum w (a - a') / (4 delta^2) G / N.
 
-    in a rearranged form that subtracts the g-independent part analytically
-    (see the module notes), so nearly orthogonal selections do not suffer
-    catastrophic cancellation.  Pure preselection with a rank-one
-    postselection additionally takes a factored amplitude path, which keeps
-    *relative* precision in N all the way down to the orthogonality floor.
+    One path serves every selection: the weights are factored into
+    pure-state amplitudes (:func:`_selection_amplitudes`) and the sums are
+    taken in pointer units (only g / delta enters the kernels) in a
+    rearranged form that subtracts the g-independent part analytically
+    (:func:`_pointer_sums`), so nearly orthogonal selections do not suffer
+    catastrophic cancellation, and no power of delta can overflow.
 
     Raises
     ------
@@ -295,44 +319,21 @@ def exact_shifts(setup: MeasurementSetup) -> MeasurementOutcome:
         If a mathematically real quantity develops a relative imaginary
         residue above 1e-10.
     """
-    levels = setup.observable.spectrum
-    eigs = np.array([a for a, _ in levels])
+    eigs = np.array(setup.observable.eigenvalues)
     g, delta = setup.g, setup.pointer.delta
-
-    if setup.postselection.rank == 1 and setup.preselection.is_pure():
-        psi_f = _range_vector(setup.postselection)
-        _, chis = setup.preselection.eigen_ensemble()
-        psi_i = chis[0]
-        c = np.array([np.vdot(psi_f, p.matrix @ psi_i) for _, p in levels])
-        n_val, q_num, p_num, resid = _amplitude_stats(c, eigs, g, delta)
-    else:
-        w = _selection_weights(setup)
-        h, qker, pker = _overlap_kernels(eigs, g, delta)
-        t1 = complex(np.trace(setup.postselection.matrix @ setup.observable.matrix @ setup.preselection.matrix))
-        n0 = setup.selection_prob
-        sum_n = complex(np.sum(w * h))
-        sum_q = complex(np.sum(w * qker))
-        sum_p = complex(np.sum(w * pker))
-        n_val = n0 - sum_n.real
-        q_num = g * (t1.real - sum_q.real)
-        p_num = g / (2.0 * delta**2) * t1.imag - sum_p.real
-        wmass = float(np.sum(np.abs(w))) + 1e-300
-        resid = max(
-            abs(sum_n.imag) / (wmass * max(1.0, float(np.max(h)))),
-            abs(sum_q.imag) / (wmass * max(1.0, float(np.max(np.abs(qker))))),
-            abs(sum_p.imag) / (wmass * max(1.0, float(np.max(np.abs(pker.imag))))),
-        )
-
-    if resid > _RESIDUE_TOL:
-        raise InternalConsistencyError(
-            f"imaginary residue {resid:.3e} on a mathematically real pointer sum"
-        )
+    ratio = g / delta
+    c = _selection_amplitudes(setup.preselection, setup.postselection, setup.observable)
+    n_val, q_num, p_num, resid = _pointer_sums(c, eigs, _overlap_kernels(eigs, ratio))
     if n_val <= ORTHOGONALITY_FLOOR:
         raise OrthogonalSelectionError(
             f"postselection probability {n_val:.3e} at or below 1e-14; "
             "pre- and postselection are numerically orthogonal at this coupling"
         )
-    return MeasurementOutcome(q_num / n_val, p_num / n_val, min(n_val, 1.0))
+    if resid > _RESIDUE_TOL:
+        raise InternalConsistencyError(
+            f"imaginary residue {resid:.3e} on a mathematically real pointer sum"
+        )
+    return MeasurementOutcome(g * (q_num / n_val), ratio * (p_num / n_val) / delta, min(n_val, 1.0))
 
 
 def _pointer_position_profile(qs: np.ndarray, centers: np.ndarray, delta: float) -> np.ndarray:

@@ -27,14 +27,14 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import InternalConsistencyError, ValidationError
-from .exactengine import GaussianPointer, MeasurementSetup, exact_shifts
-from .qcore import (
-    DensityOperator,
-    HermitianObservable,
-    ProjectionOperator,
-    StateVector,
-    tensor_product,
+from .exactengine import (
+    GaussianPointer,
+    _coupling_grid,
+    _overlap_kernels,
+    _pointer_sums,
+    _selection_amplitudes,
 )
+from .qcore import HermitianObservable, ProjectionOperator, StateVector, tensor_product
 
 #: Arm-pair labels, electron arm first: O = overlapping, NO = non-overlapping.
 PATH_LABELS = ("OO", "ONO", "NOO", "NONO")
@@ -118,19 +118,54 @@ def infer_probability(delta_q: float, g: float) -> float:
 
 
 @lru_cache(maxsize=1)
-def _cached_pieces() -> tuple[DensityOperator, ProjectionOperator, dict[str, HermitianObservable]]:
+def _cached_amplitudes() -> dict[str, tuple[np.ndarray, np.ndarray]]:
+    """Per arm pair: the observable's eigenvalues and the selection amplitudes."""
     sc = build_hardy()
-    observables = {
-        label: HermitianObservable.from_projector(proj) for label, proj in sc.operators.items()
-    }
-    return sc.preselection.density(), sc.postselection, observables
+    rho = sc.preselection.density()
+    pieces = {}
+    for label, proj in sc.operators.items():
+        observable = HermitianObservable.from_projector(proj)
+        eigs = np.array(observable.eigenvalues)
+        c = _selection_amplitudes(rho, sc.postselection, observable)
+        eigs.flags.writeable = c.flags.writeable = False  # shared by every caller
+        pieces[label] = (eigs, c)
+    return pieces
+
+
+def _probability_points(gs: np.ndarray, delta: float) -> list[ProbabilityPoint]:
+    """The four inferred probabilities at every coupling in gs (all > 0).
+
+    Each arm pair's shifts come from one engine call over all couplings, and
+    every point is checked against :func:`closed_form_shifts`.
+    """
+    GaussianPointer(delta)  # validates delta
+    ratio = gs / delta
+    probs = {}
+    for label, (eigs, c) in _cached_amplitudes().items():
+        n_val, q_num, _, _ = _pointer_sums(c, eigs, _overlap_kernels(eigs, ratio))
+        probs[label] = q_num / n_val
+    for i, g in enumerate(gs):
+        expected = closed_form_shifts(float(g), delta)
+        floor = 1e-14 * max(g, delta)
+        for label in PATH_LABELS:
+            delta_q = g * probs[label][i]
+            # written so that a NaN shift fails the check too
+            if not abs(delta_q - expected[label]) <= 1e-12 * abs(expected[label]) + floor:
+                raise InternalConsistencyError(
+                    f"engine and closed-form shifts disagree for {label} at g = {float(g)!r}: "
+                    f"{float(delta_q)!r} vs {expected[label]!r}"
+                )
+    return [
+        ProbabilityPoint(float(g), *(float(probs[label][i]) for label in PATH_LABELS))
+        for i, g in enumerate(gs)
+    ]
 
 
 def hardy_probabilities(g: float, delta: float = 1.0) -> ProbabilityPoint:
     """All four inferred probabilities at coupling g, engine-vs-closed-form checked.
 
-    Each shift is computed through :func:`weakmeter.exactengine.exact_shifts`
-    and through :func:`closed_form_shifts`; the routes must agree within
+    Each shift is computed through the exact engine's pointer sums and
+    through :func:`closed_form_shifts`; the routes must agree within
     relative 1e-12 (with a 1e-14 * max(g, delta) absolute floor so the
     NO-NO zero crossing near g = delta * sqrt(8 ln 2) stays well-posed).
 
@@ -141,21 +176,7 @@ def hardy_probabilities(g: float, delta: float = 1.0) -> ProbabilityPoint:
     """
     if not np.isfinite(g) or g <= 0.0:
         raise ValidationError(f"coupling g must be positive, got {g!r}")
-    rho, post, observables = _cached_pieces()
-    pointer = GaussianPointer(delta)
-    expected = closed_form_shifts(g, delta)
-    probs: dict[str, float] = {}
-    floor = 1e-14 * max(g, delta)
-    for label in PATH_LABELS:
-        outcome = exact_shifts(MeasurementSetup(observables[label], rho, post, g, pointer))
-        gap = abs(outcome.delta_q - expected[label])
-        if gap > 1e-12 * abs(expected[label]) + floor:
-            raise InternalConsistencyError(
-                f"engine and closed-form shifts disagree for {label} at g = {g!r}: "
-                f"{outcome.delta_q!r} vs {expected[label]!r}"
-            )
-        probs[label] = infer_probability(outcome.delta_q, g)
-    return ProbabilityPoint(g, probs["OO"], probs["ONO"], probs["NOO"], probs["NONO"])
+    return _probability_points(np.array([float(g)]), delta)[0]
 
 
 def probability_curve(
@@ -167,21 +188,15 @@ def probability_curve(
 ) -> list[ProbabilityPoint]:
     """Sweep the inferred probabilities over a coupling range.
 
-    spacing is "log" (default) or "lin".  The NO-NO probability is checked
-    to be non-decreasing along the curve; it is strictly increasing
-    everywhere the overlap G has not underflowed (g below ~12 delta).
+    spacing is "log" (default) or "lin".  All couplings go through the
+    engine in one batch, with the same per-point closed-form check as
+    :func:`hardy_probabilities`.  The NO-NO probability is checked to be
+    non-decreasing along the curve; it is strictly increasing everywhere
+    the overlap G has not underflowed (g below ~12 delta).
     """
-    if not np.isfinite(g_min) or not np.isfinite(g_max) or g_min <= 0.0 or g_max <= g_min:
+    if not g_min > 0.0:
         raise ValidationError(f"need 0 < g_min < g_max, got {g_min!r}, {g_max!r}")
-    if points < 2:
-        raise ValidationError(f"points must be >= 2, got {points!r}")
-    if spacing == "log":
-        gs = np.geomspace(g_min, g_max, points)
-    elif spacing == "lin":
-        gs = np.linspace(g_min, g_max, points)
-    else:
-        raise ValidationError(f"spacing must be 'lin' or 'log', got {spacing!r}")
-    curve = [hardy_probabilities(float(g), delta) for g in gs]
+    curve = _probability_points(_coupling_grid(g_min, g_max, points, spacing), delta)
     for prev, here in zip(curve, curve[1:]):
         if here.prob_nono < prev.prob_nono:
             raise InternalConsistencyError(

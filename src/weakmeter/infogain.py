@@ -25,26 +25,10 @@ import numpy as np
 
 from .bounds import extreme_shifts_projector
 from .errors import InternalConsistencyError, ValidationError
+from .exactengine import _coupling_grid
 from .qcore import DensityOperator, von_neumann_entropy
 
 _ROUTE_TOL = 1e-12
-
-
-@dataclass(frozen=True)
-class WhichPathEnsemble:
-    """Two equally likely path hypotheses for the device to distinguish."""
-
-    hypotheses: tuple[DensityOperator, DensityOperator]
-    priors: tuple[float, float] = (0.5, 0.5)
-
-    def __post_init__(self) -> None:
-        p1, p2 = (float(p) for p in self.priors)
-        if p1 < 0.0 or p2 < 0.0 or abs(p1 + p2 - 1.0) > 1e-12:
-            raise ValidationError(f"priors must be nonnegative and sum to 1, got {self.priors!r}")
-        a, b = self.hypotheses
-        if a.dimension != b.dimension:
-            raise ValidationError("hypothesis dimensions differ")
-        object.__setattr__(self, "priors", (p1, p2))
 
 
 @dataclass(frozen=True)
@@ -74,8 +58,8 @@ def reduced_device_states(
 ) -> tuple[DensityOperator, DensityOperator, DensityOperator]:
     """(rho_R, rho_1R, rho_2R) for the two pointer records, one shared basis.
 
-    The off-diagonal of rho_R equals the pointer overlap s(1, 0) from
-    :func:`weakmeter.exactengine.overlap_elements`.  The branch records are
+    The off-diagonal of rho_R is G / 2, half the overlap <Phi_1|Phi_0> of
+    the pointer displaced by g with the undisplaced one.  The branch records are
     the pure states (a, b) and (b, a) with a^2 + b^2 = 1 and 2ab = G; in
     that basis their even mixture is exactly rho_R and their mutual overlap
     is G.
@@ -116,10 +100,8 @@ def information_gain(g: float, delta: float = 1.0) -> InfoGainResult:
         If the two routes disagree.
     """
     rho_r, rho_1, rho_2 = reduced_device_states(g, delta)
-    ensemble = WhichPathEnsemble((rho_1, rho_2))
-    via_entropy = von_neumann_entropy(rho_r) - (
-        ensemble.priors[0] * von_neumann_entropy(rho_1)
-        + ensemble.priors[1] * von_neumann_entropy(rho_2)
+    via_entropy = von_neumann_entropy(rho_r) - 0.5 * (
+        von_neumann_entropy(rho_1) + von_neumann_entropy(rho_2)
     )
     lam = 0.5 * (1.0 + float(rho_r.matrix[0, 1].real) * 2.0)
     closed = _binary_entropy_bits(lam)
@@ -144,18 +126,7 @@ def info_curve(
     non-decreasing; it is strictly increasing until the overlap underflow
     plateau near g ~ 12 delta.
     """
-    if not np.isfinite(g_min) or not np.isfinite(g_max) or g_min < 0.0 or g_max <= g_min:
-        raise ValidationError(f"need 0 <= g_min < g_max, got {g_min!r}, {g_max!r}")
-    if points < 2:
-        raise ValidationError(f"points must be >= 2, got {points!r}")
-    if spacing == "log":
-        if g_min == 0.0:
-            raise ValidationError("log spacing requires g_min > 0")
-        gs = np.geomspace(g_min, g_max, points)
-    elif spacing == "lin":
-        gs = np.linspace(g_min, g_max, points)
-    else:
-        raise ValidationError(f"spacing must be 'lin' or 'log', got {spacing!r}")
+    gs = _coupling_grid(g_min, g_max, points, spacing)
     curve = [information_gain(float(g), delta) for g in gs]
     for prev, here in zip(curve, curve[1:]):
         if here.i_a < prev.i_a:

@@ -139,10 +139,6 @@ class DensityOperator:
     def dimension(self) -> int:
         return self.matrix.shape[0]
 
-    @classmethod
-    def from_state(cls, state: StateVector) -> "DensityOperator":
-        return state.density()
-
     def eigen_ensemble(self, weight_floor: float = 1e-15) -> tuple[np.ndarray, np.ndarray]:
         """Spectral ensemble of the state.
 
@@ -158,11 +154,6 @@ class DensityOperator:
         vals, vecs = vals[order], vecs[:, order]
         keep = vals > weight_floor
         return vals[keep], vecs[:, keep].T
-
-    def is_pure(self, tol: float = 1e-12) -> bool:
-        """True when the largest eigenvalue is within `tol` of 1."""
-        top = float(np.linalg.eigvalsh(self.matrix)[-1])
-        return top > 1.0 - tol
 
 
 @dataclass(frozen=True)
@@ -187,10 +178,6 @@ class ProjectionOperator:
     def rank(self) -> int:
         # trace of a projector is its rank, up to rounding
         return int(round(float(self.matrix.trace().real)))
-
-    @classmethod
-    def from_state(cls, state: StateVector) -> "ProjectionOperator":
-        return state.projector()
 
     @classmethod
     def identity(cls, dimension: int) -> "ProjectionOperator":

@@ -18,14 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateDenominatorError, OrthogonalSelectionError, ValidationError
-from .exactengine import GaussianPointer, ORTHOGONALITY_FLOOR
+from .exactengine import ORTHOGONALITY_FLOOR, GaussianPointer, _selection_factors
 from .qcore import DensityOperator, HermitianObservable, ProjectionOperator
-
-# Mean anticommutator <{p, q}>/2-type pointer correlation entering the
-# first-order position shift.  It vanishes identically for the zero-centered
-# Gaussian pointer used throughout, and is kept as a named constant so the
-# formula below reads like the general one.
-GAUSSIAN_ANTICOMMUTATOR_MEAN = 0.0
 
 
 @dataclass(frozen=True)
@@ -146,15 +140,17 @@ def weak_moments(
 def jozsa_shifts(weak_value: WeakValue, g: float, pointer: GaussianPointer) -> tuple[float, float]:
     """First-order pointer shifts from a (complex) weak value.
 
-    delta_q = g a + g b <{q, p}>-term (zero for this pointer),
+    delta_q = g a,
     delta_p = 2 g b Var_p.
+
+    The general position shift carries a further g b term weighted by the
+    pointer's <{q, p}>/2 correlation, which vanishes for the zero-centered
+    Gaussian pointer.
     """
     if not np.isfinite(g) or g < 0.0:
         raise ValidationError(f"coupling g must be finite and >= 0, got {g!r}")
     a, b = weak_value.real_part, weak_value.imag_part
-    delta_q = g * a + g * b * GAUSSIAN_ANTICOMMUTATOR_MEAN
-    delta_p = 2.0 * g * b * pointer.var_p
-    return delta_q, delta_p
+    return g * a, 2.0 * g * b * pointer.var_p
 
 
 def second_order_shifts(
@@ -204,13 +200,9 @@ def schwarz_gap(
             f"dimension mismatch: observable/state/projector are "
             f"{d}/{rho_s.dimension}/{pi_f.dimension}"
         )
-    weights, kets = rho_s.eigen_ensemble()
-    vals, vecs = np.linalg.eigh(pi_f.matrix)
-    bras = vecs[:, vals > 0.5].conj().T  # rows <f_j|, eigenvalues are 0 or 1
-
-    root_w = np.sqrt(weights)[np.newaxis, :]
-    v = (root_w * (bras @ kets.T)).ravel()
-    u = (root_w * (bras @ observable.matrix @ kets.T)).ravel()
+    bras, kets = _selection_factors(rho_s, pi_f)
+    v = (bras @ kets).ravel()
+    u = (bras @ observable.matrix @ kets).ravel()
 
     prob = float(np.vdot(v, v).real)
     if prob <= ORTHOGONALITY_FLOOR:

@@ -6,6 +6,10 @@ final pointer wavefunction on a grid and integrates.  The two routes share
 no code beyond the setup container, so agreement is a real check.
 """
 
+import json
+from importlib import resources
+
+import mpmath
 import numpy as np
 import pytest
 from pytest import approx
@@ -18,16 +22,18 @@ from weakmeter import (
     HermitianObservable,
     MeasurementSetup,
     OrthogonalSelectionError,
+    ProjectionOperator,
     StateVector,
     ValidationError,
     build_hardy,
     exact_shifts,
     grid_shifts,
     jozsa_shifts,
-    overlap_elements,
+    parse_scenario,
     second_order_shifts,
     weak_moments,
 )
+from weakmeter.exactengine import _overlap_kernels, _pointer_sums, _selection_amplitudes
 
 PATH = HermitianObservable(np.diag([1.0, 0.0]))
 
@@ -50,6 +56,21 @@ def _quad_elements(a, a_prime, g, delta):
         lambda q: pair(q) * (q - g * a_prime) / (2.0 * delta**2), -lim, lim, epsabs=1e-13
     )[0]
     return s, q_elem, 1j * p_imag
+
+
+def overlap_elements(a, a_prime, g, delta):
+    """Matrix elements of 1, q and p between two displaced pointer components,
+    read off the engine's kernels h, qker and pker at ratio g / delta:
+
+        <Phi_a | Phi_a'>     = G = 1 - h
+        <Phi_a | q | Phi_a'> = g (a + a') / 2 * G
+        <Phi_a | p | Phi_a'> = i g (a - a') / (4 delta^2) * G
+    """
+    h, qker, pker = _overlap_kernels(np.array([a, a_prime]), g / delta)[:, 0, 1]
+    s = 1.0 - h
+    q_elem = g * ((a + a_prime) / 2.0 - qker)
+    p_elem = 1j * (g / delta**2) * ((a - a_prime) / 4.0 - pker)
+    return s, q_elem, p_elem
 
 
 class TestOverlapElements:
@@ -150,6 +171,124 @@ class TestExactShifts:
         dq1, dp1 = jozsa_shifts(m.weak_value, 1e-4, pointer)
         assert out.delta_q == approx(dq1, rel=1e-6)
         assert out.delta_p == approx(dp1, abs=1e-12)
+
+
+class TestSelectionFamilies:
+    def test_rank2_selection_orthogonal_at_every_coupling(self):
+        """A pure state inside an A-invariant subspace never reaches a
+        rank-2 projector on its complement, whatever the coupling: the
+        engine must report an orthogonal selection, not an internal fault."""
+        rng = np.random.default_rng(4242)
+        for _ in range(200):
+            d = int(rng.integers(3, 7))
+            m = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+            basis = np.linalg.qr(m)[0]
+            a_mat = (basis * rng.uniform(-1.0, 1.0, d)) @ basis.conj().T
+            split = int(rng.integers(1, d - 1))  # A-invariant block, then >= 2 columns
+            psi = basis[:, :split] @ (rng.normal(size=split) + 1j * rng.normal(size=split))
+            psi /= np.linalg.norm(psi)
+            comp = basis[:, split:split + 2]
+            pi = comp @ comp.conj().T
+            setup = MeasurementSetup(
+                HermitianObservable((a_mat + a_mat.conj().T) / 2),
+                DensityOperator(np.outer(psi, psi.conj())),
+                ProjectionOperator((pi + pi.conj().T) / 2),
+                g=10.0 ** rng.uniform(-3.0, 1.0),
+                pointer=GaussianPointer(float(rng.choice([0.5, 1.0, 2.0]))),
+            )
+            with pytest.raises(OrthogonalSelectionError):
+                exact_shifts(setup)
+
+    def test_factored_batch_matches_single_couplings(self):
+        """A 1-d ratio gives one result per coupling, equal to the scalar calls."""
+        rng = np.random.default_rng(8)
+        m = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+        obs = HermitianObservable((m + m.conj().T) / 2)
+        rho = DensityOperator(np.diag([0.4, 0.3, 0.2, 0.1]))
+        pi = ProjectionOperator(np.diag([1.0, 1.0, 0.0, 0.0]))
+        eigs = np.array(obs.eigenvalues)
+        c = _selection_amplitudes(rho, pi, obs)
+        ratios = np.geomspace(1e-3, 30.0, 9)
+        *batch, batch_resid = _pointer_sums(c, eigs, _overlap_kernels(eigs, ratios))
+        assert batch_resid.shape == ratios.shape and np.all(batch_resid < 1e-13)
+        for i, r in enumerate(ratios):
+            *single, resid = _pointer_sums(c, eigs, _overlap_kernels(eigs, r))
+            assert resid < 1e-13
+            for b, s_ in zip(batch, single):
+                assert b[i] == approx(float(s_), rel=1e-14)
+
+
+class TestExtremeScales:
+    @pytest.mark.parametrize(
+        "delta,expected",
+        [(1e200, -0.15), (1e-200, 0.018)],
+        ids=["wide pointer: g Re A_w", "narrow pointer: projective mean"],
+    )
+    def test_extreme_pointer_widths(self, delta, expected):
+        """Only g / delta enters the kernels, so no power of delta can
+        overflow: a very wide pointer reads g Re A_w = -0.15, a very narrow
+        one the projective mean g sum_k a_k |c_k|^2 / sum_k |c_k|^2 = 0.018."""
+        text = resources.files("weakmeter").joinpath("scenarios", "anomalous_qubit.json").read_text()
+        setup, _ = parse_scenario({**json.loads(text), "delta": delta})
+        assert exact_shifts(setup).delta_q == approx(expected, rel=1e-12)
+
+
+def _near_orthogonal_setups(family, rng, n0=1e-9):
+    """Selections with tr(Pi rho) ~ 1e-9 on A = diag(a), d = 4."""
+    d = 4
+    m = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    basis = np.linalg.qr(m)[0]
+    psi, chi, perp = basis[:, 0], basis[:, 1], basis[:, 2]
+    if family == "pure":
+        theta = np.arcsin(np.sqrt(n0))
+        rho = np.outer(psi, psi.conj())
+        f = np.cos(theta) * perp + np.sin(theta) * psi
+    elif family == "two-eigenvector":
+        w = rng.uniform(0.2, 0.8)
+        rho = w * np.outer(psi, psi.conj()) + (1.0 - w) * np.outer(chi, chi.conj())
+        theta = np.arcsin(np.sqrt(2.0 * n0))
+        f = np.cos(theta) * perp + np.sin(theta) * (psi + chi) / np.sqrt(2.0)
+    else:  # near-pure: a pure state with a 1e-9 admixture of white noise
+        eta = n0
+        rho = (1.0 - eta) * np.outer(psi, psi.conj()) + eta * np.eye(d) / d
+        theta = np.arcsin(np.sqrt(n0 / 2.0))
+        f = np.cos(theta) * perp + np.sin(theta) * psi
+    a = np.sort(rng.uniform(-1.0, 1.0, d))
+    return np.diag(a), (rho + rho.conj().T) / 2, np.outer(f, f.conj())
+
+
+def _mp_delta_q(a, rho, pi, g, delta):
+    """delta_q and N at 50 digits from the same double inputs, A = diag(a):
+    w(k, l) = Pi_kl rho_lk, G = exp(-g^2 (a_k - a_l)^2 / (8 delta^2))."""
+    with mpmath.workdps(50):
+        num = den = mpmath.mpf(0)
+        for k in range(len(a)):
+            for l in range(len(a)):
+                w = mpmath.mpc(complex(pi[k, l])) * mpmath.mpc(complex(rho[l, k]))
+                ak, al = mpmath.mpf(float(a[k])), mpmath.mpf(float(a[l]))
+                overlap = mpmath.exp(-((mpmath.mpf(g) * (ak - al)) ** 2) / (8 * mpmath.mpf(delta) ** 2))
+                den += w * overlap
+                num += w * (ak + al) / 2 * overlap
+        return float((mpmath.mpf(g) * num / den).real), float(den.real)
+
+
+@pytest.mark.parametrize("family", ["pure", "two-eigenvector", "near-pure"])
+def test_delta_q_keeps_relative_precision_near_orthogonality(family):
+    """At g = 1e-4 delta and N ~ 1e-9 the relative error of delta_q against
+    a 50-digit evaluation stays within 16 eps / N, the rounding of N itself."""
+    eps = 2.2e-16
+    g, delta = 1e-4, 1.0
+    rng = np.random.default_rng({"pure": 11, "two-eigenvector": 12, "near-pure": 13}[family])
+    for _ in range(20):
+        a_mat, rho, pi = _near_orthogonal_setups(family, rng)
+        setup = MeasurementSetup(
+            HermitianObservable(a_mat), DensityOperator(rho), ProjectionOperator(pi),
+            g, GaussianPointer(delta),
+        )
+        ref, n_ref = _mp_delta_q(np.diag(a_mat).real, rho, pi, g, delta)
+        assert 1e-11 < n_ref < 1e-8
+        err = abs(exact_shifts(setup).delta_q - ref) / abs(ref)
+        assert err <= 16.0 * eps / n_ref, (err * n_ref / eps, ref)
 
 
 class TestResidualOrders:

@@ -11,9 +11,7 @@ import pytest
 from pytest import approx
 
 from weakmeter import (
-    DensityOperator,
     ValidationError,
-    WhichPathEnsemble,
     info_curve,
     information_gain,
     reduced_device_states,
@@ -31,7 +29,9 @@ class TestReducedStates:
         np.testing.assert_allclose(
             rho.matrix, np.array([[0.5, G / 2], [G / 2, 0.5]]), atol=1e-15
         )
-        assert rho_1.is_pure() and rho_2.is_pure()
+        for branch in (rho_1, rho_2):
+            weights, _ = branch.eigen_ensemble()
+            assert weights == approx([1.0], abs=1e-12)
 
     def test_branch_states_overlap(self):
         _, rho_1, rho_2 = reduced_device_states(2.0, 0.7)
@@ -108,14 +108,3 @@ class TestInfoCurve:
             info_curve(-0.1, 1.0, 10)
         with pytest.raises(ValidationError):
             info_curve(1.0, 1.0, 10)
-
-
-class TestEnsemble:
-    def test_priors_must_be_a_distribution(self):
-        rho = DensityOperator(np.eye(2) / 2)
-        with pytest.raises(ValidationError):
-            WhichPathEnsemble((rho, rho), priors=(0.7, 0.7))
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValidationError):
-            WhichPathEnsemble((DensityOperator(np.eye(2) / 2), DensityOperator(np.eye(3) / 3)))

@@ -50,8 +50,9 @@ class TestStateVector:
 class TestDensityOperator:
     def test_pure_roundtrip(self):
         s = StateVector.normalized([1.0, 1.0j])
-        rho = DensityOperator.from_state(s)
-        assert rho.is_pure()
+        rho = s.density()
+        weights, _ = rho.eigen_ensemble()
+        assert weights == approx([1.0], abs=1e-12)
         assert np.trace(rho.matrix) == approx(1.0)
 
     def test_rejects_trace_away_from_one(self):
@@ -79,14 +80,15 @@ class TestDensityOperator:
         np.testing.assert_allclose(rebuilt, rho.matrix, atol=1e-13)
 
     def test_eigen_ensemble_drops_null_weights(self):
-        rho = DensityOperator.from_state(StateVector.basis_state(4, 2))
+        rho = StateVector.basis_state(4, 2).density()
         weights, vecs = rho.eigen_ensemble()
         assert len(weights) == 1
         assert weights[0] == approx(1.0)
         assert abs(vecs[0, 2]) == approx(1.0)
 
     def test_mixed_is_not_pure(self):
-        assert not DensityOperator(np.eye(2) / 2).is_pure()
+        weights, _ = DensityOperator(np.eye(2) / 2).eigen_ensemble()
+        assert weights == approx([0.5, 0.5], abs=1e-15)
 
 
 class TestProjectionOperator:
@@ -96,7 +98,7 @@ class TestProjectionOperator:
         assert p.complement().rank == 0
 
     def test_rank_one_from_state(self):
-        p = ProjectionOperator.from_state(StateVector.normalized([1.0, 1.0]))
+        p = StateVector.normalized([1.0, 1.0]).projector()
         assert p.rank == 1
         np.testing.assert_allclose(p.matrix, np.full((2, 2), 0.5), atol=1e-15)
 
@@ -156,7 +158,7 @@ class TestSpectralDecompose:
 
 class TestEntropy:
     def test_pure_state_zero(self):
-        rho = DensityOperator.from_state(StateVector.normalized([1.0, 2.0j, -1.0]))
+        rho = StateVector.normalized([1.0, 2.0j, -1.0]).density()
         assert von_neumann_entropy(rho) == approx(0.0, abs=1e-12)
 
     def test_maximally_mixed(self):

@@ -10,7 +10,6 @@ import pytest
 from pytest import approx
 
 from weakmeter import (
-    GAUSSIAN_ANTICOMMUTATOR_MEAN,
     DegenerateDenominatorError,
     DensityOperator,
     GaussianPointer,
@@ -37,12 +36,6 @@ def _moments(pre, post, obs):
         StateVector.normalized(post).projector(),
         obs,
     )
-
-
-def test_anticommutator_constant_is_zero():
-    # the symmetric {q, p}/2 expectation of the shifted Gaussian; kept as a
-    # named constant so the first-order position formula shows both terms
-    assert GAUSSIAN_ANTICOMMUTATOR_MEAN == 0.0
 
 
 class TestWeakValue:
