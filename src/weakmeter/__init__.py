@@ -45,7 +45,6 @@ from .hardy import (
     build_hardy,
     closed_form_shifts,
     hardy_probabilities,
-    infer_probability,
     probability_curve,
 )
 from .infogain import (
@@ -112,7 +111,6 @@ __all__ = [
     "extreme_shifts_projector",
     "grid_shifts",
     "hardy_probabilities",
-    "infer_probability",
     "info_curve",
     "information_gain",
     "jozsa_shifts",

@@ -32,6 +32,7 @@ from .errors import (
 from .exactengine import (
     GaussianPointer,
     MeasurementSetup,
+    _check_coupling,
     _overlap_kernels,
     _pointer_sums,
     exact_shifts,
@@ -102,9 +103,7 @@ def k_value(moments: WeakMoments, g: float, pointer: GaussianPointer) -> float:
     InternalConsistencyError
         If K < -1e-10 (a proven inequality would be violated).
     """
-    if not np.isfinite(g) or g < 0.0:
-        raise ValidationError(f"coupling g must be finite and >= 0, got {g!r}")
-    u = g * pointer.delta_p
+    u = _check_coupling(g) * pointer.delta_p
     if u > 1.0 + 1e-12:
         raise RegimeError(f"K factor requires g * Delta_p <= 1, got {u!r}")
     sig_scale = max(1.0, abs(moments.square_real), abs(moments.weak_value.real_part))
@@ -168,10 +167,8 @@ def extreme_shifts_projector(g: float, delta: float) -> tuple[float, float]:
         envelope is undefined as a selection limit, and when g / delta
         underflows so that the envelope cannot be told from that limit.
     """
-    if not np.isfinite(delta) or delta <= 0.0:
-        raise ValidationError(f"delta must be positive, got {delta!r}")
-    if not np.isfinite(g) or g < 0.0:
-        raise ValidationError(f"coupling g must be finite and >= 0, got {g!r}")
+    delta = GaussianPointer(delta).delta  # validates delta
+    g = _check_coupling(g)
     if g == 0.0:
         raise UndefinedExtremeError("extreme shifts are undefined at g = 0")
     ratio = g / delta
@@ -334,8 +331,7 @@ def optimize_pps(
         raise ValidationError(f"objective must be 'max' or 'min', got {objective!r}")
     if restarts < 1:
         raise ValidationError(f"restarts must be >= 1, got {restarts!r}")
-    if not np.isfinite(g) or g < 0.0:
-        raise ValidationError(f"coupling g must be finite and >= 0, got {g!r}")
+    g = _check_coupling(g)
     delta = pointer.delta
     # delta_q / Delta depends on g only through g / Delta, so the search runs
     # in pointer units; no kernel then scales with a power of Delta.
@@ -346,8 +342,7 @@ def optimize_pps(
         raise ValidationError("min_postselect must be >= the 1e-14 orthogonality floor")
 
     d = observable.dimension
-    eigs = np.array([a for a, _ in observable.spectrum])
-    pstack = np.stack([p.matrix for _, p in observable.spectrum])
+    eigs, pstack = observable.eigenvalues, observable.projectors
     kernels = _overlap_kernels(eigs, ratio)
     # 1 - G below the normal range has no precision left: the displaced
     # pointers cannot be told apart, as at g = 0 (the identity masks the

@@ -140,6 +140,8 @@ def _cmd_info_sweep(args: argparse.Namespace) -> int:
 def _canonical_observable(kind: str, dim: int) -> tuple[HermitianObservable, str]:
     import numpy as np
 
+    if not 2 <= dim <= 8:
+        raise ValidationError(f"--dim must be in 2..8, got {dim}")
     if kind == "identity":
         return (
             HermitianObservable.from_projector(ProjectionOperator.identity(dim)),

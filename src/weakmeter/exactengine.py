@@ -41,6 +41,15 @@ ORTHOGONALITY_FLOOR = 1e-14
 _RESIDUE_TOL = 1e-10
 
 
+def _check_coupling(g: float, positive: bool = False) -> float:
+    """The coupling g as a float; finite and >= 0 (> 0 if `positive`), else ValidationError."""
+    g = float(g)
+    if not np.isfinite(g) or g < 0.0 or (positive and g == 0.0):
+        sign = ">" if positive else ">="
+        raise ValidationError(f"coupling g must be finite and {sign} 0, got {g!r}")
+    return g
+
+
 @dataclass(frozen=True)
 class GaussianPointer:
     """A Gaussian pointer of position spread `delta` (> 0), hbar = 1.
@@ -58,20 +67,8 @@ class GaussianPointer:
         object.__setattr__(self, "delta", d)
 
     @property
-    def delta_q(self) -> float:
-        return self.delta
-
-    @property
     def delta_p(self) -> float:
         return 1.0 / (2.0 * self.delta)
-
-    @property
-    def var_q(self) -> float:
-        return self.delta**2
-
-    @property
-    def var_p(self) -> float:
-        return 1.0 / (4.0 * self.delta**2)
 
 
 @dataclass(frozen=True)
@@ -112,25 +109,10 @@ class MeasurementSetup:
                 "dimension mismatch: observable/preselection/postselection are "
                 f"{d}/{self.preselection.dimension}/{self.postselection.dimension}"
             )
-        g = float(self.g)
-        if not np.isfinite(g) or g < 0.0:
-            raise ValidationError(f"coupling g must be finite and >= 0, got {self.g!r}")
-        object.__setattr__(self, "g", g)
+        object.__setattr__(self, "g", _check_coupling(self.g))
         tr = complex(np.trace(self.postselection.matrix @ self.preselection.matrix))
         assert abs(tr.imag) < 1e-12  # trace of a product of Hermitian PSD factors
         object.__setattr__(self, "selection_prob", float(tr.real))
-
-    @classmethod
-    def from_pure(
-        cls,
-        observable: HermitianObservable,
-        preselect,
-        postselect,
-        g: float,
-        pointer: GaussianPointer,
-    ) -> "MeasurementSetup":
-        """Build a setup from pure pre- and postselection StateVectors."""
-        return cls(observable, preselect.density(), postselect.projector(), g, pointer)
 
 
 @dataclass(frozen=True)
@@ -206,24 +188,34 @@ def _coupling_grid(g_min: float, g_max: float, points: int, spacing: str) -> np.
     return np.geomspace(g_min, g_max, points)
 
 
+def _one_minus_overlap(ratio):
+    """h = 1 - G for two pointers displaced by ratio = g / delta widths.
+
+    G = exp(-ratio^2 / 8) is their overlap.  Through expm1, h keeps full
+    relative precision as ratio -> 0; |ratio| is clipped at 1e150, past
+    which G = 0 exactly, so h saturates to 1 instead of overflowing.
+    """
+    t = np.minimum(np.abs(ratio), 1e150)
+    return -np.expm1(np.square(t) / -8.0)
+
+
 def _overlap_kernels(eigenvalues: np.ndarray, ratio) -> np.ndarray:
     """Stacked real K x K kernels of the cancellation-free shift sums.
 
-    Pointer units: only ratio = g / delta enters.  With t = ratio (a - a')
-    and G = exp(-t^2 / 8) the pointer overlap, returns [h, qker, pker] with
-    h = 1 - G elementwise (via expm1, exact for tiny t and saturating
-    cleanly to 1 as t grows), qker = (a + a')/2 * h and pker = (a - a')/4 * h
-    (the Hermitian momentum kernel is i * pker).  A 1-d `ratio` gives a
-    leading coupling axis: shape ratio.shape + (3, K, K).
+    Pointer units: only ratio = g / delta enters.  Returns [h, qker, pker]
+    with h = 1 - G(ratio (a - a')) elementwise (:func:`_one_minus_overlap`),
+    qker = (a + a')/2 * h and pker = (a - a')/4 * h (the Hermitian momentum
+    kernel is i * pker).  A 1-d `ratio` gives a leading coupling axis:
+    shape ratio.shape + (3, K, K).
     """
     a = np.asarray(eigenvalues, dtype=float)
     da = a[:, None] - a[None, :]
     coef = np.array([np.ones_like(da), (a[:, None] + a[None, :]) / 2.0, da / 4.0])
     # an overflowed g / delta (inf) would put inf * 0 on the diagonal; every
-    # off-diagonal G is already 0 at 1e300, and |t| > 1e150 gives G = 0 exactly
+    # off-diagonal G is already 0 at 1e300, and an overflowed product gives h = 1
     r = np.minimum(ratio, 1e300)[..., None, None]
-    t = np.minimum(r * np.abs(da), 1e150)
-    h = -np.expm1(np.square(t) / -8.0)
+    with np.errstate(over="ignore"):
+        h = _one_minus_overlap(r * np.abs(da))
     return h[..., None, :, :] * coef
 
 
@@ -254,8 +246,7 @@ def _selection_amplitudes(
     selection needs a trace or a purity test.
     """
     bras, kets = _selection_factors(rho, pi)
-    pstack = np.stack([p.matrix for _, p in observable.spectrum])
-    return (bras @ pstack @ kets).reshape(len(pstack), -1)
+    return (bras @ observable.projectors @ kets).reshape(len(observable.eigenvalues), -1)
 
 
 def _pointer_sums(c: np.ndarray, eigenvalues: np.ndarray, kernels: np.ndarray):
@@ -313,17 +304,23 @@ def exact_shifts(setup: MeasurementSetup) -> MeasurementOutcome:
 
     Raises
     ------
+    ValidationError
+        If g / delta overflows, or a shift lies beyond the double range.
     OrthogonalSelectionError
         If the postselection probability N is at or below 1e-14.
     InternalConsistencyError
         If a mathematically real quantity develops a relative imaginary
         residue above 1e-10.
     """
-    eigs = np.array(setup.observable.eigenvalues)
+    eigs = setup.observable.eigenvalues
     g, delta = setup.g, setup.pointer.delta
     ratio = g / delta
+    if not np.isfinite(ratio):
+        raise ValidationError(f"g / delta = {g!r} / {delta!r} overflows")
     c = _selection_amplitudes(setup.preselection, setup.postselection, setup.observable)
-    n_val, q_num, p_num, resid = _pointer_sums(c, eigs, _overlap_kernels(eigs, ratio))
+    # Python floats from here on: an out-of-range shift becomes inf, which
+    # MeasurementOutcome rejects, rather than a numpy overflow warning
+    n_val, q_num, p_num, resid = map(float, _pointer_sums(c, eigs, _overlap_kernels(eigs, ratio)))
     if n_val <= ORTHOGONALITY_FLOOR:
         raise OrthogonalSelectionError(
             f"postselection probability {n_val:.3e} at or below 1e-14; "
@@ -338,8 +335,8 @@ def exact_shifts(setup: MeasurementSetup) -> MeasurementOutcome:
 
 def _pointer_position_profile(qs: np.ndarray, centers: np.ndarray, delta: float) -> np.ndarray:
     """Rows of Phi(q - center) for each center; shape (K, n)."""
-    norm = (2.0 * pi * delta**2) ** -0.25
-    return norm * np.exp(-((qs[None, :] - centers[:, None]) ** 2) / (4.0 * delta**2))
+    x = (qs[None, :] - centers[:, None]) / delta
+    return (2.0 * pi) ** -0.25 / np.sqrt(delta) * np.exp(-(x**2) / 4.0)
 
 
 def grid_shifts(setup: MeasurementSetup, grid: GridSpec) -> MeasurementOutcome:
@@ -351,9 +348,10 @@ def grid_shifts(setup: MeasurementSetup, grid: GridSpec) -> MeasurementOutcome:
     grid, and integrates the first moments directly.  No overlap formula
     from :func:`exact_shifts` is reused.
 
-    The grid must satisfy half_width >= 10 * delta + g * max|a|; the
-    momentum grid spans 10 momentum spreads.  Position-route and
-    momentum-route norms are cross-checked (Parseval) to 1e-9 relative.
+    The grid must satisfy half_width >= 10 * delta + g * max|a| and resolve
+    the pointer with a step of at most delta / 2; the momentum grid spans 10
+    momentum spreads.  Position-route and momentum-route norms are
+    cross-checked (Parseval) to 1e-9 relative.
     """
     if not isinstance(grid, GridSpec):
         raise ValidationError("grid_shifts requires a GridSpec")
@@ -363,10 +361,12 @@ def grid_shifts(setup: MeasurementSetup, grid: GridSpec) -> MeasurementOutcome:
         raise ValidationError(
             f"grid half_width {grid.half_width!r} is below the required reach {reach!r}"
         )
+    step = 2.0 * grid.half_width / (grid.num_points - 1)
+    if step > 0.5 * delta:
+        raise ValidationError(f"grid step {step!r} does not resolve the pointer width {delta!r}")
 
-    levels = setup.observable.spectrum
-    eigs = np.array([a for a, _ in levels])
-    pstack = np.stack([p.matrix for _, p in levels])
+    eigs = setup.observable.eigenvalues
+    pstack = setup.observable.projectors
     weights, chis = setup.preselection.eigen_ensemble()
     pi_f = setup.postselection.matrix
 
@@ -383,7 +383,7 @@ def grid_shifts(setup: MeasurementSetup, grid: GridSpec) -> MeasurementOutcome:
     mom_q = float(np.trapezoid(qs * dens_q, qs))
 
     ps = np.linspace(-10.0 * setup.pointer.delta_p, 10.0 * setup.pointer.delta_p, n)
-    envelope = (2.0 * delta**2 / pi) ** 0.25 * np.exp(-(delta**2) * ps**2)
+    envelope = (2.0 / pi) ** 0.25 * np.sqrt(delta) * np.exp(-np.square(delta * ps))
     phi_p = envelope[None, :] * np.exp(-1j * g * np.outer(eigs, ps))
     psi_p = np.einsum("mkd,kn->mdn", xi, phi_p)
     dens_p = weights @ np.sum(np.abs(psi_p) ** 2, axis=1)

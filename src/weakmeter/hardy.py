@@ -29,7 +29,9 @@ import numpy as np
 from .errors import InternalConsistencyError, ValidationError
 from .exactengine import (
     GaussianPointer,
+    _check_coupling,
     _coupling_grid,
+    _one_minus_overlap,
     _overlap_kernels,
     _pointer_sums,
     _selection_amplitudes,
@@ -81,40 +83,21 @@ def build_hardy() -> HardyScenario:
     return HardyScenario(pre, post, ops)
 
 
-def closed_form_shifts(g: float, delta: float) -> dict[str, float]:
+def closed_form_shifts(g, delta: float) -> dict:
     """Exact position shifts of the four which-path pointers, closed form.
 
-    With G = exp(-g^2 / (8 delta^2)):
+    With G = exp(-g^2 / (8 delta^2)) and h = 1 - G:
 
         OO:   0           (the annihilation channel empties this branch)
         ONO:  g            NOO: g      (single-branch selections)
-        NONO: g (1 - 2 G) / (5 - 4 G)
+        NONO: g (1 - 2 G) / (5 - 4 G) = g (2 h - 1) / (1 + 4 h)
+
+    `g` may be a scalar or an array of couplings; each value has its shape.
     """
-    if delta <= 0.0:
-        raise ValidationError(f"delta must be positive, got {delta!r}")
-    overlap = float(np.exp(-(g**2) / (8.0 * delta**2)))
-    return {
-        "OO": 0.0,
-        "ONO": g,
-        "NOO": g,
-        "NONO": g * (1.0 - 2.0 * overlap) / (5.0 - 4.0 * overlap),
-    }
-
-
-def infer_probability(delta_q: float, g: float) -> float:
-    """Occupation probability read off the pointer: delta_q / g.
-
-    Interprets the position record of a weak which-path coupling; can be
-    negative or exceed the eigenvalue range for postselected ensembles.
-
-    Raises
-    ------
-    ValidationError
-        If g <= 0 (the ratio is undefined without a kick).
-    """
-    if not np.isfinite(g) or g <= 0.0:
-        raise ValidationError(f"inferred probability requires g > 0, got {g!r}")
-    return delta_q / g
+    delta = GaussianPointer(delta).delta  # validates delta
+    with np.errstate(over="ignore"):  # g / delta may saturate to inf, where h = 1
+        h = _one_minus_overlap(np.divide(g, delta))
+    return {"OO": 0.0 * g, "ONO": g, "NOO": g, "NONO": g * (2.0 * h - 1.0) / (1.0 + 4.0 * h)}
 
 
 @lru_cache(maxsize=1)
@@ -125,10 +108,9 @@ def _cached_amplitudes() -> dict[str, tuple[np.ndarray, np.ndarray]]:
     pieces = {}
     for label, proj in sc.operators.items():
         observable = HermitianObservable.from_projector(proj)
-        eigs = np.array(observable.eigenvalues)
         c = _selection_amplitudes(rho, sc.postselection, observable)
-        eigs.flags.writeable = c.flags.writeable = False  # shared by every caller
-        pieces[label] = (eigs, c)
+        c.flags.writeable = False  # shared by every caller
+        pieces[label] = (observable.eigenvalues, c)
     return pieces
 
 
@@ -139,26 +121,27 @@ def _probability_points(gs: np.ndarray, delta: float) -> list[ProbabilityPoint]:
     every point is checked against :func:`closed_form_shifts`.
     """
     GaussianPointer(delta)  # validates delta
-    ratio = gs / delta
-    probs = {}
-    for label, (eigs, c) in _cached_amplitudes().items():
+    pieces = _cached_amplitudes()
+    with np.errstate(over="ignore"):  # the kernels clip a saturated g / delta
+        ratio = gs / delta
+    probs = np.empty((len(PATH_LABELS), len(gs)))  # rows in PATH_LABELS order
+    for row, label in zip(probs, PATH_LABELS):
+        eigs, c = pieces[label]
         n_val, q_num, _, _ = _pointer_sums(c, eigs, _overlap_kernels(eigs, ratio))
-        probs[label] = q_num / n_val
-    for i, g in enumerate(gs):
-        expected = closed_form_shifts(float(g), delta)
-        floor = 1e-14 * max(g, delta)
-        for label in PATH_LABELS:
-            delta_q = g * probs[label][i]
-            # written so that a NaN shift fails the check too
-            if not abs(delta_q - expected[label]) <= 1e-12 * abs(expected[label]) + floor:
-                raise InternalConsistencyError(
-                    f"engine and closed-form shifts disagree for {label} at g = {float(g)!r}: "
-                    f"{float(delta_q)!r} vs {expected[label]!r}"
-                )
-    return [
-        ProbabilityPoint(float(g), *(float(probs[label][i]) for label in PATH_LABELS))
-        for i, g in enumerate(gs)
-    ]
+        row[:] = q_num / n_val
+    closed = closed_form_shifts(gs, delta)
+    expected = np.array([closed[label] for label in PATH_LABELS])
+    shifts = gs * probs
+    tol = 1e-12 * np.abs(expected) + 1e-14 * np.maximum(gs, delta)
+    # written so that a NaN shift fails the check too
+    bad = ~(np.abs(shifts - expected) <= tol)
+    if bad.any():
+        k, i = np.argwhere(bad)[0]
+        raise InternalConsistencyError(
+            f"engine and closed-form shifts disagree for {PATH_LABELS[k]} at "
+            f"g = {float(gs[i])!r}: {float(shifts[k, i])!r} vs {float(expected[k, i])!r}"
+        )
+    return [ProbabilityPoint(float(g), *map(float, column)) for g, column in zip(gs, probs.T)]
 
 
 def hardy_probabilities(g: float, delta: float = 1.0) -> ProbabilityPoint:
@@ -174,9 +157,7 @@ def hardy_probabilities(g: float, delta: float = 1.0) -> ProbabilityPoint:
     InternalConsistencyError
         If the two routes disagree.
     """
-    if not np.isfinite(g) or g <= 0.0:
-        raise ValidationError(f"coupling g must be positive, got {g!r}")
-    return _probability_points(np.array([float(g)]), delta)[0]
+    return _probability_points(np.array([_check_coupling(g, positive=True)]), delta)[0]
 
 
 def probability_curve(

@@ -14,6 +14,8 @@ and the Holevo-type information gain is
 
 the binary entropy of the larger eigenvalue of rho_R.  Both routes (entropy
 of constructed states vs. the closed form) are evaluated and must agree.
+The closed form is taken from h = 1 - G, which keeps its relative
+precision where the meter learns almost nothing (G -> 1).
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ import numpy as np
 
 from .bounds import extreme_shifts_projector
 from .errors import InternalConsistencyError, ValidationError
-from .exactengine import _coupling_grid
+from .exactengine import GaussianPointer, _check_coupling, _coupling_grid, _one_minus_overlap
 from .qcore import DensityOperator, von_neumann_entropy
 
 _ROUTE_TOL = 1e-12
@@ -64,26 +66,33 @@ def reduced_device_states(
     that basis their even mixture is exactly rho_R and their mutual overlap
     is G.
     """
-    if not np.isfinite(delta) or delta <= 0.0:
-        raise ValidationError(f"delta must be positive, got {delta!r}")
-    if not np.isfinite(g) or g < 0.0:
-        raise ValidationError(f"coupling g must be finite and >= 0, got {g!r}")
-    overlap = float(np.exp(-(g**2) / (8.0 * delta**2)))
+    delta = GaussianPointer(delta).delta  # validates delta
+    h = float(_one_minus_overlap(_check_coupling(g) / delta))
+    overlap = 1.0 - h
     rho_r = DensityOperator(np.array([[0.5, 0.5 * overlap], [0.5 * overlap, 0.5]], dtype=complex))
-    a = 0.5 * (math.sqrt(1.0 + overlap) + math.sqrt(1.0 - overlap))
-    b = 0.5 * (math.sqrt(1.0 + overlap) - math.sqrt(1.0 - overlap))
+    a = 0.5 * (math.sqrt(1.0 + overlap) + math.sqrt(h))
+    b = 0.5 * (math.sqrt(1.0 + overlap) - math.sqrt(h))
     rho_1 = DensityOperator(np.array([[a * a, a * b], [a * b, b * b]], dtype=complex))
     rho_2 = DensityOperator(np.array([[b * b, a * b], [a * b, a * a]], dtype=complex))
     assert np.allclose(0.5 * (rho_1.matrix + rho_2.matrix), rho_r.matrix, atol=1e-14)
     return rho_r, rho_1, rho_2
 
 
-def _binary_entropy_bits(p: float) -> float:
-    s = 0.0
-    for t in (p, 1.0 - p):
-        if t > 1e-300:
-            s -= t * math.log2(t)
-    return s
+def _binary_entropy_bits(h: float) -> float:
+    """h2((1 + G)/2) in bits from h = 1 - G, to full relative precision.
+
+    Near G = 1 the smaller eigenvalue q = h / 2 carries it; below G = 1/2 a
+    symmetric form rises onto ln 2 without rounding wiggles.
+    """
+    q = 0.5 * h
+    if q == 0.0:
+        return 0.0
+    if q <= 0.25:  # G >= 1/2
+        nats = -(1.0 - q) * math.log1p(-q) - q * math.log(q)
+    else:
+        x = 1.0 - h  # the overlap G
+        nats = math.log(2.0) - 0.5 * (math.log1p(-x * x) + 2.0 * x * math.atanh(x))
+    return nats / math.log(2.0)
 
 
 def information_gain(g: float, delta: float = 1.0) -> InfoGainResult:
@@ -103,8 +112,9 @@ def information_gain(g: float, delta: float = 1.0) -> InfoGainResult:
     via_entropy = von_neumann_entropy(rho_r) - 0.5 * (
         von_neumann_entropy(rho_1) + von_neumann_entropy(rho_2)
     )
-    lam = 0.5 * (1.0 + float(rho_r.matrix[0, 1].real) * 2.0)
-    closed = _binary_entropy_bits(lam)
+    h = float(_one_minus_overlap(float(g) / float(delta)))  # validated above
+    lam = 1.0 - 0.5 * h
+    closed = _binary_entropy_bits(h)
     if abs(via_entropy - closed) > _ROUTE_TOL:
         raise InternalConsistencyError(
             f"entropy route {via_entropy!r} and closed form {closed!r} disagree at g = {g!r}"

@@ -188,12 +188,13 @@ class ProjectionOperator:
         return ProjectionOperator(np.eye(self.dimension, dtype=complex) - self.matrix)
 
 
-def spectral_decompose(matrix: object) -> list[tuple[float, ProjectionOperator]]:
-    """Spectral decomposition H = sum_i a_i P_i with degenerate levels merged.
+def spectral_decompose(matrix: object) -> tuple[np.ndarray, np.ndarray]:
+    """Spectral decomposition H = sum_k a_k P_k with degenerate levels merged.
 
+    Returns read-only arrays: the distinct eigenvalues a_k in ascending
+    order, shape (K,), and their projectors P_k, shape (K, d, d).
     Eigenvalues within 1e-9 * ||H|| of each other (chained through adjacent
-    gaps) are treated as one degenerate level and get a single rank-r
-    projector.  Levels are returned in ascending eigenvalue order.
+    gaps) are treated as one degenerate level with a single rank-r projector.
 
     Parameters
     ----------
@@ -215,25 +216,20 @@ def spectral_decompose(matrix: object) -> list[tuple[float, ProjectionOperator]]
 
     vals, vecs = np.linalg.eigh((m + m.conj().T) / 2.0)
     norm = float(np.max(np.abs(vals)))
-    gap_tol = _DEGENERACY_GAP * norm
+    # a new level starts after every gap wider than the degeneracy tolerance
+    level = np.concatenate(([0], np.cumsum(np.diff(vals) > _DEGENERACY_GAP * norm)))
+    member = level == np.arange(level[-1] + 1)[:, None]  # (K, d): eigenvector j in level k
+    eigenvalues = (member @ vals) / member.sum(axis=1)
+    projectors = (vecs * member[:, None, :]) @ vecs.conj().T
+    projectors = (projectors + projectors.conj().transpose(0, 2, 1)) / 2.0
 
-    levels: list[tuple[float, ProjectionOperator]] = []
-    start = 0
-    for stop in range(1, d + 1):
-        if stop == d or vals[stop] - vals[stop - 1] > gap_tol:
-            block = vecs[:, start:stop]
-            proj = block @ block.conj().T
-            proj = (proj + proj.conj().T) / 2.0
-            levels.append((float(np.mean(vals[start:stop])), ProjectionOperator(proj)))
-            start = stop
-
-    # eigh guarantees both identities to rounding; recheck because callers
-    # lean on them for completeness sums.
-    total = sum(p.matrix for _, p in levels)
-    rebuilt = sum(a * p.matrix for a, p in levels)
-    assert float(np.max(np.abs(total - np.eye(d)))) <= 1e-10
+    # eigh guarantees all three identities to rounding; recheck because
+    # callers lean on them for completeness sums.
+    assert float(np.max(np.abs(projectors @ projectors - projectors))) <= _ATOL_IDEMPOTENT
+    assert float(np.max(np.abs(projectors.sum(axis=0) - np.eye(d)))) <= 1e-10
+    rebuilt = np.tensordot(eigenvalues, projectors, axes=1)
     assert float(np.max(np.abs(rebuilt - m))) <= 1e-10 * max(1.0, norm)
-    return levels
+    return _freeze(eigenvalues), _freeze(projectors)
 
 
 @dataclass(frozen=True)
@@ -247,32 +243,31 @@ class HermitianObservable:
 
     Attributes
     ----------
-    spectrum : list of (eigenvalue, ProjectionOperator)
+    eigenvalues : ndarray, shape (K,)
         Distinct levels in ascending order, degeneracies merged
         (see :func:`spectral_decompose`).
+    projectors : ndarray, shape (K, d, d)
+        The matching eigenprojectors.
     """
 
     matrix: np.ndarray
-    spectrum: list[tuple[float, ProjectionOperator]] = field(init=False, repr=False)
+    eigenvalues: np.ndarray = field(init=False, repr=False)
+    projectors: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        levels = spectral_decompose(self.matrix)
         m = _as_complex_matrix(self.matrix, "observable")
+        eigenvalues, projectors = spectral_decompose(m)
         object.__setattr__(self, "matrix", _freeze(m))
-        object.__setattr__(self, "spectrum", levels)
+        object.__setattr__(self, "eigenvalues", eigenvalues)
+        object.__setattr__(self, "projectors", projectors)
 
     @property
     def dimension(self) -> int:
         return self.matrix.shape[0]
 
     @property
-    def eigenvalues(self) -> tuple[float, ...]:
-        """Distinct eigenvalues, ascending."""
-        return tuple(a for a, _ in self.spectrum)
-
-    @property
     def max_abs_eigenvalue(self) -> float:
-        return max(abs(a) for a in self.eigenvalues)
+        return float(np.max(np.abs(self.eigenvalues)))
 
     def is_projector(self, tol: float = 1e-10) -> bool:
         """True when A^2 = A within `tol` (max-abs entrywise)."""

@@ -22,6 +22,7 @@ of the offending field, e.g. ``observable[1][2]``.
 from __future__ import annotations
 
 import json
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -71,6 +72,16 @@ def _as_matrix(node: object, dim: int, path: str) -> np.ndarray:
     return np.stack(rows)
 
 
+@contextmanager
+def _field(key: str):
+    """Name `key` at the head of any ValidationError raised inside the block."""
+    try:
+        yield
+    except ValidationError as exc:
+        msg = str(exc)
+        raise ValidationError(msg if msg.startswith(key) else f"{key}: {msg}") from None
+
+
 def _looks_like_vector(node: object) -> bool:
     # vector element: [re, im]; matrix row: [[re, im], ...]
     return (
@@ -103,19 +114,13 @@ def parse_scenario(data: object) -> tuple[MeasurementSetup, GridSpec | None]:
 
     def build(key: str, as_state, as_operator):
         node = data[key]
-        try:
+        with _field(key):
             if _looks_like_vector(node):
                 return as_state(StateVector(_as_vector(node, dim, key)))
             return as_operator(_as_matrix(node, dim, key))
-        except ValidationError as exc:
-            msg = str(exc)
-            raise ValidationError(msg if msg.startswith(key) else f"{key}: {msg}") from None
 
-    try:
+    with _field("observable"):
         observable = HermitianObservable(_as_matrix(data["observable"], dim, "observable"))
-    except ValidationError as exc:
-        msg = str(exc)
-        raise ValidationError(msg if msg.startswith("observable") else f"observable: {msg}") from None
     preselect = build("preselect", lambda s: s.density(), DensityOperator)
     postselect = build("postselect", lambda s: s.projector(), ProjectionOperator)
 
@@ -126,10 +131,8 @@ def parse_scenario(data: object) -> tuple[MeasurementSetup, GridSpec | None]:
     if delta <= 0.0:
         raise ValidationError(f"delta: must be > 0, got {delta!r}")
 
-    try:
+    with _field("scenario"):
         setup = MeasurementSetup(observable, preselect, postselect, g, GaussianPointer(delta))
-    except ValidationError as exc:
-        raise ValidationError(f"scenario: {exc}") from None
 
     grid = None
     if "pointer_grid" in data:
@@ -141,16 +144,11 @@ def parse_scenario(data: object) -> tuple[MeasurementSetup, GridSpec | None]:
             raise ValidationError(f"pointer_grid: unknown field(s) {sorted(extra)!r}")
         if "half_width" not in node or "num_points" not in node:
             raise ValidationError("pointer_grid: needs half_width and num_points")
-        try:
+        with _field("pointer_grid"):
             grid = GridSpec(
                 _as_number(node["half_width"], "pointer_grid.half_width"),
                 _as_int(node["num_points"], "pointer_grid.num_points"),
             )
-        except ValidationError as exc:
-            msg = str(exc)
-            raise ValidationError(
-                msg if msg.startswith("pointer_grid") else f"pointer_grid: {msg}"
-            ) from None
     return setup, grid
 
 

@@ -188,7 +188,7 @@ def bounds_suite() -> SuiteResult:
         obs = random_hermitian(rng, dim)
         search = optimize_pps(obs, g, pointer, restarts=_SEARCH_RESTARTS, seed=int(rng.integers(2**32)))
         top = max(search.optimizer_best_max, -search.optimizer_best_min)
-        ceiling = _weak_ceiling(len(obs.spectrum)) * delta
+        ceiling = _weak_ceiling(len(obs.eigenvalues)) * delta
         worst.update(
             (1.02 * ceiling - top) / ceiling, "optimized |delta_q| <= 1.02 * z_K * Delta",
             _instance_json(DensityOperator(np.eye(dim) / dim), random_projector(rng, dim, 1), obs, g, delta),
@@ -247,15 +247,13 @@ def hardy_suite() -> SuiteResult:
         curve = hardy.probability_curve(1e-3, 10.0, 200, delta, spacing="log")
     except InternalConsistencyError as exc:
         return SuiteResult("hardy", 200, -1.0, f"route disagreement: {exc}")
-    for pt in curve:
-        expected = hardy.closed_form_shifts(pt.g, delta)
-        floor = 1e-14 * max(pt.g, delta)
-        for label, prob in (
-            ("OO", pt.prob_oo), ("ONO", pt.prob_ono), ("NOO", pt.prob_noo), ("NONO", pt.prob_nono),
-        ):
-            tol = 1e-12 * abs(expected[label]) + floor
-            err = abs(prob * pt.g - expected[label])
-            worst.update((tol - err) / tol, f"{label} closed-form agreement")
+    gs = np.array([pt.g for pt in curve])
+    probs = np.array([[pt.prob_oo, pt.prob_ono, pt.prob_noo, pt.prob_nono] for pt in curve])
+    closed = hardy.closed_form_shifts(gs, delta)
+    for label, prob in zip(hardy.PATH_LABELS, probs.T):
+        tol = 1e-12 * np.abs(closed[label]) + 1e-14 * np.maximum(gs, delta)
+        margins = (tol - np.abs(prob * gs - closed[label])) / tol
+        worst.update(float(np.min(margins)), f"{label} closed-form agreement")
     worst.update((1e-5 - abs(curve[0].prob_nono + 1.0)) / 1e-5, "weak limit -> -1")
     worst.update((1e-5 - abs(curve[-1].prob_nono - 0.2)) / 1e-5, "strong limit -> 1/5")
     worst.update((1e-5 - abs(curve[-1].prob_ono - 1.0)) / 1e-5, "strong ONO -> 1")

@@ -6,9 +6,10 @@ For preselection rho_s, postselection projector Pi_f and observable A, the
     A_w = tr(Pi_f A rho_s) / tr(Pi_f rho_s) = a + i b.
 
 To first order in the coupling the Gaussian pointer of width Delta moves by
-delta_q = g a and delta_p = 2 g b Var_p; the second-order correction divides
-both by D = 1 + g^2 Var_p (two_sided - square_real), where the two extra
-moments are defined on :class:`WeakMoments`.
+delta_q = g a and delta_p = 2 g b Var_p = u b / Delta, with u = g Delta_p =
+g / (2 Delta); the second-order correction divides both by
+D = 1 + u^2 (two_sided - square_real), where the two extra moments are
+defined on :class:`WeakMoments`.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateDenominatorError, OrthogonalSelectionError, ValidationError
-from .exactengine import ORTHOGONALITY_FLOOR, GaussianPointer, _selection_factors
+from .exactengine import ORTHOGONALITY_FLOOR, GaussianPointer, _check_coupling, _selection_factors
 from .qcore import DensityOperator, HermitianObservable, ProjectionOperator
 
 
@@ -137,20 +138,46 @@ def weak_moments(
     )
 
 
+def _shifts(
+    weak_value: WeakValue, g: float, pointer: GaussianPointer, curvature: float
+) -> tuple[float, float]:
+    """(g a, u b / Delta) / D with D = 1 + u^2 * curvature and u = g Delta_p.
+
+    Above u = 1 a nonzero curvature carries D as D / u, so u^2 cannot
+    overflow; a shift beyond the double range is a ValidationError.
+    """
+    g = _check_coupling(g)
+    u = g / (2.0 * pointer.delta)
+    if u == float("inf"):
+        raise ValidationError(f"g / delta = {g!r} / {pointer.delta!r} overflows")
+    r = max(u, 1.0) if curvature else 1.0
+    scaled = 1.0 / r + (u / r) * (u * curvature)  # D / r
+    if abs(scaled) * r <= 1e-12:
+        raise DegenerateDenominatorError(
+            f"second-order denominator D = {scaled * r!r} vanishes for this setup"
+        )
+    a, b = weak_value.real_part, weak_value.imag_part
+    delta_q = (g / r) * a / scaled
+    delta_p = b * (u / r) / scaled / pointer.delta if b else 0.0
+    if not (np.isfinite(delta_q) and np.isfinite(delta_p)):
+        raise ValidationError(
+            f"pointer shifts ({delta_q!r}, {delta_p!r}) lie beyond the double range"
+        )
+    return delta_q, delta_p
+
+
 def jozsa_shifts(weak_value: WeakValue, g: float, pointer: GaussianPointer) -> tuple[float, float]:
     """First-order pointer shifts from a (complex) weak value.
 
     delta_q = g a,
-    delta_p = 2 g b Var_p.
+    delta_p = 2 g b Var_p = u b / Delta,    u = g Delta_p.
 
     The general position shift carries a further g b term weighted by the
     pointer's <{q, p}>/2 correlation, which vanishes for the zero-centered
-    Gaussian pointer.
+    Gaussian pointer.  Raises ValidationError when g / Delta overflows or a
+    shift lies beyond the double range.
     """
-    if not np.isfinite(g) or g < 0.0:
-        raise ValidationError(f"coupling g must be finite and >= 0, got {g!r}")
-    a, b = weak_value.real_part, weak_value.imag_part
-    return g * a, 2.0 * g * b * pointer.var_p
+    return _shifts(weak_value, g, pointer, 0.0)
 
 
 def second_order_shifts(
@@ -158,22 +185,16 @@ def second_order_shifts(
 ) -> tuple[float, float]:
     """Second-order pointer shifts: the first-order ones divided by
 
-        D = 1 + g^2 Var_p (two_sided - square_real).
+        D = 1 + u^2 (two_sided - square_real),    u = g Delta_p.
 
     Raises
     ------
     DegenerateDenominatorError
         If |D| <= 1e-12.
+    ValidationError
+        If g / Delta overflows or a shift lies beyond the double range.
     """
-    if not np.isfinite(g) or g < 0.0:
-        raise ValidationError(f"coupling g must be finite and >= 0, got {g!r}")
-    denom = 1.0 + g**2 * pointer.var_p * (moments.two_sided - moments.square_real)
-    if abs(denom) <= 1e-12:
-        raise DegenerateDenominatorError(
-            f"second-order denominator D = {denom!r} vanishes for this setup"
-        )
-    a, b = moments.weak_value.real_part, moments.weak_value.imag_part
-    return g * a / denom, 2.0 * g * b * pointer.var_p / denom
+    return _shifts(moments.weak_value, g, pointer, moments.two_sided - moments.square_real)
 
 
 def schwarz_gap(

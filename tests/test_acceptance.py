@@ -179,9 +179,9 @@ def test_c06_weak_regime_bounds_hold_and_saturate():
     saturated = optimize_pps(
         _which_path(), 1.6e-6, POINTER, restarts=64, seed=0, min_postselect=1e-13
     )
-    assert saturated.optimizer_best_max >= 0.98 * POINTER.delta_q
-    assert saturated.optimizer_best_max <= POINTER.delta_q * (1.0 + 1e-6)
-    assert abs(saturated.optimizer_best_min) <= POINTER.delta_q * (1.0 + 1e-6)
+    assert saturated.optimizer_best_max >= 0.98 * POINTER.delta
+    assert saturated.optimizer_best_max <= POINTER.delta * (1.0 + 1e-6)
+    assert abs(saturated.optimizer_best_min) <= POINTER.delta * (1.0 + 1e-6)
     elapsed = time.perf_counter() - t0
     assert elapsed < 60.0
     _line(

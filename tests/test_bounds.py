@@ -133,10 +133,10 @@ class TestKValue:
 
 class TestWeakBounds:
     def test_weak_setup_respects_both_ceilings(self):
-        setup = MeasurementSetup.from_pure(
+        setup = MeasurementSetup(
             PATH,
-            StateVector.normalized([1.0, 1.0]),
-            StateVector.normalized([0.6, -0.8]),
+            StateVector.normalized([1.0, 1.0]).density(),
+            StateVector.normalized([0.6, -0.8]).projector(),
             g=0.01,
             pointer=GaussianPointer(1.0),
         )
@@ -148,10 +148,10 @@ class TestWeakBounds:
         assert np.isfinite(report.k_value)
 
     def test_regime_gate(self):
-        setup = MeasurementSetup.from_pure(
+        setup = MeasurementSetup(
             PATH,
-            StateVector.normalized([1.0, 1.0]),
-            StateVector.normalized([0.6, -0.8]),
+            StateVector.normalized([1.0, 1.0]).density(),
+            StateVector.normalized([0.6, -0.8]).projector(),
             g=0.1,
             pointer=GaussianPointer(1.0),
         )
@@ -160,10 +160,10 @@ class TestWeakBounds:
 
     def test_non_projector_reports_nan_k(self):
         obs = HermitianObservable(np.diag([1.0, -1.0]))
-        setup = MeasurementSetup.from_pure(
+        setup = MeasurementSetup(
             obs,
-            StateVector.normalized([1.0, 1.0]),
-            StateVector.normalized([2.0, 1.0]),
+            StateVector.normalized([1.0, 1.0]).density(),
+            StateVector.normalized([2.0, 1.0]).projector(),
             g=0.01,
             pointer=GaussianPointer(1.0),
         )
@@ -184,13 +184,13 @@ class TestOptimizer:
     def test_argmax_states_reproduce_best(self):
         result = optimize_pps(_which_path(2), 1.0, POINTER, restarts=8, seed=1)
         pre, post = result.argmax_states
-        setup = MeasurementSetup.from_pure(_which_path(2), pre, post, 1.0, POINTER)
+        setup = MeasurementSetup(_which_path(2), pre.density(), post.projector(), 1.0, POINTER)
         assert exact_shifts(setup).delta_q == approx(result.optimizer_best_max, rel=1e-9)
 
     def test_min_objective_returns_argmin_states(self):
         result = optimize_pps(_which_path(2), 1.0, POINTER, objective="min", restarts=8, seed=1)
         pre, post = result.argmax_states
-        setup = MeasurementSetup.from_pure(_which_path(2), pre, post, 1.0, POINTER)
+        setup = MeasurementSetup(_which_path(2), pre.density(), post.projector(), 1.0, POINTER)
         assert exact_shifts(setup).delta_q == approx(result.optimizer_best_min, rel=1e-9)
 
     def test_identity_observable_cannot_move(self):
@@ -230,7 +230,7 @@ class TestOptimizer:
         assert 0.98 * ceiling <= result.optimizer_best_max <= 1.02 * ceiling
         assert -1.02 * ceiling <= result.optimizer_best_min <= -0.98 * ceiling
         pre, post = result.argmax_states
-        setup = MeasurementSetup.from_pure(obs, pre, post, 0.02, POINTER)
+        setup = MeasurementSetup(obs, pre.density(), post.projector(), 0.02, POINTER)
         assert exact_shifts(setup).delta_q == approx(result.optimizer_best_max, rel=1e-9)
 
     @pytest.mark.parametrize("seed", [5, 17, 29])
@@ -245,7 +245,8 @@ class TestOptimizer:
         assert time.perf_counter() - t0 < 5.0
         drawn = []
         for _ in range(1000):
-            setup = MeasurementSetup.from_pure(obs, random_state(rng, 4), random_state(rng, 4), g, POINTER)
+            pre, post = random_state(rng, 4), random_state(rng, 4)
+            setup = MeasurementSetup(obs, pre.density(), post.projector(), g, POINTER)
             try:
                 outcome = exact_shifts(setup)
             except OrthogonalSelectionError:

@@ -1,8 +1,10 @@
 """Command-line surface: output contracts, determinism, exit codes."""
 
 import json
+import math
 import subprocess
 import sys
+from importlib import resources
 
 import pytest
 from pytest import approx
@@ -202,6 +204,63 @@ class TestExtremeScales:
         assert proc.returncode in (0, 2), proc.stderr
         assert "Traceback" not in proc.stderr
         assert proc.stderr == "" or proc.stderr.startswith("error:")
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["hardy-sweep", "--g-min", "1e-3", "--g-max", "1e300", "--points", "5"],
+            ["info-sweep", "--g-max", "1e200"],
+            # the gain must rise onto 1 bit without rounding wiggles
+            ["info-sweep", "--g-min", "0.01", "--g-max", "40", "--points", "1000"],
+        ],
+        ids=lambda argv: " ".join(argv),
+    )
+    def test_sweeps_saturate_cleanly(self, capsys, argv):
+        code, out, err = _run(capsys, *argv)
+        assert code == 0, err
+        rows = [line.split(",") for line in out.splitlines()[2:]]
+        assert rows and all(math.isfinite(float(x)) for row in rows for x in row)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("g,expected", [(1e300, 2), (1e-300, 0)])
+    def test_run_with_large_eigenvalues(self, capsys, tmp_path, g, expected):
+        """g (a - a') / delta overflows for eigenvalues +-1e10 at g = 1e300:
+        the overlap saturates without a warning, and the shift, beyond the
+        double range, is an input error."""
+        path = tmp_path / "case.json"
+        path.write_text(json.dumps({
+            "dimension": 2,
+            "observable": [[[1e10, 0.0], [0.0, 0.0]], [[0.0, 0.0], [-1e10, 0.0]]],
+            "preselect": [[0.6, 0.0], [0.8, 0.0]],
+            "postselect": [[0.6, 0.0], [-0.8, 0.0]],
+            "g": g,
+            "delta": 1.0,
+        }))
+        code, _, err = _run(capsys, "run", str(path))
+        assert code == expected
+        assert err == "" or err.startswith("error:")
+
+    @pytest.mark.parametrize("dim", ["-1", "0"])
+    def test_bounds_optimize_rejects_dimensions_below_two(self, capsys, dim):
+        code, _, err = _run(capsys, "bounds-optimize", f"--dim={dim}", "--restarts", "1")
+        assert code == 2
+        assert err.startswith("error:")
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("delta", [1e-300, 1e-200, 1e-8, 1.0, 1e200, 1e300])
+    @pytest.mark.parametrize("g", [0.0, 1e-300, 0.05, 1e150, 1e200, 1e300])
+    def test_run_at_extreme_couplings_and_widths(self, capsys, tmp_path, g, delta):
+        """Each pair gives finite numbers (exit 0) or a clean input error (exit 2)."""
+        text = resources.files("weakmeter").joinpath("scenarios", "anomalous_qubit.json").read_text()
+        path = tmp_path / "case.json"
+        path.write_text(json.dumps({**json.loads(text), "g": g, "delta": delta}))
+        code, out, err = _run(capsys, "run", str(path))
+        if code == 0:
+            values = [v for k, v in _parse_report(out).items() if k not in ("scenario", "dimension")]
+            assert all(math.isfinite(float(v)) for v in values), out
+        else:
+            assert code == 2 and err.startswith("error:"), (code, err)
 
 
 class TestVerifySubcommand:

@@ -110,10 +110,10 @@ class TestExactShifts:
     def test_identity_observable_translates_exactly(self):
         """A = 1 shifts every selected pointer by exactly g, bit for bit."""
         obs = HermitianObservable(np.eye(3))
-        setup = MeasurementSetup.from_pure(
+        setup = MeasurementSetup(
             obs,
-            StateVector.normalized([1.0, 1.0j, -0.5]),
-            StateVector.normalized([0.2, 0.4, 1.0]),
+            StateVector.normalized([1.0, 1.0j, -0.5]).density(),
+            StateVector.normalized([0.2, 0.4, 1.0]).projector(),
             g=1.7,
             pointer=GaussianPointer(0.9),
         )
@@ -122,10 +122,10 @@ class TestExactShifts:
         assert out.delta_p == 0.0
 
     def test_zero_coupling_leaves_pointer_alone(self):
-        setup = MeasurementSetup.from_pure(
+        setup = MeasurementSetup(
             PATH,
-            StateVector.normalized([1.0, 1.0]),
-            StateVector.normalized([0.6, -0.8]),
+            StateVector.normalized([1.0, 1.0]).density(),
+            StateVector.normalized([0.6, -0.8]).projector(),
             g=0.0,
             pointer=GaussianPointer(1.0),
         )
@@ -138,10 +138,10 @@ class TestExactShifts:
     def test_orthogonal_selection_midpoint(self, g):
         """With <f|i> = 0 and symmetric amplitudes the exact shift is g/2 at
         every coupling; the tiny selected norm ~ g^2/16 must not erode it."""
-        setup = MeasurementSetup.from_pure(
+        setup = MeasurementSetup(
             PATH,
-            StateVector.normalized([1.0, 1.0]),
-            StateVector.normalized([1.0, -1.0]),
+            StateVector.normalized([1.0, 1.0]).density(),
+            StateVector.normalized([1.0, -1.0]).projector(),
             g=g,
             pointer=GaussianPointer(1.0),
         )
@@ -151,10 +151,10 @@ class TestExactShifts:
 
     def test_fully_orthogonal_raises(self):
         # at g = 1e-8 the selected norm ~ 6e-18 sits below the 1e-14 floor
-        setup = MeasurementSetup.from_pure(
+        setup = MeasurementSetup(
             PATH,
-            StateVector.normalized([1.0, 1.0]),
-            StateVector.normalized([1.0, -1.0]),
+            StateVector.normalized([1.0, 1.0]).density(),
+            StateVector.normalized([1.0, -1.0]).projector(),
             g=1e-8,
             pointer=GaussianPointer(1.0),
         )
@@ -343,10 +343,10 @@ class TestGridOracle:
         assert oracle.delta_p == approx(exact.delta_p, abs=1e-8 / (2 * 0.8))
 
     def test_complex_amplitudes_move_momentum(self):
-        setup = MeasurementSetup.from_pure(
+        setup = MeasurementSetup(
             HermitianObservable(np.array([[0.0, 1.0], [1.0, 0.0]])),
-            StateVector.basis_state(2, 0),
-            StateVector.normalized([1.0, 1.0j]),
+            StateVector.basis_state(2, 0).density(),
+            StateVector.normalized([1.0, 1.0j]).projector(),
             g=0.7,
             pointer=GaussianPointer(1.0),
         )
@@ -366,10 +366,10 @@ class TestGridSpec:
             GridSpec(half_width=10.0, num_points=512)
 
     def test_for_setup_covers_translated_packets(self):
-        setup = MeasurementSetup.from_pure(
+        setup = MeasurementSetup(
             HermitianObservable(np.diag([3.0, -3.0])),
-            StateVector.normalized([1.0, 1.0]),
-            StateVector.normalized([1.0, 0.5]),
+            StateVector.normalized([1.0, 1.0]).density(),
+            StateVector.normalized([1.0, 0.5]).projector(),
             g=2.0,
             pointer=GaussianPointer(1.0),
         )
@@ -380,20 +380,20 @@ class TestGridSpec:
 class TestSetupValidation:
     def test_dimension_mismatch(self):
         with pytest.raises(ValidationError):
-            MeasurementSetup.from_pure(
+            MeasurementSetup(
                 PATH,
-                StateVector.basis_state(3, 0),
-                StateVector.basis_state(3, 1),
+                StateVector.basis_state(3, 0).density(),
+                StateVector.basis_state(3, 1).projector(),
                 g=0.1,
                 pointer=GaussianPointer(1.0),
             )
 
     def test_negative_coupling(self):
         with pytest.raises(ValidationError):
-            MeasurementSetup.from_pure(
+            MeasurementSetup(
                 PATH,
-                StateVector.basis_state(2, 0),
-                StateVector.normalized([1.0, 1.0]),
+                StateVector.basis_state(2, 0).density(),
+                StateVector.normalized([1.0, 1.0]).projector(),
                 g=-0.1,
                 pointer=GaussianPointer(1.0),
             )
@@ -404,5 +404,4 @@ class TestSetupValidation:
 
     def test_pointer_widths_satisfy_uncertainty(self):
         p = GaussianPointer(0.25)
-        assert p.delta_q * p.delta_p == approx(0.5)  # minimum-uncertainty packet
-        assert p.var_p == approx(1.0 / (4 * 0.25**2))
+        assert p.delta * p.delta_p == approx(0.5)  # minimum-uncertainty packet

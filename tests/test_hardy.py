@@ -17,7 +17,6 @@ from weakmeter import (
     build_hardy,
     closed_form_shifts,
     hardy_probabilities,
-    infer_probability,
     probability_curve,
     weak_moments,
 )
@@ -129,11 +128,3 @@ class TestCurve:
         with pytest.raises(ValidationError):
             probability_curve(0.1, 1.0, 8, spacing="sqrt")
 
-
-class TestInference:
-    def test_reads_shift_back_in_units_of_g(self):
-        assert infer_probability(-0.3, 0.6) == approx(-0.5)
-
-    def test_requires_positive_coupling(self):
-        with pytest.raises(ValidationError):
-            infer_probability(0.1, 0.0)

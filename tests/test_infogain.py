@@ -6,6 +6,7 @@ even path mixture is the entropy of the evenly mixed device state, since
 the branch states stay pure.
 """
 
+import mpmath
 import numpy as np
 import pytest
 from pytest import approx
@@ -82,6 +83,18 @@ class TestInformationGain:
             information_gain(3.0, delta=3.0).i_a, rel=1e-12
         )
 
+    def test_relative_precision_against_mpmath(self):
+        """Down to g = 1e-7 Delta, where the meter learns almost nothing,
+        I_a stays within 4 eps relative of h2((1 + G)/2) taken at 50 digits."""
+        eps = np.finfo(float).eps
+        for g in np.geomspace(1e-7, 12.0, 400):
+            got = information_gain(float(g)).i_a
+            with mpmath.workdps(50):
+                overlap = mpmath.exp(-(mpmath.mpf(float(g)) ** 2) / 8)
+                lam, rest = (1 + overlap) / 2, (1 - overlap) / 2
+                ref = -(lam * mpmath.log(lam) + rest * mpmath.log(rest)) / mpmath.log(2)
+                assert abs(got - ref) <= 4 * eps * ref, (g, got, float(ref))
+
     def test_negative_coupling_rejected(self):
         with pytest.raises(ValidationError):
             information_gain(-1.0)
@@ -94,6 +107,13 @@ class TestInfoCurve:
         assert all(b > a for a, b in zip(gains, gains[1:]))
         assert gains[0] == 0.0
         assert gains[-1] == approx(1.0, abs=1e-5)
+
+    def test_gain_rises_onto_one_bit(self):
+        """Near g = 12 Delta, 1 - I_a ~ G^2 / (2 ln 2) drops below rounding:
+        the gain reaches 1 bit exactly, and the sweep's non-decreasing check
+        holds all the way."""
+        curve = info_curve(0.0, 40.0, 2000)
+        assert curve[-1].i_a == 1.0
 
     def test_low_gain_rides_deep_negative_extremes(self):
         """Wherever the device has gathered under 0.01 bits the optimal

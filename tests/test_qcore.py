@@ -132,28 +132,27 @@ class TestSpectralDecompose:
     def test_reconstruction(self):
         h = RNG.normal(size=(4, 4)) + 1j * RNG.normal(size=(4, 4))
         h = (h + h.conj().T) / 2
-        parts = spectral_decompose(h)
-        total = sum(a * p.matrix for a, p in parts)
-        np.testing.assert_allclose(total, h, atol=1e-12)
-        ident = sum(p.matrix for _, p in parts)
-        np.testing.assert_allclose(ident, np.eye(4), atol=1e-12)
+        eigs, projs = spectral_decompose(h)
+        np.testing.assert_allclose(np.einsum("k,kij->ij", eigs, projs), h, atol=1e-12)
+        np.testing.assert_allclose(projs.sum(axis=0), np.eye(4), atol=1e-12)
 
     def test_degenerate_levels_merge(self):
         """A twofold level must come back as a single rank-2 projector."""
-        parts = spectral_decompose(np.diag([1.0, 1.0, 3.0]))
-        assert [(a, p.rank) for a, p in parts] == [(approx(1.0), 2), (approx(3.0), 1)]
+        eigs, projs = spectral_decompose(np.diag([1.0, 1.0, 3.0]))
+        assert eigs == approx([1.0, 3.0])
+        assert [ProjectionOperator(p).rank for p in projs] == [2, 1]
 
     def test_eigenvalues_ascending(self):
-        parts = spectral_decompose(np.diag([5.0, -2.0, 0.0]))
-        assert [a for a, _ in parts] == approx([-2.0, 0.0, 5.0])
+        eigs, _ = spectral_decompose(np.diag([5.0, -2.0, 0.0]))
+        assert eigs == approx([-2.0, 0.0, 5.0])
 
     def test_projectors_orthogonal(self):
         h = np.diag([0.0, 1.0, 2.0, 2.0])
-        parts = spectral_decompose(h)
-        for i, (_, p) in enumerate(parts):
-            for j, (_, q) in enumerate(parts):
-                expected = p.matrix if i == j else np.zeros((4, 4))
-                np.testing.assert_allclose(p.matrix @ q.matrix, expected, atol=1e-12)
+        _, projs = spectral_decompose(h)
+        for i, p in enumerate(projs):
+            for j, q in enumerate(projs):
+                expected = p if i == j else np.zeros((4, 4))
+                np.testing.assert_allclose(p @ q, expected, atol=1e-12)
 
 
 class TestEntropy:

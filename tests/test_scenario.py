@@ -105,10 +105,10 @@ class TestFieldPathErrors:
 
 class TestRoundTrip:
     def test_setup_survives_json(self, tmp_path):
-        setup = MeasurementSetup.from_pure(
+        setup = MeasurementSetup(
             HermitianObservable(np.array([[0.25, 1j], [-1j, -0.5]])),
-            StateVector.normalized([1.0, 0.3 - 0.4j]),
-            StateVector.normalized([0.2j, 1.0]),
+            StateVector.normalized([1.0, 0.3 - 0.4j]).density(),
+            StateVector.normalized([0.2j, 1.0]).projector(),
             g=0.8125,
             pointer=GaussianPointer(0.75),
         )
