@@ -1,4 +1,4 @@
-"""Bounds on conditional pointer shifts, and the search for extremal selections.
+"""Bounds on conditional pointer shifts, and the extremal selections.
 
 In the weak regime (g * Delta_p <= 0.01) the conditional position shift of
 the Gaussian pointer of a two-level observable can never exceed
@@ -12,8 +12,10 @@ pure pre/postselections are
 
     q_max/min = (g/2) * (1 +/- 1 / sqrt(1 - exp(-g^2 / (4 Delta^2)))),
 
-approached when |A_w| ~ 1/(g Delta_p) >> 1.  :func:`optimize_pps` searches
-the selection manifold directly and is validated against that envelope.
+approached when |A_w| ~ 1/(g Delta_p) >> 1.  For any observable the extremes
+over all selections are the top and bottom of a K x K generalized
+eigenproblem; :func:`optimize_pps` solves it, builds the selections that
+attain it, and is validated against that envelope.
 """
 
 from __future__ import annotations
@@ -66,17 +68,17 @@ class BoundReport:
     satisfied: bool
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ExtremePair:
-    """Extremal position shifts: closed-form envelope vs. search results.
+    """Extremal position shifts: closed-form envelope vs. constructed selections.
 
     q_max / q_min hold the closed-form envelope when the observable is a
     projector (the trivial pair (g a, g a) when it has a single eigenvalue
     a) and NaN otherwise.  optimizer_best_max / optimizer_best_min are the
-    largest and smallest valid delta_q sampled anywhere during the search.
-    argmax_states is the (preselection, postselection) pure pair attaining
-    the requested objective, phase-fixed so the first significant amplitude
-    is real positive.
+    exact-engine delta_q of the selections constructed for the largest and
+    the smallest shift.  argmax_states is the (preselection, postselection)
+    pure pair of the requested objective, phase-fixed so the first
+    significant amplitude is real positive.
     """
 
     q_max: float
@@ -187,7 +189,7 @@ def extreme_shifts_projector(g: float, delta: float) -> tuple[float, float]:
         # 1 - exp(-x) via expm1 keeps full relative precision for g << delta
         spread = 1.0 / np.sqrt(-np.expm1(-x))
         q_min = (g / 2.0) * (1.0 - spread)
-    return (g / 2.0) * (1.0 + spread), q_min
+    return float((g / 2.0) * (1.0 + spread)), float(q_min)
 
 
 def _phase_canonical(v: np.ndarray) -> np.ndarray:
@@ -196,92 +198,86 @@ def _phase_canonical(v: np.ndarray) -> np.ndarray:
     return v * np.conj(phase)
 
 
-# Sweeps (pairs of half-steps) per ascent.  A start that overlaps every
-# eigenspace reaches the optimum in one half-step; where the postselection
-# floor binds, each further sweep gains only about 1e-6 relative.
-_MAX_SWEEPS = 4
 # N-form eigenvalues below this fraction of the largest are rounding noise.
 _RANGE_TOL = 1e-15
-# 20 halvings of +/- 3 decades pin the floor's kappa to 6e-6 of a decade.
-_FLOOR_BISECTIONS = 20
-_KAPPA_DECADES = 3.0
+# Units of N's rounding, eps (|1 . c| + |c|^T h |c|) at ||c||_1 = 1, that a
+# floor test demands above the floor, to cover the states built from c.
+_N_SLACK = 4.0
+# Floor bisections halve +/- 16 decades of kappa 44 times, to 4e-12 of ln kappa.
+_KAPPA_SPAN = 16.0 * np.log(10.0)
+_FLOOR_BISECTIONS = 44
 
 
-def _eigen_step(
-    fixed: np.ndarray,
-    sign: float,
-    pstack: np.ndarray,
-    eigs: np.ndarray,
-    ratio: float,
-    kernels: np.ndarray,
-    floor: float,
+def _pencil_extreme(
+    sign: float, eigs: np.ndarray, ratio: float, kernels: np.ndarray, floor: float
 ) -> np.ndarray:
-    """The selection state that extremizes sign * delta_q, the other one fixed.
+    """Real amplitudes c_k = <f|P_k|i>, ||c||_1 = 1, that extremize sign * delta_q.
 
-    With v = `fixed` the u_k = P_k v are orthogonal, and the other state
-    x = sum_k x_k u_k / n_k (n_k = |u_k|, |x| = 1) has c_k = n_k x_k, so
+    A pure selection enters the shift only through c.  With the engine's
+    kernels h = 1 - G and qker = (a + a')/2 h (g = `ratio`, pointer units),
 
-        N     = (n . x)^2 - x^T D h D x,
-        q_num = g [(n . x)((n o a) . x) - x^T D qker D x],    D = diag(n),
+        N     = (1 . c)^2 - c^T h c,
+        q_num = g [(1 . c)(a . c) - c^T qker c],
 
-    with the engine's kernels h = 1 - G and qker = (a + a')/2 h (g = `ratio`,
-    pointer units).  In a frame whose first axis is n, only that axis
-    carries the g-independent terms; eliminating it (a Schur complement)
-    before whitening N keeps relative precision at any coupling.  The top
-    eigenvector of the whitened sign * q-form M is then the exact
-    extremizer.  If its N is at or below `floor`, the best state above the
-    floor is the top eigenvector of M - kappa W^T W (W the whitening map)
-    at the kappa where N meets the floor; N grows with kappa, so kappa is
-    bisected, with N from the cancellation-free sum.  Pre- and
-    postselection play symmetric roles, so this is both half-steps.
+    so delta_q = q_num / N is the Rayleigh quotient of the K x K pencil
+    (Q, G).  In a frame whose first axis is 1, only that axis carries the
+    g-independent terms; eliminating it (a Schur complement) before
+    whitening N keeps them exact at any coupling, though the whitening loses
+    digits as G nears singular (K >= 6, g ~ Delta).  The top eigenvector of
+    the whitened sign * q-form M is the extremizer over all selections.
+
+    If that N is at or below `floor`, with s its signs and c = F z (F the
+    frame and whitening map, N = z^T z), ||c||_1 = s . c = b^T z for
+    b = F^T s: the best c above the floor with those signs is the top
+    eigenvector of M - kappa b b^T at the kappa, bisected, where
+    N / ||c||_1^2 meets the floor.  If none clears it, the penalty is
+    ||c||_2^2 >= ||c||_1^2 / K, which reaches N / ||c||_1^2 >= 1 / K.
     """
     h, qker, _ = kernels
-    u = pstack @ fixed
-    n = np.linalg.norm(u, axis=1)
-    live = n > 0.0
-    basis = u[live] / n[live, None]
-    scale = n[live]
-    h = h[np.ix_(live, live)]
-    rot = np.linalg.qr(scale[:, None], mode="complete")[0]
-    head = rot[:, 0] @ scale
-    n_small = rot.T @ (scale[:, None] * h * scale) @ rot
-    q_form = -(rot.T @ (scale[:, None] * qker[np.ix_(live, live)] * scale) @ rot)
-    cross = (rot.T @ (scale * eigs[live])) * (head / 2.0)
+    rot = np.linalg.qr(np.ones((len(eigs), 1)), mode="complete")[0]
+    head = rot[:, 0].sum()
+    n_small = rot.T @ h @ rot
+    q_form = -(rot.T @ qker @ rot)
+    cross = (rot.T @ eigs) * (head / 2.0)
     q_form[0] += cross
     q_form[:, 0] += cross
     pivot = head**2 - n_small[0, 0]
     elim = -n_small[1:, 0] / pivot
     w, v = np.linalg.eigh(-n_small[1:, 1:] - pivot * np.outer(elim, elim))
     keep = w > _RANGE_TOL * w.max(initial=0.0)
-    white = np.zeros((scale.size, 1 + int(keep.sum())))
+    white = np.zeros((len(eigs), 1 + int(keep.sum())))
     white[0, 0] = 1.0 / np.sqrt(pivot)
     white[1:, 1:] = v[:, keep] / np.sqrt(w[keep])
     white[0, 1:] = -elim @ white[1:, 1:]
     m = white.T @ ((sign * ratio) * q_form) @ white
     m /= max(float(np.max(np.abs(m))), np.finfo(float).tiny)  # unit scale, same eigenvectors
+    frame = rot @ white
 
-    def state_and_n(z: np.ndarray) -> tuple[np.ndarray, float]:
-        x = rot @ (white @ z)
-        x /= np.linalg.norm(x)
-        c = scale * x
-        return x, float(c.sum() ** 2 - c @ h @ c)
+    def amplitudes(z: np.ndarray) -> tuple[np.ndarray, float]:
+        c = frame @ z
+        c /= np.abs(c).sum()
+        s0 = c.sum()
+        slack = _N_SLACK * np.finfo(float).eps * (abs(s0) + np.abs(c) @ h @ np.abs(c))
+        return c, float(s0**2 - c @ h @ c - slack)
 
-    x, n_val = state_and_n(np.linalg.eigh(m)[1][:, -1])
-    if n_val <= floor:
-        penalty = white.T @ white
-        # kappa lands near sqrt(floor / |W^T W|) on the unit scale of M: the
-        # geometric mean of the floor and the smallest N-form eigenvalue
-        mid_log = 0.5 * np.log(floor / np.trace(penalty))
-        lo, hi = mid_log - _KAPPA_DECADES * np.log(10.0), mid_log + _KAPPA_DECADES * np.log(10.0)
+    c, n_val = amplitudes(np.linalg.eigh(m)[1][:, -1])
+    if n_val > floor:
+        return c
+    b = frame.T @ np.sign(c)
+    for penalty in (np.outer(b, b), frame.T @ frame):
+        # kappa lands near sqrt(floor / tr(penalty)) on the unit scale of M
+        mid = 0.5 * np.log(floor / np.trace(penalty))
+        lo, hi, best = mid - _KAPPA_SPAN, mid + _KAPPA_SPAN, None
         for _ in range(_FLOOR_BISECTIONS):
-            mid = 0.5 * (lo + hi)
-            trial, n_val = state_and_n(np.linalg.eigh(m - np.exp(mid) * penalty)[1][:, -1])
+            t = 0.5 * (lo + hi)
+            trial, n_val = amplitudes(np.linalg.eigh(m - np.exp(t) * penalty)[1][:, -1])
             if n_val > floor:
-                x, hi = trial, mid
+                best, hi = trial, t
             else:
-                lo = mid
-    state = x @ basis
-    return state / np.linalg.norm(state)
+                lo = t
+        if best is not None:
+            return best
+    raise InternalConsistencyError("no selection found above the postselection-probability floor")
 
 
 def optimize_pps(
@@ -293,28 +289,30 @@ def optimize_pps(
     seed: int = 0,
     min_postselect: float = 1e-12,
 ) -> ExtremePair:
-    """Search pure pre/postselection pairs for extremal position shifts.
+    """Pure pre/postselection pairs with extremal position shifts.
 
-    Alternating Rayleigh-quotient ascent from `restarts` random pure pairs.
-    With the preselection fixed, N and the q-numerator are quadratic forms
-    in the postselection, so the postselection that maximizes (or
-    minimizes) delta_q = q_num / N is an eigenvector of the whitened pair,
-    found exactly (:func:`_eigen_step`); the next half-step does the same
-    for the preselection.  Each half-step is exact, so the ascent is
-    monotone; it stops when a half-step gains no more than rounding, or
-    after a fixed number of sweeps.  Both directions are explored from
-    every start; `objective` only selects which extremal pair of states is
-    returned.  Every iterate is scored with the exact engine's
-    cancellation-free amplitude sums, never with the eigenvalue.  Fully
-    deterministic for a fixed seed.
+    No search: a pure selection enters delta_q only through the amplitudes
+    c_k = <f|P_k|i>, every c with ||c||_1 = 1 is reached, and the extremes
+    over all selections are the top and bottom of a K x K pencil, solved
+    directly (:func:`_pencil_extreme`).  With e_k a fixed unit vector in
+    the range of P_k, the unit-norm selection
 
-    Selections with postselection probability <= `min_postselect` are not
-    recorded: below that, double precision cannot certify shifts against
+        f = sum_k sqrt|c_k| e_k,    i = sum_k sign(c_k) sqrt|c_k| e_k
+
+    has exactly those amplitudes.  Each direction's selection is scored
+    once with the exact engine's cancellation-free sums; `objective` only
+    selects which pair is returned.  `restarts` (>= 1) and `seed` are kept
+    for compatibility and change nothing.
+
+    Selections with postselection probability <= `min_postselect` are
+    excluded: below that, double precision cannot certify shifts against
     the envelope.  (The engine's own orthogonality floor is 1e-14; callers
     probing the saturation ridge may lower `min_postselect` toward it.)
-    Where a half-step's extremizer lies below the floor it takes the best
-    state above it, so at weak coupling the search follows the
-    floor-limited ridge rather than the envelope.
+    Where the extremizer lies below the floor, the best selection above it
+    is taken, so at weak coupling the result follows the floor-limited
+    ridge rather than the envelope.  The floor is cleared by a few rounding
+    units of N, so the engine's N of the returned states may differ from
+    the solver's by about that much.
 
     Raises
     ------
@@ -324,8 +322,9 @@ def optimize_pps(
     ValidationError
         When g / Delta overflows.
     InternalConsistencyError
-        If any sampled shift escapes the closed-form envelope by more than
-        1e-9 (scaled), for projector observables.
+        If no selection clears the floor, or, for projector observables, if
+        either shift escapes the closed-form envelope by more than 1e-9
+        (scaled).
     """
     if objective not in ("max", "min"):
         raise ValidationError(f"objective must be 'max' or 'min', got {objective!r}")
@@ -333,7 +332,7 @@ def optimize_pps(
         raise ValidationError(f"restarts must be >= 1, got {restarts!r}")
     g = _check_coupling(g)
     delta = pointer.delta
-    # delta_q / Delta depends on g only through g / Delta, so the search runs
+    # delta_q / Delta depends on g only through g / Delta, so the solve runs
     # in pointer units; no kernel then scales with a power of Delta.
     ratio = g / delta
     if not np.isfinite(ratio):
@@ -341,7 +340,6 @@ def optimize_pps(
     if min_postselect < 1e-14:
         raise ValidationError("min_postselect must be >= the 1e-14 orthogonality floor")
 
-    d = observable.dimension
     eigs, pstack = observable.eigenvalues, observable.projectors
     kernels = _overlap_kernels(eigs, ratio)
     # 1 - G below the normal range has no precision left: the displaced
@@ -359,54 +357,26 @@ def optimize_pps(
     else:
         env_max = env_min = float("nan")
 
-    samples = []  # (delta_q, preselection, postselection) above the floor
+    cols = np.argmax(np.einsum("kii->ki", pstack).real, axis=1)  # e_k: P_k's largest column
+    units = pstack[np.arange(len(eigs)), :, cols]
+    units /= np.linalg.norm(units, axis=1, keepdims=True)
 
-    def score(pre: np.ndarray, post: np.ndarray) -> float | None:
-        c = (pstack @ pre) @ post.conj()
-        n_val, q_num, _, _ = _pointer_sums(c[:, None], eigs, kernels)
-        if n_val <= min_postselect:
-            return None
-        dq = g * float(q_num / n_val)
-        samples.append((dq, pre, post))
-        return dq
+    def extreme(sign: float) -> tuple[float, np.ndarray, np.ndarray]:
+        c = _pencil_extreme(sign, eigs, ratio, kernels, min_postselect)
+        root = np.sqrt(np.abs(c))
+        pre, post = (np.sign(c) * root) @ units, root @ units
+        n_val, q_num, _, _ = _pointer_sums(((pstack @ pre) @ post.conj())[:, None], eigs, kernels)
+        return g * float(q_num / n_val), pre, post
 
-    rng = np.random.default_rng(np.random.SeedSequence(seed))
-    draws = rng.standard_normal((restarts, 2, 2, d))
-    starts = draws[:, :, 0] + 1j * draws[:, :, 1]
-    starts /= np.linalg.norm(starts, axis=2, keepdims=True)
-
-    rounding = 1e-14 * max(delta, g * float(np.max(np.abs(eigs))))
-    for pre, post in starts:
-        score(pre, post)
-        for sign in (1.0, -1.0):
-            pair = [pre, post]
-            best = -np.inf
-            for half in range(2 * _MAX_SWEEPS):
-                side = 1 - half % 2  # the postselection moves first
-                pair[side] = _eigen_step(
-                    pair[1 - side], sign, pstack, eigs, ratio, kernels, min_postselect
-                )
-                dq = score(*pair)
-                if dq is None:
-                    continue
-                if sign * dq <= best + rounding:
-                    break
-                best = sign * dq
-
-    if not samples:
-        raise InternalConsistencyError(
-            "no valid selection found above the postselection-probability floor"
-        )
-    top = max(samples, key=lambda sample: sample[0])
-    bottom = min(samples, key=lambda sample: sample[0])
-    best_max, best_min = top[0], bottom[0]
+    best_max, *top = extreme(1.0)
+    best_min, *bottom = extreme(-1.0)
     tol = 1e-9 * max(1.0, delta, g * float(np.max(np.abs(eigs))))
     if np.isfinite(env_max) and (best_max > env_max + tol or best_min < env_min - tol):
         raise InternalConsistencyError(
-            f"sampled shifts [{best_min!r}, {best_max!r}] escape the envelope "
+            f"constructed shifts [{best_min!r}, {best_max!r}] escape the envelope "
             f"[{env_min!r}, {env_max!r}]"
         )
 
-    _, pre, post = top if objective == "max" else bottom
+    pre, post = top if objective == "max" else bottom
     arg_states = (StateVector(_phase_canonical(pre)), StateVector(_phase_canonical(post)))
     return ExtremePair(env_max, env_min, best_max, best_min, arg_states)

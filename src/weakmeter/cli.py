@@ -47,7 +47,7 @@ EXIT_ORTHOGONAL = 3
 
 
 def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
+    return format(float(x) + 0.0, ".17g")  # + 0.0 turns -0.0 into 0.0
 
 
 def _emit(text: str, out: str) -> None:

@@ -71,7 +71,7 @@ class GaussianPointer:
         return 1.0 / (2.0 * self.delta)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MeasurementSetup:
     """A complete pre/postselected measurement configuration.
 

@@ -57,7 +57,7 @@ def _freeze(a: np.ndarray) -> np.ndarray:
     return a
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class StateVector:
     """A normalized pure state |psi> on a d-dimensional Hilbert space.
 
@@ -114,7 +114,7 @@ class StateVector:
         return ProjectionOperator(np.outer(self.amplitudes, self.amplitudes.conj()))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DensityOperator:
     """A density operator: Hermitian, positive semidefinite, unit trace.
 
@@ -156,7 +156,7 @@ class DensityOperator:
         return vals[keep], vecs[:, keep].T
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ProjectionOperator:
     """An orthogonal projector: Hermitian and idempotent within 1e-10."""
 
@@ -232,7 +232,7 @@ def spectral_decompose(matrix: object) -> tuple[np.ndarray, np.ndarray]:
     return _freeze(eigenvalues), _freeze(projectors)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class HermitianObservable:
     """A Hermitian observable together with its cached spectral decomposition.
 

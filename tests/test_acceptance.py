@@ -1,6 +1,6 @@
 """System-level acceptance checks.
 
-Ten end-to-end criteria, one test each, every one printing a single
+Eleven end-to-end criteria, one test each, every one printing a single
 summary line (visible with ``pytest -s``; ``pytest -v`` shows the same
 pass/fail verdict per test).  Tolerances and runtime ceilings are asserted
 exactly as stated; nothing here is tuned to the implementation.
@@ -25,6 +25,7 @@ from weakmeter import (
     closed_form_shifts,
     exact_shifts,
     hardy_probabilities,
+    info_curve,
     information_gain,
     jozsa_shifts,
     k_value,
@@ -120,8 +121,8 @@ def test_c04_schwarz_inequality_over_random_selections():
 
 
 def test_c05_optimizer_attains_the_extreme_envelope():
-    """Multistart search hits both closed-form extremes (0.5% relative;
-    1% at g = 0.1) and never samples past the envelope by 1e-9."""
+    """The constructed selections hit both closed-form extremes (0.5%
+    relative; 1% at g = 0.1) and never pass the envelope by 1e-9."""
     t0 = time.perf_counter()
     notes = []
     for g, rel_tol in ((0.1, 1e-2), (1.0, 5e-3), (10.0, 5e-3)):
@@ -361,3 +362,42 @@ def test_c10_cli_outputs_are_byte_deterministic(tmp_path):
         for token in line.split(","):
             assert format(float(token), ".17g") == token
     _line(10, "sweep CSV and optimizer report byte-identical across reruns")
+
+
+def _closed_prob_nono(g):
+    """Inferred NO-NO probability (1 - 2G)/(5 - 4G), G = e^{-g^2/8}, Delta = 1."""
+    overlap = math.exp(-g * g / 8.0)
+    return (1.0 - 2.0 * overlap) / (5.0 - 4.0 * overlap)
+
+
+def test_c11_negative_probability_only_while_the_gain_is_small():
+    """P_NONO < 0 holds exactly when I_a < I_0, both ways, on every point of
+    the default hardy-sweep and info-sweep grids and at g_0 (1 -/+ 1e-6).
+    g_0 is where the closed-form P_NONO rises through zero, found by
+    bisection, and I_0 = I_a(g_0) is the program's gain there; no threshold
+    is typed in.  The default grids step 0.05-0.1 Delta near g_0, so the two
+    points beside it are what would catch a wrong I_0."""
+    t0 = time.perf_counter()
+    g0 = _crossing(_closed_prob_nono, 0.0)
+    i0 = information_gain(g0).i_a
+    # cross-checks of the bisection, not thresholds: G(g_0) = 1/2, I_0 = h2(3/4)
+    assert g0 == approx(math.sqrt(8.0 * math.log(2.0)), rel=1e-15)
+    assert i0 == approx(2.0 - 0.75 * math.log2(3.0), rel=1e-15)
+
+    points = [(p.g, p.prob_nono, information_gain(p.g).i_a) for p in probability_curve(1e-3, 10.0, 200)]
+    points += [(p.g, hardy_probabilities(p.g).prob_nono, p.i_a) for p in info_curve(0.01, 10.0, 200)]
+    beside = [g0 * (1.0 - 1e-6), g0 * (1.0 + 1e-6)]
+    points += [(g, hardy_probabilities(g).prob_nono, information_gain(g).i_a) for g in beside]
+    assert len(points) == 402
+    assert points[-2][1] < 0.0 < points[-1][1]
+    negative = [p for p in points if p[1] < 0.0]
+    assert 0 < len(negative) < len(points)
+    offenders = [p for p in points if (p[1] < 0.0) != (p[2] < i0)]
+    elapsed = time.perf_counter() - t0
+    assert not offenders, f"points breaking P_NONO < 0 <=> I_a < I_0 = {i0!r} (g, P, I_a): {offenders}"
+    assert elapsed < 5.0
+    _line(
+        11,
+        f"P_NONO < 0 <=> I_a < I_0 = {i0:.10f} bits on 402 points "
+        f"({len(negative)} negative), g_0 = {g0:.6f} Delta, {elapsed:.2f} s",
+    )

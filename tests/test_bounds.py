@@ -6,6 +6,7 @@ import sys
 import time
 from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 from pytest import approx
@@ -31,6 +32,8 @@ from weakmeter import (
     optimize_pps,
     weak_moments,
 )
+from weakmeter.cli import main
+from weakmeter.exactengine import _overlap_kernels
 from weakmeter.sampling import random_hermitian, random_state
 
 PATH = HermitianObservable(np.diag([1.0, 0.0]))
@@ -256,6 +259,118 @@ class TestOptimizer:
         tol = 1e-9 * max(POINTER.delta, g)
         assert result.optimizer_best_max >= max(drawn) - tol
         assert result.optimizer_best_min <= min(drawn) + tol
+
+
+def _mp_pencil(eigenvalues, ratio):
+    """(bottom, top) of delta_q / Delta over all selections: ratio times the
+    extreme eigenvalues of the pencil (Q, G), at 60 digits."""
+    with mpmath.workdps(60):
+        a = [mpmath.mpf(float(x)) for x in eigenvalues]
+        r = mpmath.mpf(float(ratio))
+        k = len(a)
+        gram = mpmath.matrix(k, k)
+        q = mpmath.matrix(k, k)
+        for i in range(k):
+            for j in range(k):
+                gram[i, j] = mpmath.exp(-((r * (a[i] - a[j])) ** 2) / 8)
+                q[i, j] = (a[i] + a[j]) / 2 * gram[i, j]
+        inv = mpmath.inverse(mpmath.cholesky(gram))
+        vals = sorted(mpmath.eigsy(inv * q * inv.T)[0])
+        return float(r * vals[0]), float(r * vals[-1])
+
+
+def _mp_shift(eigenvalues, ratio, c):
+    """(delta_q / Delta, N) of a pure selection with amplitudes c, at 60 digits."""
+    with mpmath.workdps(60):
+        a = [mpmath.mpf(float(x)) for x in eigenvalues]
+        r = mpmath.mpf(float(ratio))
+        amps = [mpmath.mpc(complex(x)) for x in c]
+        n_val = q_val = mpmath.mpf(0)
+        for i in range(len(a)):
+            for j in range(len(a)):
+                w = mpmath.re(mpmath.conj(amps[i]) * amps[j]) * mpmath.exp(-((r * (a[i] - a[j])) ** 2) / 8)
+                n_val += w
+                q_val += w * (a[i] + a[j]) / 2
+        return float(r * q_val / n_val), float(n_val)
+
+
+class TestPencilSolve:
+    """The extremes over all selections are the top and bottom of the K x K
+    pencil (Q, G); optimize_pps solves it and builds selections attaining
+    them, with no search."""
+
+    @pytest.mark.parametrize("ratio", np.geomspace(1e-5, 1e3, 17))
+    def test_which_path_meets_the_closed_form_at_every_coupling(self, ratio):
+        result = optimize_pps(_which_path(2), ratio, POINTER, min_postselect=1e-14)
+        q_max, q_min = extreme_shifts_projector(ratio, 1.0)
+        eps = np.finfo(float).eps
+        assert abs(result.optimizer_best_max - q_max) <= 8 * eps * max(abs(q_max), 1.0)
+        assert abs(result.optimizer_best_min - q_min) <= 8 * eps * max(abs(q_min), 1.0)
+        pre, post = result.argmax_states
+        setup = MeasurementSetup(_which_path(2), pre.density(), post.projector(), ratio, POINTER)
+        assert exact_shifts(setup).delta_q == approx(result.optimizer_best_max, rel=1e-12)
+
+    def test_selections_attain_an_mpmath_pencil(self):
+        """Random spectra, K = 2..8, g / Delta in [0.3, 30].  Where the floor
+        does not bind (N > 2 * floor), the selection's shift at 60 digits
+        meets the pencil to 1e-12 relative for K <= 5; for K >= 6 the
+        whitening of N loses digits as G nears singular, and it meets it
+        to 1e-9.  Where the floor binds it stays inside.  The reported
+        shift is the engine's score of that selection, within its rounding
+        of N: a few eps (|sum c| + |c|^T h |c|) / N at ||c||_1 = 1."""
+        rng = np.random.default_rng(20240816)
+        eps = np.finfo(float).eps
+        for _ in range(40):
+            k = int(rng.integers(2, 9))
+            obs = random_hermitian(rng, k)
+            g = float(np.exp(rng.uniform(np.log(0.3), np.log(30.0))))
+            bottom, top = _mp_pencil(obs.eigenvalues, g)
+            h = _overlap_kernels(obs.eigenvalues, g)[0]
+            for objective, sign, ref in (("max", 1.0, top), ("min", -1.0, bottom)):
+                result = optimize_pps(obs, g, POINTER, objective=objective)
+                pre, post = (s.amplitudes for s in result.argmax_states)
+                c = (obs.projectors @ pre) @ post.conj()
+                shift, n_val = _mp_shift(obs.eigenvalues, g, c)
+                if n_val > 2e-12:
+                    tol = 1e-12 if k <= 5 else 1e-9
+                    assert abs(shift - ref) <= tol * abs(ref), (k, g, objective, shift, ref)
+                else:
+                    assert sign * (shift - ref) <= 1e-12 * abs(ref)
+                best = result.optimizer_best_max if objective == "max" else result.optimizer_best_min
+                mass = np.abs(c)  # ||c||_1 = 1 by construction
+                unit = eps * (abs(c.sum()) + mass @ h @ mass) / n_val
+                assert abs(best - shift) <= 16 * unit * abs(shift)
+
+    def test_floor_bound_selections_clear_the_floor(self):
+        """Suite-style draws (d <= 4, g = 0.02 Delta), where the extreme of
+        K >= 3 levels often needs N below 1e-12: the returned selection's
+        exact-engine N stays above min_postselect."""
+        rng = np.random.default_rng(20240817)
+        for _ in range(60):
+            obs = random_hermitian(rng, int(rng.integers(3, 5)))
+            for objective in ("max", "min"):
+                result = optimize_pps(obs, 0.02, POINTER, objective=objective)
+                pre, post = result.argmax_states
+                setup = MeasurementSetup(obs, pre.density(), post.projector(), 0.02, POINTER)
+                assert exact_shifts(setup).postselect_prob > 1e-12
+
+    def test_restarts_and_seed_change_nothing(self):
+        obs = random_hermitian(np.random.default_rng(3), 4)
+        a = optimize_pps(obs, 0.7, POINTER, restarts=1, seed=0)
+        b = optimize_pps(obs, 0.7, POINTER, restarts=64, seed=12345)
+        assert (a.optimizer_best_max, a.optimizer_best_min) == (b.optimizer_best_max, b.optimizer_best_min)
+        np.testing.assert_array_equal(a.argmax_states[1].amplitudes, b.argmax_states[1].amplitudes)
+        with pytest.raises(ValidationError):
+            optimize_pps(obs, 0.7, POINTER, restarts=0)
+
+    def test_floor_bound_qubit_reaches_the_constrained_optimum(self, capsys):
+        """At g = 1e-6 Delta the extreme needs N < 1e-12; the best selection
+        at N = 1e-12 has delta_q = 0.484123418276 Delta (a 60-digit root
+        solve of the floor-constrained qubit problem)."""
+        assert main(["bounds-optimize", "--g", "1e-6"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        report = {key.strip(): value for key, _, value in (line.partition(" = ") for line in lines)}
+        assert float(report["best_delta_q_max"]) == approx(0.484123418276, rel=1e-9)
 
 
 def test_import_does_not_load_scipy():

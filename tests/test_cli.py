@@ -9,7 +9,7 @@ from importlib import resources
 import pytest
 from pytest import approx
 
-from weakmeter.cli import main
+from weakmeter.cli import _fmt, main
 
 
 def _parse_report(text):
@@ -47,6 +47,20 @@ class TestRun:
         assert float(report["delta_q_first_order"]) == approx(-0.15, rel=1e-10)
         assert float(report["delta_q_second_order"]) == approx(-0.15 / 1.0075, rel=1e-10)
         assert "delta_q_grid" not in report
+
+    def test_zero_coupling_prints_no_signed_zeros(self, capsys, tmp_path):
+        """At g = 0 the shifts are g times a negative ratio, -0.0 in IEEE
+        arithmetic; the report prints them as 0."""
+        text = resources.files("weakmeter").joinpath("scenarios", "anomalous_qubit.json").read_text()
+        path = tmp_path / "case.json"
+        path.write_text(json.dumps({**json.loads(text), "g": 0.0}))
+        code, out, _ = _run(capsys, "run", str(path))
+        assert code == 0
+        report = _parse_report(out)
+        for key in ("delta_q_exact", "delta_q_first_order", "delta_q_second_order"):
+            assert report[key] == "0"
+        assert "-0" not in report.values()
+        assert _fmt(-0.0) == _fmt(0.0) == "0"
 
     def test_scenario_file_from_disk(self, capsys, tmp_path):
         path = tmp_path / "case.json"

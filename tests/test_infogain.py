@@ -95,6 +95,10 @@ class TestInformationGain:
                 ref = -(lam * mpmath.log(lam) + rest * mpmath.log(rest)) / mpmath.log(2)
                 assert abs(got - ref) <= 4 * eps * ref, (g, got, float(ref))
 
+    def test_fields_are_python_floats(self):
+        res = information_gain(1.0)
+        assert [type(x) for x in (res.g, res.lam, res.i_a, res.q_min)] == [float] * 4
+
     def test_negative_coupling_rejected(self):
         with pytest.raises(ValidationError):
             information_gain(-1.0)

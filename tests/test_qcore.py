@@ -190,3 +190,30 @@ class TestTensorProduct:
     def test_mixed_kinds_rejected(self):
         with pytest.raises(ValidationError):
             tensor_product(StateVector.basis_state(2, 0), ProjectionOperator.identity(2))
+
+
+def _array_holders():
+    from weakmeter import GaussianPointer, MeasurementSetup, optimize_pps
+
+    state = StateVector.normalized([1.0, 1.0j])
+    obs = HermitianObservable(np.diag([1.0, -1.0]))
+    setup = MeasurementSetup(obs, state.density(), state.projector(), 0.5, GaussianPointer(1.0))
+    return {
+        "StateVector": lambda: state,
+        "DensityOperator": lambda: DensityOperator(np.eye(2) / 2.0),
+        "ProjectionOperator": lambda: ProjectionOperator(np.diag([1.0, 0.0])),
+        "HermitianObservable": lambda: HermitianObservable(np.diag([1.0, -1.0])),
+        "MeasurementSetup": lambda: setup,
+        "ExtremePair": lambda: optimize_pps(obs, 1.0, GaussianPointer(1.0)),
+    }
+
+
+@pytest.mark.parametrize("kind", list(_array_holders()))
+def test_equality_and_hash_do_not_raise_on_array_fields(kind):
+    """Objects that hold arrays compare and hash by identity."""
+    make = _array_holders()[kind]
+    a, b = make(), make()
+    assert a == a
+    assert (a == b) is (a is b)
+    assert hash(a) == hash(a)
+    assert len({a, b}) == (1 if a is b else 2)
