@@ -27,6 +27,7 @@ import numpy as np
 from .errors import (
     ContractError,
     InternalConsistencyError,
+    OrthogonalSelectionError,
     RegimeError,
     UndefinedExtremeError,
     ValidationError,
@@ -94,7 +95,7 @@ def k_value(moments: WeakMoments, g: float, pointer: GaussianPointer) -> float:
     Defined for projector observables with g * Delta_p <= 1; K >= 0 there
     (numerically: >= -1e-10).  The projector precondition is checked
     through its moment-level signature Re<A^2>_w = Re<A>_w, which holds
-    identically when A^2 = A.
+    identically when A^2 = A, and to rounding in :func:`weak_moments`.
 
     Raises
     ------
@@ -124,8 +125,8 @@ def check_weak_bounds(setup: MeasurementSetup) -> BoundReport:
     """Evaluate the exact shifts of a weak-regime setup against the bounds.
 
     Requires g * Delta_p <= 0.01 (RegimeError otherwise).  The K factor is
-    filled in when the observable is a projector and the g -> 0 selection
-    probability is nonzero; otherwise it is NaN.  The position ceiling is
+    filled in when the observable is a projector and :func:`weak_moments`
+    accepts the selection; otherwise it is NaN.  The position ceiling is
     Delta, which holds for two-level observables; one with K > 2 distinct
     eigenvalues can reach z_K * Delta on selections tuned to it (see the
     module notes), so `satisfied` may be False there.
@@ -137,12 +138,13 @@ def check_weak_bounds(setup: MeasurementSetup) -> BoundReport:
         )
     outcome = exact_shifts(setup)
     k = float("nan")
-    if setup.observable.is_projector() and setup.selection_prob > 1e-14:
-        k = k_value(
-            weak_moments(setup.preselection, setup.postselection, setup.observable),
-            setup.g,
-            setup.pointer,
-        )
+    if setup.observable.is_projector():
+        try:
+            moments = weak_moments(setup.preselection, setup.postselection, setup.observable)
+        except OrthogonalSelectionError:
+            pass  # K stays NaN
+        else:
+            k = k_value(moments, setup.g, setup.pointer)
     bound_q = setup.pointer.delta
     bound_p = setup.pointer.delta_p
     ok = (

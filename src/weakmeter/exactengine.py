@@ -20,12 +20,13 @@ once into pure-state amplitudes (:func:`_selection_amplitudes`), and one
 kernel (:func:`_pointer_sums`) forms the Gaussian-overlap sums in pointer
 units, where only g / Delta enters, for one coupling or a batch of them.
 The extremal search in :mod:`.bounds` and the which-path sweep in
-:mod:`.hardy` call the same kernel.
+:mod:`.hardy` call the same kernel, and :mod:`.weakvalue` reads the weak
+moments and the Schwarz gap off the same amplitudes.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import pi
 
 import numpy as np
@@ -88,11 +89,8 @@ class MeasurementSetup:
         dimensionless).
     pointer : GaussianPointer
 
-    Attributes
-    ----------
-    selection_prob : float
-        tr(Pi_f rho_s), the g -> 0 limit of the postselection probability,
-        recorded at construction.
+    The selection probability tr(Pi_f rho_s) is the `postselect_prob` of
+    :func:`.weakvalue.weak_moments`, read off the same amplitudes as the shifts.
     """
 
     observable: HermitianObservable
@@ -100,7 +98,6 @@ class MeasurementSetup:
     postselection: ProjectionOperator
     g: float
     pointer: GaussianPointer
-    selection_prob: float = field(init=False)
 
     def __post_init__(self) -> None:
         d = self.observable.dimension
@@ -110,9 +107,6 @@ class MeasurementSetup:
                 f"{d}/{self.preselection.dimension}/{self.postselection.dimension}"
             )
         object.__setattr__(self, "g", _check_coupling(self.g))
-        tr = complex(np.trace(self.postselection.matrix @ self.preselection.matrix))
-        assert abs(tr.imag) < 1e-12  # trace of a product of Hermitian PSD factors
-        object.__setattr__(self, "selection_prob", float(tr.real))
 
 
 @dataclass(frozen=True)
@@ -219,34 +213,22 @@ def _overlap_kernels(eigenvalues: np.ndarray, ratio) -> np.ndarray:
     return h[..., None, :, :] * coef
 
 
-def _selection_factors(
-    rho: DensityOperator, pi: ProjectionOperator
-) -> tuple[np.ndarray, np.ndarray]:
-    """The selection (rho, Pi) as pure-state factors (bras, kets).
-
-    Rows of `bras` (B) are <f_j|, an orthonormal basis of the range of Pi;
-    columns of `kets` (K) are sqrt(w_m) |chi_m> over the spectral ensemble
-    {w_m, chi_m} of rho.  Every trace over the selection then becomes a sum
-    of pure-state products: tr(Pi X rho Y) = sum_jm (B X K)_jm (B Y^+ K)_jm^*.
-    """
-    weights, kets = rho.eigen_ensemble()
-    vals, vecs = np.linalg.eigh(pi.matrix)
-    return vecs[:, vals > 0.5].conj().T, kets.T * np.sqrt(weights)  # Pi's eigenvalues are 0 or 1
-
-
 def _selection_amplitudes(
     rho: DensityOperator, pi: ProjectionOperator, observable: HermitianObservable
 ) -> np.ndarray:
     """Factored selection amplitudes c[k, r] = sqrt(w_m) <f_j| P_k |chi_m>.
 
-    The factors are those of :func:`_selection_factors`, P_k the
-    eigenprojectors of A, and r runs over the pairs (j, m).  Every
-    selection weight is then a sum of pure-state products,
-    tr(Pi P_l rho P_k) = sum_r c[k, r]^* c[l, r], so no sum over the
-    selection needs a trace or a purity test.
+    {f_j} is an orthonormal basis of the range of Pi, {w_m, chi_m} the
+    spectral ensemble of rho, P_k the eigenprojectors of A, and r runs over
+    the pairs (j, m).  Every selection weight is then a sum of pure-state
+    products, tr(Pi P_l rho P_k) = sum_r c[k, r]^* c[l, r], so no sum over
+    the selection needs a trace or a purity test.
     """
-    bras, kets = _selection_factors(rho, pi)
-    return (bras @ observable.projectors @ kets).reshape(len(observable.eigenvalues), -1)
+    weights, kets = rho.eigen_ensemble()
+    vals, vecs = np.linalg.eigh(pi.matrix)
+    bras = vecs[:, vals > 0.5].conj().T  # Pi's eigenvalues are 0 or 1
+    amplitudes = bras @ observable.projectors @ (kets.T * np.sqrt(weights))
+    return amplitudes.reshape(len(observable.eigenvalues), -1)
 
 
 def _pointer_sums(c: np.ndarray, eigenvalues: np.ndarray, kernels: np.ndarray):

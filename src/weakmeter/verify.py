@@ -57,17 +57,24 @@ class SuiteResult:
 
 @dataclass
 class _Worst:
-    """Keeps the minimum margin seen and the instance that produced it."""
+    """Keeps the minimum margin seen and the MeasurementSetup arguments that
+    produced it; :meth:`result` serializes them only for a violation."""
 
     margin: float = np.inf
     label: str = ""
-    instance: dict | None = None
+    instance: tuple = ()
 
-    def update(self, margin: float, label: str, instance: dict | None = None) -> None:
+    def update(self, margin: float, label: str, *setup_args) -> None:
         if margin < self.margin:
             self.margin = margin
             self.label = label
-            self.instance = instance
+            self.instance = setup_args
+
+    def result(self, name: str, instances: int) -> SuiteResult:
+        violating = None
+        if self.margin < 0.0 and self.instance:
+            violating = setup_to_json(MeasurementSetup(*self.instance))
+        return SuiteResult(name, instances, self.margin, f"worst check: {self.label}", violating)
 
 
 def _random_selection(rng: np.random.Generator, dim: int):
@@ -78,11 +85,6 @@ def _random_selection(rng: np.random.Generator, dim: int):
     return rho, pi
 
 
-def _instance_json(rho, pi, observable, g: float = 0.0, delta: float = 1.0) -> dict:
-    setup = MeasurementSetup(observable, rho, pi, g, GaussianPointer(delta))
-    return setup_to_json(setup)
-
-
 def schwarz_suite() -> SuiteResult:
     """two_sided >= |A_w|^2 always; equality for rank-one selections.
 
@@ -91,6 +93,7 @@ def schwarz_suite() -> SuiteResult:
     """
     rng = np.random.default_rng(20240811)
     worst = _Worst()
+    pointer = GaussianPointer(1.0)
     n_general = 10_000
     n_rank_one = 1_000
     done = 0
@@ -102,7 +105,7 @@ def schwarz_suite() -> SuiteResult:
             c = schwarz_gap(rho, pi, obs)
         except OrthogonalSelectionError:
             continue
-        worst.update((c + 1e-10) / 1e-10, "gap >= -1e-10", _instance_json(rho, pi, obs))
+        worst.update((c + 1e-10) / 1e-10, "gap >= -1e-10", obs, rho, pi, 0.0, pointer)
         done += 1
     done = 0
     while done < n_rank_one:
@@ -114,15 +117,9 @@ def schwarz_suite() -> SuiteResult:
             c = schwarz_gap(rho, pi, obs)
         except OrthogonalSelectionError:
             continue
-        worst.update((1e-10 - abs(c)) / 1e-10, "rank-one equality", _instance_json(rho, pi, obs))
+        worst.update((1e-10 - abs(c)) / 1e-10, "rank-one equality", obs, rho, pi, 0.0, pointer)
         done += 1
-    return SuiteResult(
-        "schwarz",
-        n_general + n_rank_one,
-        worst.margin,
-        f"worst check: {worst.label}",
-        worst.instance if worst.margin < 0.0 else None,
-    )
+    return worst.result("schwarz", n_general + n_rank_one)
 
 
 def _weak_ceiling(levels: int) -> float:
@@ -185,7 +182,7 @@ def bounds_suite() -> SuiteResult:
             k = k_value(weak_moments(rho, pi, obs), g, pointer)
         except OrthogonalSelectionError:
             continue
-        worst.update((k + 1e-10) / 1e-10, "K >= -1e-10", _instance_json(rho, pi, obs, g, delta))
+        worst.update((k + 1e-10) / 1e-10, "K >= -1e-10", obs, rho, pi, g, pointer)
         done += 1
 
     done = 0
@@ -201,7 +198,7 @@ def bounds_suite() -> SuiteResult:
             continue
         m_q = (rep.bound_q * (1.0 + 1e-6) - abs(rep.observed_q)) / rep.bound_q
         m_p = (rep.bound_p * (1.0 + 1e-6) - abs(rep.observed_p)) / rep.bound_p
-        worst.update(min(m_q, m_p), "weak-regime shift bounds", setup_to_json(setup))
+        worst.update(min(m_q, m_p), "weak-regime shift bounds", obs, rho, pi, g, pointer)
         done += 1
 
     g = 0.02 * delta  # u = 0.01
@@ -211,8 +208,8 @@ def bounds_suite() -> SuiteResult:
         search = optimize_pps(obs, g, pointer)
         top = max(search.optimizer_best_max, -search.optimizer_best_min)
         ceiling = _weak_ceiling(len(obs.eigenvalues)) * delta
-        instance = _instance_json(DensityOperator(np.eye(dim) / dim), random_projector(rng, dim, 1), obs, g, delta)
-        worst.update((1.02 * ceiling - top) / ceiling, "optimized |delta_q| <= 1.02 * z_K * Delta", instance)
+        instance = (obs, DensityOperator(np.eye(dim) / dim), random_projector(rng, dim, 1), g, pointer)
+        worst.update((1.02 * ceiling - top) / ceiling, "optimized |delta_q| <= 1.02 * z_K * Delta", *instance)
         states, span, position = _fock_frame(obs.eigenvalues, g / delta)
         pencil = np.linalg.eigvalsh(span.T @ position @ span)[-1]
         pre, post = (s.amplitudes for s in search.argmax_states)
@@ -221,14 +218,8 @@ def bounds_suite() -> SuiteResult:
         rel = float(np.vdot(psi, position @ psi).real / n_val / pencil - 1.0)
         # a floor-bound selection sits just above the floor; only an excess counts there
         miss = abs(rel) if n_val > 2e-12 else max(rel, 0.0)
-        worst.update((1e-12 - miss) / 1e-12, "max selection meets the pencil to 1e-12", instance)
-    return SuiteResult(
-        "bounds",
-        12_500,
-        worst.margin,
-        f"worst check: {worst.label}",
-        worst.instance if worst.margin < 0.0 else None,
-    )
+        worst.update((1e-12 - miss) / 1e-12, "max selection meets the pencil to 1e-12", *instance)
+    return worst.result("bounds", 12_500)
 
 
 def oracle_suite() -> SuiteResult:
@@ -247,7 +238,8 @@ def oracle_suite() -> SuiteResult:
         obs = random_hermitian(rng, dim) if rng.random() < 0.5 else random_projector_observable(rng, dim)
         delta = float(rng.choice([0.5, 1.0, 2.0]))
         g = delta * 10.0 ** rng.uniform(-2, 1)
-        setup = MeasurementSetup(obs, rho, pi, g, GaussianPointer(delta))
+        pointer = GaussianPointer(delta)
+        setup = MeasurementSetup(obs, rho, pi, g, pointer)
         try:
             ex = exact_shifts(setup)
             gr = grid_shifts(setup, GridSpec.for_setup(setup))
@@ -257,15 +249,9 @@ def oracle_suite() -> SuiteResult:
             abs(ex.delta_q - gr.delta_q) / delta,
             abs(ex.delta_p - gr.delta_p) * 2.0 * delta,  # per delta_p = 1/(2 delta)
         )
-        worst.update((1e-8 - err) / 1e-8, "engine vs grid", setup_to_json(setup))
+        worst.update((1e-8 - err) / 1e-8, "engine vs grid", obs, rho, pi, g, pointer)
         done += 1
-    return SuiteResult(
-        "oracle",
-        200,
-        worst.margin,
-        f"worst check: {worst.label}",
-        worst.instance if worst.margin < 0.0 else None,
-    )
+    return worst.result("oracle", 200)
 
 
 def hardy_suite() -> SuiteResult:
@@ -289,7 +275,7 @@ def hardy_suite() -> SuiteResult:
     worst.update((1e-5 - abs(curve[-1].prob_noo - 1.0)) / 1e-5, "strong NOO -> 1")
     increments = np.diff([pt.prob_nono for pt in curve])
     worst.update(float(np.min(increments)) / 1e-16, "strict monotonicity")
-    return SuiteResult("hardy", 200, worst.margin, f"worst check: {worst.label}")
+    return worst.result("hardy", 200)
 
 
 def info_suite() -> SuiteResult:
@@ -310,7 +296,7 @@ def info_suite() -> SuiteResult:
     worst.update((1e-5 - abs(curve[-1].i_a - 1.0)) / 1e-5, "strong limit -> 1 bit")
     increments = np.diff([pt.i_a for pt in curve])
     worst.update(float(np.min(increments)) / 1e-16, "strict monotonicity")
-    return SuiteResult("info", 200, worst.margin, f"worst check: {worst.label}")
+    return worst.result("info", 200)
 
 
 _SUITES = {

@@ -10,6 +10,9 @@ delta_q = g a and delta_p = 2 g b Var_p = u b / Delta, with u = g Delta_p =
 g / (2 Delta); the second-order correction divides both by
 D = 1 + u^2 (two_sided - square_real), where the two extra moments are
 defined on :class:`WeakMoments`.
+
+The moments and the Schwarz gap are read off the column sums of the exact
+engine's factored selection amplitudes (:func:`_selection_sums`).
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateDenominatorError, OrthogonalSelectionError, ValidationError
-from .exactengine import ORTHOGONALITY_FLOOR, GaussianPointer, _check_coupling, _selection_factors
+from .exactengine import ORTHOGONALITY_FLOOR, GaussianPointer, _check_coupling, _selection_amplitudes
 from .qcore import DensityOperator, HermitianObservable, ProjectionOperator
 
 
@@ -84,7 +87,7 @@ class WeakMoments:
                 f"weak moments: postselect_prob {self.postselect_prob!r} outside (0, 1]"
             )
         # Tolerance scales with |A_w|^2: near-orthogonal selections amplify both
-        # traces, and their rounding error grows with them.
+        # moments, and their rounding error grows with them.
         floor = 1e-10 * max(1.0, self.weak_value.magnitude**2)
         if self.two_sided < self.weak_value.magnitude**2 - floor:
             raise ValidationError(
@@ -94,10 +97,42 @@ class WeakMoments:
             )
 
 
+def _selection_sums(
+    rho_s: DensityOperator, pi_f: ProjectionOperator, observable: HermitianObservable
+) -> tuple[np.ndarray, float]:
+    """Rows S_n = sum_k a_k^n c[k, r], n = 0, 1, 2, of the engine's factored
+    amplitudes c (:func:`_selection_amplitudes`), and p = |S0|^2 = tr(Pi_f rho_s).
+
+    Raises ValidationError on dimension mismatch, OrthogonalSelectionError if
+    p <= 1e-14.
+    """
+    d = observable.dimension
+    if rho_s.dimension != d or pi_f.dimension != d:
+        raise ValidationError(
+            f"dimension mismatch: observable/state/projector are "
+            f"{d}/{rho_s.dimension}/{pi_f.dimension}"
+        )
+    c = _selection_amplitudes(rho_s, pi_f, observable)
+    sums = (observable.eigenvalues ** np.arange(3)[:, None]) @ c
+    prob = float(np.vdot(sums[0], sums[0]).real)
+    if prob <= ORTHOGONALITY_FLOOR:
+        raise OrthogonalSelectionError(
+            f"selection probability {prob:.3e} at or below 1e-14; weak value undefined"
+        )
+    return sums, prob
+
+
 def weak_moments(
     rho_s: DensityOperator, pi_f: ProjectionOperator, observable: HermitianObservable
 ) -> WeakMoments:
     """Compute the weak value and companion moments for one selection.
+
+    With the column sums S_n and p = |S0|^2 of :func:`_selection_sums`,
+
+        A_w = S0^* . S1 / p,   two_sided = |S1|^2 / p,   square_real = Re S0^* . S2 / p,
+
+    so two_sided >= |A_w|^2 holds by Cauchy-Schwarz on the computed vectors,
+    and for a projector observable S2 = S1 to rounding.
 
     Raises
     ------
@@ -106,34 +141,11 @@ def weak_moments(
     ValidationError
         On dimension mismatch.
     """
-    d = observable.dimension
-    if rho_s.dimension != d or pi_f.dimension != d:
-        raise ValidationError(
-            f"dimension mismatch: observable/state/projector are "
-            f"{d}/{rho_s.dimension}/{pi_f.dimension}"
-        )
-    pi = pi_f.matrix
-    rho = rho_s.matrix
-    a_mat = observable.matrix
-
-    n0 = complex(np.trace(pi @ rho))
-    assert abs(n0.imag) <= 1e-12
-    if n0.real <= ORTHOGONALITY_FLOOR:
-        raise OrthogonalSelectionError(
-            f"selection probability {n0.real:.3e} at or below 1e-14; weak value undefined"
-        )
-    prob = n0.real
-
-    a_rho = a_mat @ rho
-    first = complex(np.trace(pi @ a_rho)) / prob
-    two_sided = complex(np.trace(pi @ a_rho @ a_mat)) / prob
-    square = complex(np.trace(pi @ a_mat @ a_rho)) / prob
-    # tr(Pi A rho A) is a trace against the PSD operator A rho A: real.
-    assert abs(two_sided.imag) <= 1e-10 * max(1.0, abs(two_sided.real))
+    (s0, s1, s2), prob = _selection_sums(rho_s, pi_f, observable)
     return WeakMoments(
-        weak_value=WeakValue.from_complex(first),
-        two_sided=two_sided.real,
-        square_real=square.real,
+        weak_value=WeakValue.from_complex(complex(np.vdot(s0, s1)) / prob),
+        two_sided=float(np.vdot(s1, s1).real) / prob,
+        square_real=float(np.vdot(s0, s2).real) / prob,
         postselect_prob=min(prob, 1.0),
     )
 
@@ -206,8 +218,8 @@ def schwarz_gap(
     pure rho_s with a rank-one Pi_f.
 
     Evaluated through the Lagrange identity rather than by subtracting the two
-    moments: with u_(jk) = sqrt(w_k) <f_j|A|k> and v_(jk) = sqrt(w_k) <f_j|k>
-    over the ensemble of rho_s and a range basis {f_j} of Pi_f,
+    moments: with the column sums u = S1 and v = S0 of
+    :func:`_selection_sums`, the same vectors that give the moments,
 
         gap = (1/2) sum |u_a v_b - u_b v_a|^2 / (sum |v|^2)^2.
 
@@ -215,21 +227,7 @@ def schwarz_gap(
     a near-orthogonal selection amplifies both moments by orders of magnitude,
     where the plain difference would drown in rounding error.
     """
-    d = observable.dimension
-    if rho_s.dimension != d or pi_f.dimension != d:
-        raise ValidationError(
-            f"dimension mismatch: observable/state/projector are "
-            f"{d}/{rho_s.dimension}/{pi_f.dimension}"
-        )
-    bras, kets = _selection_factors(rho_s, pi_f)
-    v = (bras @ kets).ravel()
-    u = (bras @ observable.matrix @ kets).ravel()
-
-    prob = float(np.vdot(v, v).real)
-    if prob <= ORTHOGONALITY_FLOOR:
-        raise OrthogonalSelectionError(
-            f"selection probability {prob:.3e} at or below 1e-14; weak value undefined"
-        )
+    (v, u, _), prob = _selection_sums(rho_s, pi_f, observable)
     cross = np.outer(u, v)
     cross -= cross.T
     return 0.5 * float(np.sum(np.abs(cross) ** 2)) / prob**2

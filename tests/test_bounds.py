@@ -174,6 +174,28 @@ class TestWeakBounds:
         assert report.satisfied
         assert np.isnan(report.k_value)
 
+    def test_projector_selections_at_the_floor_return_a_report(self):
+        """With tr(Pi rho) within 10% of the 1e-14 floor the K factor is
+        filled exactly when weak_moments accepts the selection, and NaN
+        otherwise; the gate and the moments never disagree."""
+        rng = np.random.default_rng(41)
+        for dim in (2, 3, 4) * 40:
+            psi = random_state(rng, dim).amplitudes
+            w = random_state(rng, dim).amplitudes
+            w = w - np.vdot(psi, w) * psi
+            w /= np.linalg.norm(w)
+            prob = 1e-14 * rng.uniform(0.9, 1.1)
+            post = np.sqrt(1.0 - prob) * w + np.sqrt(prob) * psi
+            obs = HermitianObservable.from_projector(StateVector.normalized(psi + w).projector())
+            rho, pi = StateVector(psi).density(), StateVector(post).projector()
+            report = check_weak_bounds(MeasurementSetup(obs, rho, pi, 0.02, POINTER))
+            try:
+                weak_moments(rho, pi, obs)
+            except OrthogonalSelectionError:
+                assert np.isnan(report.k_value)
+            else:
+                assert report.k_value >= -1e-10
+
 
 class TestOptimizer:
     def test_two_level_search_hits_envelope(self):

@@ -132,7 +132,8 @@ class TestExactShifts:
         out = exact_shifts(setup)
         assert out.delta_q == 0.0
         assert out.delta_p == 0.0
-        assert out.postselect_prob == approx(setup.selection_prob, rel=1e-12)
+        prob = weak_moments(setup.preselection, setup.postselection, setup.observable).postselect_prob
+        assert out.postselect_prob == approx(prob, rel=1e-12)
 
     @pytest.mark.parametrize("g", [1e-3, 0.02, 1.0])
     def test_orthogonal_selection_midpoint(self, g):
@@ -289,6 +290,35 @@ def test_delta_q_keeps_relative_precision_near_orthogonality(family):
         assert 1e-11 < n_ref < 1e-8
         err = abs(exact_shifts(setup).delta_q - ref) / abs(ref)
         assert err <= 16.0 * eps / n_ref, (err * n_ref / eps, ref)
+
+
+def _mp_moments(a, rho, pi):
+    """p = tr(Pi rho), A_w and two_sided at 50 digits from the same double inputs."""
+    with mpmath.workdps(50):
+        a, rho, pi = (mpmath.matrix([[mpmath.mpc(complex(e)) for e in row] for row in m]) for m in (a, rho, pi))
+        a_rho = a * rho
+        traces = [mpmath.fsum(pi[k, l] * x[l, k] for k in range(pi.rows) for l in range(pi.rows))
+                  for x in (rho, a_rho, a_rho * a)]  # tr(Pi X)
+        return float(traces[0].real), complex(traces[1] / traces[0]), float((traces[2] / traces[0]).real)
+
+
+@pytest.mark.parametrize("family", ["pure", "two-eigenvector", "near-pure"])
+def test_weak_moments_keep_relative_precision_near_orthogonality(family):
+    """p, A_w and two_sided against a 50-digit evaluation for tr(Pi rho) from
+    1e-4 down to 1e-12.  eigh factors rho and Pi with a backward error of a
+    few eps, so p carries an absolute error of a few eps and the relative
+    error 8 eps / p bounds all three: A_w and two_sided inherit p's through
+    the division."""
+    eps = 2.2e-16
+    rng = np.random.default_rng({"pure": 21, "two-eigenvector": 22, "near-pure": 23}[family])
+    for n0 in (1e-4, 1e-8, 1e-12):
+        for _ in range(20):
+            a_mat, rho, pi = _near_orthogonal_setups(family, rng, n0)
+            m = weak_moments(DensityOperator(rho), ProjectionOperator(pi), HermitianObservable(a_mat))
+            want = _mp_moments(a_mat, rho, pi)
+            got = (m.postselect_prob, m.weak_value.as_complex, m.two_sided)
+            for name, value, ref in zip(("p", "A_w", "two_sided"), got, want):
+                assert abs(value - ref) <= 8.0 * eps / want[0] * abs(ref), (name, n0, value, ref)
 
 
 class TestResidualOrders:

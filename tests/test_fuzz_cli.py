@@ -2,7 +2,8 @@
 
 Couplings and pointer widths are drawn log-uniform over [1e-300, 1e300],
 together with 0, NaN, +-inf and negative values.  Warnings are raised as
-errors, because outside pytest they would print to stderr.
+errors, because outside pytest they would print to stderr.  Random valid
+selections near orthogonality must not exit 2, which is kept for bad input.
 """
 
 import contextlib
@@ -14,10 +15,13 @@ import warnings
 from importlib import resources
 from pathlib import Path
 
+import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from weakmeter.cli import main
+from weakmeter.sampling import random_hermitian, random_state
+from weakmeter.scenario import matrix_to_json
 
 # mostly positive, so that most draws get past input validation
 _KINDS = ["positive"] * 7 + ["negative", "zero", "nan", "inf"]
@@ -36,13 +40,13 @@ POINTS = st.integers(-1, 16)
 FUZZ = settings(derandomize=True, database=None, max_examples=120, deadline=None)
 
 
-def _exits_cleanly(argv):
+def _exits_cleanly(argv, codes=(0, 2, 3)):
     out, err = io.StringIO(), io.StringIO()
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = main(argv)
-    assert code in (0, 2, 3), (argv, code, err.getvalue())
+    assert code in codes, (argv, code, err.getvalue())
     stderr = err.getvalue()
     assert stderr == "" or stderr.startswith("error:"), (argv, stderr)
 
@@ -64,6 +68,35 @@ def test_run_with_overridden_coupling_and_width(name, g, delta):
         path = Path(tmp) / name
         path.write_text(json.dumps({**data, "g": g, "delta": delta}))
         _exits_cleanly(["run", str(path)])
+
+
+def _pairs(v):
+    return [[float(z.real), float(z.imag)] for z in v]
+
+
+@FUZZ
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    dim=st.integers(2, 4),
+    prob=st.integers(0, 10**9).map(lambda n: 10.0 ** (-13.0 + 9e-9 * n)),
+    g=st.integers(0, 10**9).map(lambda n: 10.0 ** (-6.0 + 6e-9 * n)),
+)
+def test_run_on_valid_near_orthogonal_selections(seed, dim, prob, g):
+    """A pure psi and a postselection tilted by sqrt(prob) toward it, prob
+    log-uniform in [1e-13, 1e-4] and g in [1e-6, 1] Delta: valid input, so
+    never exit 2."""
+    rng = np.random.default_rng(seed)
+    obs = random_hermitian(rng, dim)
+    psi = random_state(rng, dim).amplitudes
+    w = random_state(rng, dim).amplitudes
+    w = w - np.vdot(psi, w) * psi
+    post = np.sqrt(1.0 - prob) * w / np.linalg.norm(w) + np.sqrt(prob) * psi
+    data = {"dimension": dim, "observable": matrix_to_json(obs.matrix), "preselect": _pairs(psi),
+            "postselect": _pairs(post), "g": g, "delta": 1.0}
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "tilted.json"
+        path.write_text(json.dumps(data))
+        _exits_cleanly(["run", str(path)], codes=(0, 3))
 
 
 @FUZZ

@@ -15,6 +15,7 @@ from weakmeter import (
     load_scenario,
     parse_scenario,
     setup_to_json,
+    weak_moments,
 )
 
 
@@ -40,7 +41,8 @@ class TestParsing:
         weights, _ = setup.preselection.eigen_ensemble()
         assert weights == approx([1.0], abs=1e-12)
         assert setup.postselection.rank == 1
-        assert setup.selection_prob == approx(0.02, rel=1e-12)
+        moments = weak_moments(setup.preselection, setup.postselection, setup.observable)
+        assert moments.postselect_prob == approx(0.02, rel=1e-12)
 
     def test_density_matrix_preselect(self):
         mixed = [[[0.5, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.5, 0.0]]]

@@ -25,6 +25,7 @@ from weakmeter import (
     second_order_shifts,
     weak_moments,
 )
+from weakmeter.sampling import random_hermitian, random_state
 
 SIGMA_X = HermitianObservable(np.array([[0.0, 1.0], [1.0, 0.0]]))
 PATH = HermitianObservable(np.diag([1.0, 0.0]))
@@ -159,3 +160,29 @@ class TestSchwarzGap:
             except OrthogonalSelectionError:
                 continue
             assert gap >= -1e-10
+
+
+def _tilted_selection(rng, dim, prob):
+    """A pure preselection psi and the postselection w + sqrt(prob) psi,
+    normalized, with w a random unit vector orthogonal to psi."""
+    psi = random_state(rng, dim).amplitudes
+    w = random_state(rng, dim).amplitudes
+    w = w - np.vdot(psi, w) * psi
+    f = w / np.linalg.norm(w) + np.sqrt(prob) * psi
+    return StateVector(psi).density(), StateVector.normalized(f).projector()
+
+
+class TestNearOrthogonalSelections:
+    @pytest.mark.parametrize("prob", [1e-8, 1e-10, 1e-12])
+    @pytest.mark.parametrize("dim", [2, 3, 4])
+    def test_rank_one_moments_stay_valid(self, dim, prob):
+        """Far above the 1e-14 floor a rank-one selection is valid input:
+        the moments never fail their own Schwarz check, and the gap is
+        exactly zero because both are read from the same amplitudes."""
+        rng = np.random.default_rng([dim, round(-np.log10(prob))])
+        for _ in range(40):
+            obs = random_hermitian(rng, dim)
+            rho, pi = _tilted_selection(rng, dim, prob)
+            m = weak_moments(rho, pi, obs)
+            assert m.postselect_prob == approx(prob, rel=1e-2)
+            assert schwarz_gap(rho, pi, obs) == 0.0
