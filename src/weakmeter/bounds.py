@@ -210,10 +210,10 @@ _KAPPA_SPAN = 16.0 * np.log(10.0)
 _FLOOR_BISECTIONS = 44
 
 
-def _pencil_extreme(
-    sign: float, eigs: np.ndarray, ratio: float, kernels: np.ndarray, floor: float
-) -> np.ndarray:
-    """Real amplitudes c_k = <f|P_k|i>, ||c||_1 = 1, that extremize sign * delta_q.
+def _pencil_extremes(
+    eigs: np.ndarray, ratio: float, kernels: np.ndarray, floor: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Real amplitudes c_k = <f|P_k|i>, ||c||_1 = 1, of the largest and smallest delta_q.
 
     A pure selection enters the shift only through c.  With the engine's
     kernels h = 1 - G and qker = (a + a')/2 h (g = `ratio`, pointer units),
@@ -225,13 +225,14 @@ def _pencil_extreme(
     (Q, G).  In a frame whose first axis is 1, only that axis carries the
     g-independent terms; eliminating it (a Schur complement) before
     whitening N keeps them exact at any coupling, though the whitening loses
-    digits as G nears singular (K >= 6, g ~ Delta).  The top eigenvector of
-    the whitened sign * q-form M is the extremizer over all selections.
+    digits as G nears singular (K >= 6, g ~ Delta).  One eigendecomposition
+    of the whitened q-form M serves both directions: its top eigenvector is
+    the maximizer over all selections and its bottom one the minimizer.
 
-    If that N is at or below `floor`, with s its signs and c = F z (F the
-    frame and whitening map, N = z^T z), ||c||_1 = s . c = b^T z for
+    If a direction's N is at or below `floor`, with s its signs and c = F z
+    (F the frame and whitening map, N = z^T z), ||c||_1 = s . c = b^T z for
     b = F^T s: the best c above the floor with those signs is the top
-    eigenvector of M - kappa b b^T at the kappa, bisected, where
+    eigenvector of +/-M - kappa b b^T at the kappa, bisected, where
     N / ||c||_1^2 meets the floor.  If none clears it, the penalty is
     ||c||_2^2 >= ||c||_1^2 / K, which reaches N / ||c||_1^2 >= 1 / K.
     """
@@ -251,7 +252,7 @@ def _pencil_extreme(
     white[0, 0] = 1.0 / np.sqrt(pivot)
     white[1:, 1:] = v[:, keep] / np.sqrt(w[keep])
     white[0, 1:] = -elim @ white[1:, 1:]
-    m = white.T @ ((sign * ratio) * q_form) @ white
+    m = white.T @ (ratio * q_form) @ white
     m /= max(float(np.max(np.abs(m))), np.finfo(float).tiny)  # unit scale, same eigenvectors
     frame = rot @ white
 
@@ -262,24 +263,28 @@ def _pencil_extreme(
         slack = _N_SLACK * np.finfo(float).eps * (abs(s0) + np.abs(c) @ h @ np.abs(c))
         return c, float(s0**2 - c @ h @ c - slack)
 
-    c, n_val = amplitudes(np.linalg.eigh(m)[1][:, -1])
-    if n_val > floor:
-        return c
-    b = frame.T @ np.sign(c)
-    for penalty in (np.outer(b, b), frame.T @ frame):
-        # kappa lands near sqrt(floor / tr(penalty)) on the unit scale of M
-        mid = 0.5 * np.log(floor / np.trace(penalty))
-        lo, hi, best = mid - _KAPPA_SPAN, mid + _KAPPA_SPAN, None
-        for _ in range(_FLOOR_BISECTIONS):
-            t = 0.5 * (lo + hi)
-            trial, n_val = amplitudes(np.linalg.eigh(m - np.exp(t) * penalty)[1][:, -1])
-            if n_val > floor:
-                best, hi = trial, t
-            else:
-                lo = t
-        if best is not None:
-            return best
-    raise InternalConsistencyError("no selection found above the postselection-probability floor")
+    def above_floor(form: np.ndarray, z: np.ndarray) -> np.ndarray:
+        c, n_val = amplitudes(z)
+        if n_val > floor:
+            return c
+        b = frame.T @ np.sign(c)
+        for penalty in (np.outer(b, b), frame.T @ frame):
+            # kappa lands near sqrt(floor / tr(penalty)) on the unit scale of M
+            mid = 0.5 * np.log(floor / np.trace(penalty))
+            lo, hi, best = mid - _KAPPA_SPAN, mid + _KAPPA_SPAN, None
+            for _ in range(_FLOOR_BISECTIONS):
+                t = 0.5 * (lo + hi)
+                trial, n_val = amplitudes(np.linalg.eigh(form - np.exp(t) * penalty)[1][:, -1])
+                if n_val > floor:
+                    best, hi = trial, t
+                else:
+                    lo = t
+            if best is not None:
+                return best
+        raise InternalConsistencyError("no selection clears the postselection-probability floor")
+
+    z = np.linalg.eigh(m)[1]
+    return above_floor(m, z[:, -1]), above_floor(-m, z[:, 0])
 
 
 def optimize_pps(
@@ -295,9 +300,9 @@ def optimize_pps(
 
     No search: a pure selection enters delta_q only through the amplitudes
     c_k = <f|P_k|i>, every c with ||c||_1 = 1 is reached, and the extremes
-    over all selections are the top and bottom of a K x K pencil, solved
-    directly (:func:`_pencil_extreme`).  With e_k a fixed unit vector in
-    the range of P_k, the unit-norm selection
+    over all selections are the top and bottom of a K x K pencil, both read
+    off one solve (:func:`_pencil_extremes`).  With e_k a fixed unit vector
+    in the range of P_k, the unit-norm selection
 
         f = sum_k sqrt|c_k| e_k,    i = sum_k sign(c_k) sqrt|c_k| e_k
 
@@ -363,15 +368,15 @@ def optimize_pps(
     units = pstack[np.arange(len(eigs)), :, cols]
     units /= np.linalg.norm(units, axis=1, keepdims=True)
 
-    def extreme(sign: float) -> tuple[float, np.ndarray, np.ndarray]:
-        c = _pencil_extreme(sign, eigs, ratio, kernels, min_postselect)
+    def selection(c: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
         root = np.sqrt(np.abs(c))
         pre, post = (np.sign(c) * root) @ units, root @ units
         n_val, q_num, _, _ = _pointer_sums(((pstack @ pre) @ post.conj())[:, None], eigs, kernels)
         return g * float(q_num / n_val), pre, post
 
-    best_max, *top = extreme(1.0)
-    best_min, *bottom = extreme(-1.0)
+    c_max, c_min = _pencil_extremes(eigs, ratio, kernels, min_postselect)
+    best_max, *top = selection(c_max)
+    best_min, *bottom = selection(c_min)
     tol = 1e-9 * max(1.0, delta, g * float(np.max(np.abs(eigs))))
     if np.isfinite(env_max) and (best_max > env_max + tol or best_min < env_min - tol):
         raise InternalConsistencyError(

@@ -15,13 +15,14 @@ grid (:func:`grid_shifts`).  The two routes share no algebra beyond the
 pointer definition, which is what makes the second one an oracle for the
 first.
 
-The closed form has one path for every selection.  (rho, Pi) is factored
-once into pure-state amplitudes (:func:`_selection_amplitudes`), and one
-kernel (:func:`_pointer_sums`) forms the Gaussian-overlap sums in pointer
-units, where only g / Delta enters, for one coupling or a batch of them.
-The extremal search in :mod:`.bounds` and the which-path sweep in
-:mod:`.hardy` call the same kernel, and :mod:`.weakvalue` reads the weak
-moments and the Schwarz gap off the same amplitudes.
+The closed form has one path for every selection.  (rho, Pi), each
+decomposed once by its own class, is contracted into pure-state amplitudes
+(:func:`_selection_amplitudes`), and one kernel (:func:`_pointer_sums`)
+forms the Gaussian-overlap sums in pointer units, where only g / Delta
+enters, for one coupling or a batch of them.  The extremal search in
+:mod:`.bounds` and the which-path sweep in :mod:`.hardy` call the same
+kernel, and :mod:`.weakvalue` reads the weak moments and the Schwarz gap
+off the same amplitudes.
 """
 
 from __future__ import annotations
@@ -218,16 +219,14 @@ def _selection_amplitudes(
 ) -> np.ndarray:
     """Factored selection amplitudes c[k, r] = sqrt(w_m) <f_j| P_k |chi_m>.
 
-    {f_j} is an orthonormal basis of the range of Pi, {w_m, chi_m} the
-    spectral ensemble of rho, P_k the eigenprojectors of A, and r runs over
-    the pairs (j, m).  Every selection weight is then a sum of pure-state
-    products, tr(Pi P_l rho P_k) = sum_r c[k, r]^* c[l, r], so no sum over
-    the selection needs a trace or a purity test.
+    {f_j} is the basis of Pi's range (`pi.bras`), {w_m, chi_m} the spectral
+    ensemble of rho (`rho.weights`, `rho.kets`), P_k the eigenprojectors of
+    A, and r runs over the pairs (j, m): one contraction, no eigensolve.
+    Every selection weight is then a sum of pure-state products,
+    tr(Pi P_l rho P_k) = sum_r c[k, r]^* c[l, r], so no sum over the
+    selection needs a trace or a purity test.
     """
-    weights, kets = rho.eigen_ensemble()
-    vals, vecs = np.linalg.eigh(pi.matrix)
-    bras = vecs[:, vals > 0.5].conj().T  # Pi's eigenvalues are 0 or 1
-    amplitudes = bras @ observable.projectors @ (kets.T * np.sqrt(weights))
+    amplitudes = pi.bras @ observable.projectors @ (rho.kets.T * np.sqrt(rho.weights))
     return amplitudes.reshape(len(observable.eigenvalues), -1)
 
 
@@ -349,7 +348,7 @@ def grid_shifts(setup: MeasurementSetup, grid: GridSpec) -> MeasurementOutcome:
 
     eigs = setup.observable.eigenvalues
     pstack = setup.observable.projectors
-    weights, chis = setup.preselection.eigen_ensemble()
+    weights, chis = setup.preselection.weights, setup.preselection.kets
     pi_f = setup.postselection.matrix
 
     # xi[m, k, :] = Pi_f P_k |chi_m>, the postselected branch amplitudes

@@ -7,12 +7,13 @@ required, and entropies are reported in bits (base-2 logarithms).
 The classes here are thin, validated, immutable wrappers around complex
 numpy arrays.  Validation happens once at construction; downstream modules
 then trust the invariants (unit norm, hermiticity, idempotency, ...) and
-only re-check what is cheap.
+only re-check what is cheap.  Each operator is decomposed once, too.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -119,10 +120,14 @@ class DensityOperator:
     """A density operator: Hermitian, positive semidefinite, unit trace.
 
     Hermiticity and trace are enforced within 1e-12; eigenvalues may dip to
-    -1e-10 to absorb rounding from upstream algebra.
+    -1e-10 to absorb rounding from upstream algebra.  The eigensolve that
+    checks this keeps `weights` (eigenvalues above 1e-15, descending) and
+    `kets` (the matching unit eigenvectors, one per row).
     """
 
     matrix: np.ndarray
+    weights: np.ndarray = field(init=False, repr=False)
+    kets: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         m = _as_complex_matrix(self.matrix, "density operator")
@@ -130,30 +135,18 @@ class DensityOperator:
         tr = m.trace()
         if abs(tr - 1.0) > _ATOL_TRACE:
             raise ValidationError(f"density operator: trace {tr!r} differs from 1 by more than 1e-12")
-        lo = float(np.linalg.eigvalsh(m)[0])
-        if lo < _MIN_EIGENVALUE:
-            raise ValidationError(f"density operator: negative eigenvalue {lo:.3e} < -1e-10")
+        vals, vecs = np.linalg.eigh(m)
+        if vals[0] < _MIN_EIGENVALUE:
+            raise ValidationError(f"density operator: negative eigenvalue {vals[0]:.3e} < -1e-10")
+        order = np.argsort(vals)[::-1]
+        keep = order[vals[order] > 1e-15]
         object.__setattr__(self, "matrix", _freeze(m))
+        object.__setattr__(self, "weights", _freeze(vals[keep]))
+        object.__setattr__(self, "kets", _freeze(vecs[:, keep].T))
 
     @property
     def dimension(self) -> int:
         return self.matrix.shape[0]
-
-    def eigen_ensemble(self, weight_floor: float = 1e-15) -> tuple[np.ndarray, np.ndarray]:
-        """Spectral ensemble of the state.
-
-        Returns
-        -------
-        weights : ndarray, shape (k,)
-            Eigenvalues above `weight_floor`, in descending order.
-        vectors : ndarray, shape (k, d)
-            Matching unit eigenvectors, one per row.
-        """
-        vals, vecs = np.linalg.eigh(self.matrix)
-        order = np.argsort(vals)[::-1]
-        vals, vecs = vals[order], vecs[:, order]
-        keep = vals > weight_floor
-        return vals[keep], vecs[:, keep].T
 
 
 @dataclass(frozen=True, eq=False)
@@ -174,10 +167,15 @@ class ProjectionOperator:
     def dimension(self) -> int:
         return self.matrix.shape[0]
 
+    @cached_property
+    def bras(self) -> np.ndarray:
+        """Orthonormal basis of the range, conjugated, one vector per row; shape (rank, d)."""
+        vals, vecs = np.linalg.eigh(self.matrix)
+        return _freeze(vecs[:, vals > 0.5].conj().T)  # a projector's eigenvalues are 0 or 1
+
     @property
     def rank(self) -> int:
-        # trace of a projector is its rank, up to rounding
-        return int(round(float(self.matrix.trace().real)))
+        return len(self.bras)
 
     @classmethod
     def identity(cls, dimension: int) -> "ProjectionOperator":
@@ -282,13 +280,10 @@ class HermitianObservable:
 def von_neumann_entropy(rho: DensityOperator) -> float:
     """Von Neumann entropy S(rho) = -sum_i p_i log2 p_i, in bits.
 
-    Eigenvalues at or below 1e-15 are dropped (0 * log 0 = 0).  The result
-    lies in [0, log2 d].
+    Reads the spectral weights of `rho`, which omit eigenvalues at or below
+    1e-15 (0 * log 0 = 0).  The result lies in [0, log2 d].
     """
-    vals = np.linalg.eigvalsh(rho.matrix)
-    vals = vals[vals > 1e-15]
-    s = float(-np.sum(vals * np.log2(vals)))
-    return max(s, 0.0)
+    return max(float(-np.sum(rho.weights * np.log2(rho.weights))), 0.0)
 
 
 def tensor_product(x, y):

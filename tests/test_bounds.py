@@ -5,6 +5,7 @@ import subprocess
 import sys
 import time
 from pathlib import Path
+from unittest.mock import Mock
 
 import mpmath
 import numpy as np
@@ -375,6 +376,16 @@ class TestPencilSolve:
                 pre, post = result.argmax_states
                 setup = MeasurementSetup(obs, pre.density(), post.projector(), 0.02, POINTER)
                 assert exact_shifts(setup).postselect_prob > 1e-12
+
+    def test_one_pencil_solve_serves_both_directions(self, monkeypatch):
+        """Where the floor does not bind, one frame (one qr), one whitening
+        and one eigensolve of the q-form give both extremes."""
+        obs = random_hermitian(np.random.default_rng(5), 4)
+        eigh, qr = Mock(wraps=np.linalg.eigh), Mock(wraps=np.linalg.qr)
+        monkeypatch.setattr(np.linalg, "eigh", eigh)
+        monkeypatch.setattr(np.linalg, "qr", qr)
+        optimize_pps(obs, 1.0, POINTER)
+        assert (eigh.call_count, qr.call_count) == (2, 1)
 
     def test_restarts_and_seed_change_nothing(self):
         obs = random_hermitian(np.random.default_rng(3), 4)

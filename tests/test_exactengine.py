@@ -26,14 +26,18 @@ from weakmeter import (
     StateVector,
     ValidationError,
     build_hardy,
+    check_weak_bounds,
     exact_shifts,
     grid_shifts,
     jozsa_shifts,
     parse_scenario,
+    schwarz_gap,
     second_order_shifts,
+    von_neumann_entropy,
     weak_moments,
 )
 from weakmeter.exactengine import _overlap_kernels, _pointer_sums, _selection_amplitudes
+from weakmeter.sampling import random_density, random_projector, random_projector_observable
 
 PATH = HermitianObservable(np.diag([1.0, 0.0]))
 
@@ -217,6 +221,26 @@ class TestSelectionFamilies:
             assert resid < 1e-13
             for b, s_ in zip(batch, single):
                 assert b[i] == approx(float(s_), rel=1e-14)
+
+    def test_operators_are_decomposed_once(self, monkeypatch):
+        """rho is decomposed when it is built and Pi on its first selection;
+        after that, no call that reads the selection runs an eigensolver."""
+        rng = np.random.default_rng(13)
+        rho, pi = random_density(rng, 4, 2), random_projector(rng, 4, 2)
+        setup = MeasurementSetup(random_projector_observable(rng, 4), rho, pi, 0.01, GaussianPointer(1.0))
+        exact_shifts(setup)
+
+        def decomposed(*args, **kwargs):
+            raise AssertionError("decomposed after construction")
+
+        monkeypatch.setattr(np.linalg, "eigh", decomposed)
+        monkeypatch.setattr(np.linalg, "eigvalsh", decomposed)
+        exact_shifts(setup)
+        weak_moments(rho, pi, setup.observable)
+        schwarz_gap(rho, pi, setup.observable)
+        check_weak_bounds(setup)
+        von_neumann_entropy(rho)
+        assert pi.bras.shape == (2, 4)
 
 
 class TestExtremeScales:

@@ -31,8 +31,7 @@ class TestReducedStates:
             rho.matrix, np.array([[0.5, G / 2], [G / 2, 0.5]]), atol=1e-15
         )
         for branch in (rho_1, rho_2):
-            weights, _ = branch.eigen_ensemble()
-            assert weights == approx([1.0], abs=1e-12)
+            assert branch.weights == approx([1.0], abs=1e-12)
 
     def test_branch_states_overlap(self):
         _, rho_1, rho_2 = reduced_device_states(2.0, 0.7)

@@ -51,8 +51,7 @@ class TestDensityOperator:
     def test_pure_roundtrip(self):
         s = StateVector.normalized([1.0, 1.0j])
         rho = s.density()
-        weights, _ = rho.eigen_ensemble()
-        assert weights == approx([1.0], abs=1e-12)
+        assert rho.weights == approx([1.0], abs=1e-12)
         assert np.trace(rho.matrix) == approx(1.0)
 
     def test_rejects_trace_away_from_one(self):
@@ -74,20 +73,20 @@ class TestDensityOperator:
         probs = np.array([0.6, 0.3, 0.1])
         basis = np.linalg.qr(RNG.normal(size=(3, 3)) + 1j * RNG.normal(size=(3, 3)))[0]
         rho = DensityOperator(basis @ np.diag(probs) @ basis.conj().T)
-        weights, vecs = rho.eigen_ensemble()
+        weights, vecs = rho.weights, rho.kets
         assert np.all(np.diff(weights) <= 0)  # descending
         rebuilt = np.einsum("k,ki,kj->ij", weights, vecs, vecs.conj())
         np.testing.assert_allclose(rebuilt, rho.matrix, atol=1e-13)
 
     def test_eigen_ensemble_drops_null_weights(self):
         rho = StateVector.basis_state(4, 2).density()
-        weights, vecs = rho.eigen_ensemble()
+        weights, vecs = rho.weights, rho.kets
         assert len(weights) == 1
         assert weights[0] == approx(1.0)
         assert abs(vecs[0, 2]) == approx(1.0)
 
     def test_mixed_is_not_pure(self):
-        weights, _ = DensityOperator(np.eye(2) / 2).eigen_ensemble()
+        weights = DensityOperator(np.eye(2) / 2).weights
         assert weights == approx([0.5, 0.5], abs=1e-15)
 
 

@@ -38,8 +38,7 @@ class TestParsing:
         assert grid is None
         assert setup.g == 0.05
         assert setup.pointer.delta == 1.0
-        weights, _ = setup.preselection.eigen_ensemble()
-        assert weights == approx([1.0], abs=1e-12)
+        assert setup.preselection.weights == approx([1.0], abs=1e-12)
         assert setup.postselection.rank == 1
         moments = weak_moments(setup.preselection, setup.postselection, setup.observable)
         assert moments.postselect_prob == approx(0.02, rel=1e-12)
@@ -47,8 +46,7 @@ class TestParsing:
     def test_density_matrix_preselect(self):
         mixed = [[[0.5, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.5, 0.0]]]
         setup, _ = parse_scenario(_qubit_scenario(preselect=mixed))
-        weights, _ = setup.preselection.eigen_ensemble()
-        assert weights == approx([0.5, 0.5], abs=1e-12)
+        assert setup.preselection.weights == approx([0.5, 0.5], abs=1e-12)
 
     def test_projector_matrix_postselect(self):
         rank2 = [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]
