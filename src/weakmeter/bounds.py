@@ -20,6 +20,7 @@ attain it, and is validated against that envelope.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,6 +49,9 @@ WEAK_REGIME_LIMIT = 0.01
 
 # Relative slack allowed on |delta_q| <= Delta and |delta_p| <= Delta_p.
 BOUND_RELATIVE_TOL = 1e-6
+
+# The projector envelope switches branch at x = g^2 / (4 Delta^2) = ln 2.
+_LN2 = math.log(2.0)
 
 
 @dataclass(frozen=True)
@@ -178,20 +182,46 @@ def extreme_shifts_projector(g: float, delta: float) -> tuple[float, float]:
     ratio = g / delta
     x = 0.25 * ratio * ratio  # saturates to inf, where G = 0 and the pair is (g, 0)
     if x == 0.0:
-        raise UndefinedExtremeError(
-            f"g / delta = {ratio!r} underflows: the envelope is unresolvable, as at g = 0"
-        )
-    if x > np.log(2.0):
-        # ell = ln(1 - e^-x) is tiny here; routing q_min through expm1(-ell/2)
-        # keeps relative precision even when it falls below 1e-10 * g
-        ell = np.log1p(-np.exp(-x))
-        spread = np.exp(-0.5 * ell)
-        q_min = -(g / 2.0) * np.expm1(-0.5 * ell)
-    else:
-        # 1 - exp(-x) via expm1 keeps full relative precision for g << delta
-        spread = 1.0 / np.sqrt(-np.expm1(-x))
-        q_min = (g / 2.0) * (1.0 - spread)
-    return float((g / 2.0) * (1.0 + spread)), float(q_min)
+        raise _unresolvable(ratio)
+    q_max, q_min = (_envelope_far if x > _LN2 else _envelope_near)(g, x)
+    return float(q_max), float(q_min)
+
+
+def _envelope_curve(gs: np.ndarray, delta: float) -> np.ndarray:
+    """Rows (q_max, q_min) of :func:`extreme_shifts_projector` at couplings gs > 0.
+
+    The same closed form, element by element, each point on its own branch.
+    Raises UndefinedExtremeError at the first g whose g / delta underflows.
+    """
+    with np.errstate(over="ignore"):  # x saturates to inf, as in the scalar call
+        ratio = gs / delta
+        x = 0.25 * ratio * ratio
+    under = np.flatnonzero(x == 0.0)
+    if under.size:
+        raise _unresolvable(float(ratio[under[0]]))
+    with np.errstate(divide="ignore"):  # each branch is kept only where it is exact
+        return np.where(x > _LN2, _envelope_far(gs, x), _envelope_near(gs, x))
+
+
+def _envelope_far(g, x):
+    """(q_max, q_min) for x = g^2 / (4 delta^2) > ln 2; floats or arrays."""
+    # ell = ln(1 - e^-x) is tiny here; routing q_min through expm1(-ell/2)
+    # keeps relative precision even when it falls below 1e-10 * g
+    ell = np.log1p(-np.exp(-x))
+    return (g / 2.0) * (1.0 + np.exp(-0.5 * ell)), -(g / 2.0) * np.expm1(-0.5 * ell)
+
+
+def _envelope_near(g, x):
+    """(q_max, q_min) for 0 < x <= ln 2; floats or arrays."""
+    # 1 - exp(-x) via expm1 keeps full relative precision for g << delta
+    spread = 1.0 / np.sqrt(-np.expm1(-x))
+    return (g / 2.0) * (1.0 + spread), (g / 2.0) * (1.0 - spread)
+
+
+def _unresolvable(ratio: float) -> UndefinedExtremeError:
+    return UndefinedExtremeError(
+        f"g / delta = {ratio!r} underflows: the envelope is unresolvable, as at g = 0"
+    )
 
 
 def _phase_canonical(v: np.ndarray) -> np.ndarray:

@@ -17,18 +17,20 @@ first.
 
 The closed form has one path for every selection.  (rho, Pi), each
 decomposed once by its own class, is contracted into pure-state amplitudes
-(:func:`_selection_amplitudes`), and one kernel (:func:`_pointer_sums`)
-forms the Gaussian-overlap sums in pointer units, where only g / Delta
-enters, for one coupling or a batch of them.  The extremal search in
-:mod:`.bounds` and the which-path sweep in :mod:`.hardy` call the same
-kernel, and :mod:`.weakvalue` reads the weak moments and the Schwarz gap
-off the same amplitudes.
+(:func:`_selection_amplitudes`, cached with the sums' g-independent terms
+so that a sweep over g factors a selection once), and one kernel
+(:func:`_pointer_sums`) forms the Gaussian-overlap sums in pointer units,
+where only g / Delta enters, for one coupling or a batch of them.  The
+extremal search in :mod:`.bounds` and the which-path sweep in :mod:`.hardy`
+call the same kernel, and :mod:`.weakvalue` reads the weak moments and the
+Schwarz gap off the same amplitudes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import pi
+from functools import cached_property, lru_cache
+from math import isfinite, pi
 
 import numpy as np
 
@@ -46,7 +48,7 @@ _RESIDUE_TOL = 1e-10
 def _check_coupling(g: float, positive: bool = False) -> float:
     """The coupling g as a float; finite and >= 0 (> 0 if `positive`), else ValidationError."""
     g = float(g)
-    if not np.isfinite(g) or g < 0.0 or (positive and g == 0.0):
+    if not isfinite(g) or g < 0.0 or (positive and g == 0.0):
         sign = ">" if positive else ">="
         raise ValidationError(f"coupling g must be finite and {sign} 0, got {g!r}")
     return g
@@ -64,7 +66,7 @@ class GaussianPointer:
 
     def __post_init__(self) -> None:
         d = float(self.delta)
-        if not np.isfinite(d) or d <= 0.0:
+        if not isfinite(d) or d <= 0.0:
             raise ValidationError(f"pointer width must be positive and finite, got {self.delta!r}")
         object.__setattr__(self, "delta", d)
 
@@ -127,7 +129,7 @@ class MeasurementOutcome:
     def __post_init__(self) -> None:
         for name in ("delta_q", "delta_p", "postselect_prob"):
             v = float(getattr(self, name))
-            if not np.isfinite(v):
+            if not isfinite(v):
                 raise ValidationError(f"measurement outcome: {name} is not finite ({v!r})")
             object.__setattr__(self, name, v)
         if not 0.0 < self.postselect_prob <= 1.0 + 1e-12:
@@ -194,6 +196,28 @@ def _one_minus_overlap(ratio):
     return -np.expm1(np.square(t) / -8.0)
 
 
+def _kernel_factors(eigenvalues: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The g-independent factors of the kernels of :func:`_overlap_kernels`.
+
+    Returns the coefficients [1, (a + a')/2, (a - a')/4], stacked (3, K, K),
+    and the spreads |a - a'|, shape (K, K).
+    """
+    a = np.asarray(eigenvalues, dtype=float)
+    da = a[:, None] - a[None, :]
+    return np.array([np.ones_like(da), (a[:, None] + a[None, :]) / 2.0, da / 4.0]), np.abs(da)
+
+
+def _kernels_from(factors: tuple[np.ndarray, np.ndarray], ratio) -> np.ndarray:
+    """The kernels of :func:`_overlap_kernels` from their :func:`_kernel_factors`."""
+    coef, spread = factors
+    # an overflowed g / delta (inf) would put inf * 0 on the diagonal; every
+    # off-diagonal G is already 0 at 1e300, and an overflowed product gives h = 1
+    r = np.minimum(ratio, 1e300)[..., None, None]
+    with np.errstate(over="ignore"):
+        h = _one_minus_overlap(r * spread)
+    return h[..., None, :, :] * coef
+
+
 def _overlap_kernels(eigenvalues: np.ndarray, ratio) -> np.ndarray:
     """Stacked real K x K kernels of the cancellation-free shift sums.
 
@@ -203,20 +227,49 @@ def _overlap_kernels(eigenvalues: np.ndarray, ratio) -> np.ndarray:
     kernel is i * pker).  A 1-d `ratio` gives a leading coupling axis:
     shape ratio.shape + (3, K, K).
     """
-    a = np.asarray(eigenvalues, dtype=float)
-    da = a[:, None] - a[None, :]
-    coef = np.array([np.ones_like(da), (a[:, None] + a[None, :]) / 2.0, da / 4.0])
-    # an overflowed g / delta (inf) would put inf * 0 on the diagonal; every
-    # off-diagonal G is already 0 at 1e300, and an overflowed product gives h = 1
-    r = np.minimum(ratio, 1e300)[..., None, None]
-    with np.errstate(over="ignore"):
-        h = _one_minus_overlap(r * np.abs(da))
-    return h[..., None, :, :] * coef
+    return _kernels_from(_kernel_factors(eigenvalues), ratio)
 
 
+def _read_only(*arrays: np.ndarray) -> None:
+    for a in arrays:
+        a.flags.writeable = False
+
+
+@dataclass(frozen=True, eq=False)
+class _Selection:
+    """One selection (rho, Pi, A) factored for every coupling; arrays read-only.
+
+    `amplitudes` are the c[k, r] of :func:`_selection_amplitudes`.  The
+    g-independent terms of the pointer sums (:func:`_selection_terms`) and
+    the observable's kernel factors (:func:`_kernel_factors`) are formed on
+    first use, so callers that need only the amplitudes do not pay for them.
+    """
+
+    amplitudes: np.ndarray
+    eigenvalues: np.ndarray
+
+    @cached_property
+    def terms(self) -> tuple:
+        terms = _selection_terms(self.amplitudes, self.eigenvalues)
+        _read_only(terms[2])
+        return terms
+
+    @cached_property
+    def factors(self) -> tuple[np.ndarray, np.ndarray]:
+        factors = _kernel_factors(self.eigenvalues)
+        _read_only(*factors)
+        return factors
+
+
+# Selections kept factored at once.  The operators are frozen and hash by
+# identity; the cache's references keep a key's ids from being reused.
+_SELECTION_CACHE_SIZE = 16
+
+
+@lru_cache(maxsize=_SELECTION_CACHE_SIZE)
 def _selection_amplitudes(
     rho: DensityOperator, pi: ProjectionOperator, observable: HermitianObservable
-) -> np.ndarray:
+) -> _Selection:
     """Factored selection amplitudes c[k, r] = sqrt(w_m) <f_j| P_k |chi_m>.
 
     {f_j} is the basis of Pi's range (`pi.bras`), {w_m, chi_m} the spectral
@@ -225,9 +278,48 @@ def _selection_amplitudes(
     Every selection weight is then a sum of pure-state products,
     tr(Pi P_l rho P_k) = sum_r c[k, r]^* c[l, r], so no sum over the
     selection needs a trace or a purity test.
+
+    The record (:class:`_Selection`) also keeps every g-independent term of
+    the pointer sums once they are formed, so a sweep over couplings
+    factors its selection once.  The last few selections stay cached, keyed
+    on the three operator objects; every array in the record is read-only,
+    since callers share it.
     """
+    eigs = observable.eigenvalues
     amplitudes = pi.bras @ observable.projectors @ (rho.kets.T * np.sqrt(rho.weights))
-    return amplitudes.reshape(len(observable.eigenvalues), -1)
+    c = amplitudes.reshape(len(eigs), -1)
+    _read_only(c)
+    return _Selection(c, eigs)
+
+
+def _selection_terms(c: np.ndarray, eigenvalues: np.ndarray) -> tuple:
+    """The g-independent terms of :func:`_pointer_sums`.
+
+    With S0 = sum_k c_k and S1 = sum_k a_k c_k per column and W = c^* c^T:
+    (sum |S0|^2, sum S0^* S1, W as real pairs of shape (K^2, 2), and the
+    residue scale, a bound on the absolute mass of every kernel sum).
+    """
+    k = len(eigenvalues)
+    s0 = c.sum(axis=0)
+    w = c.conj() @ c.T
+    # kernel entries are at most max(1, |a|) (h <= 1, |qker| <= |a|, |pker| <= |a| / 2;
+    # eigenvalues ascending), so this bounds the absolute mass of every sum
+    scale = np.vdot(c, c).real * max(1.0, -eigenvalues[0], eigenvalues[-1]) + 1e-300
+    anchor = np.vdot(s0, eigenvalues @ c)
+    return np.vdot(s0, s0).real, anchor, w.view(float).reshape(k * k, 2), scale
+
+
+def _kernel_sums(terms: tuple, kernels: np.ndarray):
+    """(N, q, p, resid) of :func:`_pointer_sums` from its :func:`_selection_terms`."""
+    norm_sq, anchor, w_pairs, scale = terms
+    # one matmul: real and imaginary parts of sum_kl W_kl kernel_kl, (..., 3, 2)
+    sums = kernels.reshape(*kernels.shape[:-2], -1) @ w_pairs
+    n_val = norm_sq - sums[..., 0, 0]
+    q_num = anchor.real - sums[..., 1, 0]
+    p_num = 0.5 * anchor.imag + sums[..., 2, 1]
+    res = np.abs(sums)
+    resid = np.maximum(res[..., :2, 1].max(axis=-1), res[..., 2, 0]) / scale
+    return n_val, q_num, p_num, resid
 
 
 def _pointer_sums(c: np.ndarray, eigenvalues: np.ndarray, kernels: np.ndarray):
@@ -248,21 +340,7 @@ def _pointer_sums(c: np.ndarray, eigenvalues: np.ndarray, kernels: np.ndarray):
     a bound on their absolute mass; a leading coupling axis on `kernels`
     carries through to all four.
     """
-    k = len(eigenvalues)
-    s0 = c.sum(axis=0)
-    anchor = np.vdot(s0, eigenvalues @ c)
-    w = c.conj() @ c.T
-    # one matmul: real and imaginary parts of sum_kl W_kl kernel_kl, (..., 3, 2)
-    sums = kernels.reshape(*kernels.shape[:-2], k * k) @ w.view(float).reshape(k * k, 2)
-    n_val = np.vdot(s0, s0).real - sums[..., 0, 0]
-    q_num = anchor.real - sums[..., 1, 0]
-    p_num = 0.5 * anchor.imag + sums[..., 2, 1]
-    # kernel entries are at most max(1, |a|) (h <= 1, |qker| <= |a|, |pker| <= |a| / 2;
-    # eigenvalues ascending), so this bounds the absolute mass of every sum
-    scale = np.vdot(c, c).real * max(1.0, -eigenvalues[0], eigenvalues[-1]) + 1e-300
-    res = np.abs(sums)
-    resid = np.maximum(res[..., :2, 1].max(axis=-1), res[..., 2, 0]) / scale
-    return n_val, q_num, p_num, resid
+    return _kernel_sums(_selection_terms(c, eigenvalues), kernels)
 
 
 def exact_shifts(setup: MeasurementSetup) -> MeasurementOutcome:
@@ -281,7 +359,10 @@ def exact_shifts(setup: MeasurementSetup) -> MeasurementOutcome:
     taken in pointer units (only g / delta enters the kernels) in a
     rearranged form that subtracts the g-independent part analytically
     (:func:`_pointer_sums`), so nearly orthogonal selections do not suffer
-    catastrophic cancellation, and no power of delta can overflow.
+    catastrophic cancellation, and no power of delta can overflow.  The
+    selection is factored once per (rho, Pi, A) objects and stays cached
+    with every g-independent term, so a call at a new coupling forms only
+    the overlaps h, one kernel contraction and the checks below.
 
     Raises
     ------
@@ -293,15 +374,15 @@ def exact_shifts(setup: MeasurementSetup) -> MeasurementOutcome:
         If a mathematically real quantity develops a relative imaginary
         residue above 1e-10.
     """
-    eigs = setup.observable.eigenvalues
     g, delta = setup.g, setup.pointer.delta
     ratio = g / delta
-    if not np.isfinite(ratio):
+    if not isfinite(ratio):
         raise ValidationError(f"g / delta = {g!r} / {delta!r} overflows")
-    c = _selection_amplitudes(setup.preselection, setup.postselection, setup.observable)
+    sel = _selection_amplitudes(setup.preselection, setup.postselection, setup.observable)
     # Python floats from here on: an out-of-range shift becomes inf, which
     # MeasurementOutcome rejects, rather than a numpy overflow warning
-    n_val, q_num, p_num, resid = map(float, _pointer_sums(c, eigs, _overlap_kernels(eigs, ratio)))
+    kernels = _kernels_from(sel.factors, ratio)
+    n_val, q_num, p_num, resid = map(float, _kernel_sums(sel.terms, kernels))
     if n_val <= ORTHOGONALITY_FLOOR:
         raise OrthogonalSelectionError(
             f"postselection probability {n_val:.3e} at or below 1e-14; "

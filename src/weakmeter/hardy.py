@@ -108,8 +108,7 @@ def _cached_amplitudes() -> dict[str, tuple[np.ndarray, np.ndarray]]:
     pieces = {}
     for label, proj in sc.operators.items():
         observable = HermitianObservable.from_projector(proj)
-        c = _selection_amplitudes(rho, sc.postselection, observable)
-        c.flags.writeable = False  # shared by every caller
+        c = _selection_amplitudes(rho, sc.postselection, observable).amplitudes  # read-only
         pieces[label] = (observable.eigenvalues, c)
     return pieces
 

@@ -25,12 +25,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bounds import extreme_shifts_projector
+from .bounds import _envelope_curve
 from .errors import InternalConsistencyError, ValidationError
 from .exactengine import GaussianPointer, _check_coupling, _coupling_grid, _one_minus_overlap
-from .qcore import DensityOperator, von_neumann_entropy
+from .qcore import _MIN_EIGENVALUE, DensityOperator
 
 _ROUTE_TOL = 1e-12
+_LN2 = math.log(2.0)
 
 
 @dataclass(frozen=True)
@@ -78,49 +79,82 @@ def reduced_device_states(
     return rho_r, rho_1, rho_2
 
 
-def _binary_entropy_bits(h: float) -> float:
-    """h2((1 + G)/2) in bits from h = 1 - G, to full relative precision.
+def _binary_entropy_bits(h: np.ndarray) -> np.ndarray:
+    """h2((1 + G)/2) in bits from h = 1 - G, elementwise, to full relative precision.
 
     Near G = 1 the smaller eigenvalue q = h / 2 carries it; below G = 1/2 a
     symmetric form rises onto ln 2 without rounding wiggles.
     """
     q = 0.5 * h
-    if q == 0.0:
-        return 0.0
-    if q <= 0.25:  # G >= 1/2
-        nats = -(1.0 - q) * math.log1p(-q) - q * math.log(q)
-    else:
-        x = 1.0 - h  # the overlap G
-        nats = math.log(2.0) - 0.5 * (math.log1p(-x * x) + 2.0 * x * math.atanh(x))
-    return nats / math.log(2.0)
+    x = 1.0 - h  # the overlap G
+    # each branch is kept only where it is exact
+    with np.errstate(divide="ignore", invalid="ignore"):
+        near = -(1.0 - q) * np.log1p(-q) - q * np.log(q)  # G >= 1/2
+        far = _LN2 - 0.5 * (np.log1p(-x * x) + 2.0 * x * np.arctanh(x))
+    return np.where(q == 0.0, 0.0, np.where(q <= 0.25, near, far)) / _LN2
+
+
+def _gain_points(gs: np.ndarray, delta: float) -> list[InfoGainResult]:
+    """The gain at every coupling in gs (all >= 0), both routes checked at each.
+
+    One array pass: the reduced states of :func:`reduced_device_states`,
+    stacked (n, 3, 2, 2), take one batched eigensolve for the entropy route,
+    which must match the closed form within 1e-12 bits at every point.
+    """
+    delta = GaussianPointer(delta).delta  # validates delta
+    with np.errstate(over="ignore"):  # a saturated g / delta gives h = 1
+        h = _one_minus_overlap(gs / delta)
+    overlap = 1.0 - h
+    a = 0.5 * (np.sqrt(1.0 + overlap) + np.sqrt(h))
+    b = 0.5 * (np.sqrt(1.0 + overlap) - np.sqrt(h))
+    states = np.empty((len(gs), 3, 2, 2))  # rho_R, rho_1R, rho_2R
+    states[:, 0] = 0.5
+    states[:, 0, 0, 1] = states[:, 0, 1, 0] = 0.5 * overlap
+    states[:, 1, 0, 0] = states[:, 2, 1, 1] = a * a
+    states[:, 1, 1, 1] = states[:, 2, 0, 0] = b * b
+    states[:, 1:, 0, 1] = states[:, 1:, 1, 0] = (a * b)[:, None]
+    spectra = np.linalg.eigvalsh(states)
+    mixture = np.isclose(0.5 * (states[:, 1] + states[:, 2]), states[:, 0], atol=1e-14)
+    bad = np.flatnonzero((spectra[:, :, 0] < _MIN_EIGENVALUE).any(axis=1) | ~mixture.all(axis=(1, 2)))
+    if bad.size:
+        raise InternalConsistencyError(
+            f"reduced device states are not states at g = {float(gs[bad[0]])!r}"
+        )
+    # von Neumann entropies in bits; eigenvalues at or below 1e-15 add 0 log 0 = 0
+    kept = np.where(spectra > 1e-15, spectra, 1.0)
+    entropies = np.maximum(-np.sum(kept * np.log2(kept), axis=2), 0.0)
+    via_entropy = entropies[:, 0] - 0.5 * (entropies[:, 1] + entropies[:, 2])
+    closed = _binary_entropy_bits(h)
+    off = np.flatnonzero(~(np.abs(via_entropy - closed) <= _ROUTE_TOL))  # NaN fails too
+    if off.size:
+        i = off[0]
+        raise InternalConsistencyError(
+            f"entropy route {float(via_entropy[i])!r} and closed form {float(closed[i])!r} "
+            f"disagree at g = {float(gs[i])!r}"
+        )
+    q_min = np.full(len(gs), np.nan)  # NaN at g = 0, where the extremes are undefined
+    coupled = gs > 0.0
+    q_min[coupled] = _envelope_curve(gs[coupled], delta)[1]
+    lam = 1.0 - 0.5 * h
+    columns = (gs.tolist(), lam.tolist(), closed.tolist(), q_min.tolist())
+    return [InfoGainResult(*pt) for pt in zip(*columns)]
 
 
 def information_gain(g: float, delta: float = 1.0) -> InfoGainResult:
     """Device information gain at coupling g, dual-route checked.
 
-    Computes I_a once from the entropies of the constructed reduced states
-    and once from the closed form h2((1 + G)/2); the routes must agree
-    within 1e-12 bits.  q_min is filled from the closed-form extreme at the
-    same coupling (NaN at g = 0).
+    The one-point call of :func:`info_curve`'s array pass: I_a is computed
+    once from the entropies of the reduced states and once from the closed
+    form h2((1 + G)/2), and the routes must agree within 1e-12 bits.  q_min
+    is filled from the closed-form extreme at the same coupling (NaN at
+    g = 0).
 
     Raises
     ------
     InternalConsistencyError
         If the two routes disagree.
     """
-    rho_r, rho_1, rho_2 = reduced_device_states(g, delta)
-    via_entropy = von_neumann_entropy(rho_r) - 0.5 * (
-        von_neumann_entropy(rho_1) + von_neumann_entropy(rho_2)
-    )
-    h = float(_one_minus_overlap(float(g) / float(delta)))  # validated above
-    lam = 1.0 - 0.5 * h
-    closed = _binary_entropy_bits(h)
-    if abs(via_entropy - closed) > _ROUTE_TOL:
-        raise InternalConsistencyError(
-            f"entropy route {via_entropy!r} and closed form {closed!r} disagree at g = {g!r}"
-        )
-    q_min = float("nan") if g == 0.0 else extreme_shifts_projector(g, delta)[1]
-    return InfoGainResult(g, lam, closed, q_min)
+    return _gain_points(np.array([_check_coupling(g)]), delta)[0]
 
 
 def info_curve(
@@ -132,15 +166,18 @@ def info_curve(
 ) -> list[InfoGainResult]:
     """Sweep the information gain over a coupling range (linear by default).
 
-    g_min = 0 is allowed (its q_min is NaN).  The gain is checked to be
-    non-decreasing; it is strictly increasing until the overlap underflow
-    plateau near g ~ 12 delta.
+    The whole grid goes through one array pass, with the dual-route check
+    of :func:`information_gain` on every point.  g_min = 0 is allowed (its
+    q_min is NaN).  The gain is checked to be non-decreasing; it is strictly
+    increasing until the overlap underflow plateau near g ~ 12 delta.
     """
     gs = _coupling_grid(g_min, g_max, points, spacing)
-    curve = [information_gain(float(g), delta) for g in gs]
-    for prev, here in zip(curve, curve[1:]):
-        if here.i_a < prev.i_a:
-            raise InternalConsistencyError(
-                f"information gain decreased between g = {prev.g!r} and {here.g!r}"
-            )
+    curve = _gain_points(gs, delta)
+    gains = np.array([pt.i_a for pt in curve])
+    drops = np.flatnonzero(gains[1:] < gains[:-1])
+    if drops.size:
+        i = drops[0]
+        raise InternalConsistencyError(
+            f"information gain decreased between g = {curve[i].g!r} and {curve[i + 1].g!r}"
+        )
     return curve

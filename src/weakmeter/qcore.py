@@ -186,6 +186,11 @@ class ProjectionOperator:
         return ProjectionOperator(np.eye(self.dimension, dtype=complex) - self.matrix)
 
 
+def _check_spectral_dimension(d: int) -> None:
+    if d > _MAX_SPECTRAL_DIM:
+        raise ValidationError(f"observable: spectral decomposition supports d <= 8, got d = {d}")
+
+
 def spectral_decompose(matrix: object) -> tuple[np.ndarray, np.ndarray]:
     """Spectral decomposition H = sum_k a_k P_k with degenerate levels merged.
 
@@ -207,8 +212,7 @@ def spectral_decompose(matrix: object) -> tuple[np.ndarray, np.ndarray]:
     """
     m = _as_complex_matrix(matrix, "observable")
     d = m.shape[0]
-    if d > _MAX_SPECTRAL_DIM:
-        raise ValidationError(f"observable: spectral decomposition supports d <= 8, got d = {d}")
+    _check_spectral_dimension(d)
     scale = max(1.0, float(np.max(np.abs(m))))
     _check_hermitian(m, "observable", atol=1e-10 * scale)
 
@@ -274,7 +278,27 @@ class HermitianObservable:
 
     @classmethod
     def from_projector(cls, projector: ProjectionOperator) -> "HermitianObservable":
-        return cls(projector.matrix)
+        """The projector as an observable, with no eigensolve of its own.
+
+        Its spectrum is known: levels 0 and 1 with eigenprojectors I - P and
+        P, or the single level 0 (rank 0) or 1 (rank d) with projector I - P
+        or P.  The rank is read off the projector's basis of its range.
+        """
+        d = projector.dimension
+        _check_spectral_dimension(d)
+        p = projector.matrix
+        rank = projector.rank
+        if rank == 0:
+            levels, stack = [0.0], [np.eye(d) - p]
+        elif rank == d:
+            levels, stack = [1.0], [p]
+        else:
+            levels, stack = [0.0, 1.0], [np.eye(d) - p, p]
+        observable = object.__new__(cls)
+        object.__setattr__(observable, "matrix", p)
+        object.__setattr__(observable, "eigenvalues", _freeze(np.array(levels)))
+        object.__setattr__(observable, "projectors", _freeze(np.array(stack)))
+        return observable
 
 
 def von_neumann_entropy(rho: DensityOperator) -> float:

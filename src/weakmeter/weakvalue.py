@@ -112,7 +112,7 @@ def _selection_sums(
             f"dimension mismatch: observable/state/projector are "
             f"{d}/{rho_s.dimension}/{pi_f.dimension}"
         )
-    c = _selection_amplitudes(rho_s, pi_f, observable)
+    c = _selection_amplitudes(rho_s, pi_f, observable).amplitudes
     sums = (observable.eigenvalues ** np.arange(3)[:, None]) @ c
     prob = float(np.vdot(sums[0], sums[0]).real)
     if prob <= ORTHOGONALITY_FLOOR:

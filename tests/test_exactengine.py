@@ -6,7 +6,9 @@ final pointer wavefunction on a grid and integrates.  The two routes share
 no code beyond the setup container, so agreement is a real check.
 """
 
+import gc
 import json
+import weakref
 from importlib import resources
 
 import mpmath
@@ -212,7 +214,7 @@ class TestSelectionFamilies:
         rho = DensityOperator(np.diag([0.4, 0.3, 0.2, 0.1]))
         pi = ProjectionOperator(np.diag([1.0, 1.0, 0.0, 0.0]))
         eigs = np.array(obs.eigenvalues)
-        c = _selection_amplitudes(rho, pi, obs)
+        c = _selection_amplitudes(rho, pi, obs).amplitudes
         ratios = np.geomspace(1e-3, 30.0, 9)
         *batch, batch_resid = _pointer_sums(c, eigs, _overlap_kernels(eigs, ratios))
         assert batch_resid.shape == ratios.shape and np.all(batch_resid < 1e-13)
@@ -241,6 +243,58 @@ class TestSelectionFamilies:
         check_weak_bounds(setup)
         von_neumann_entropy(rho)
         assert pi.bras.shape == (2, 4)
+
+
+class TestSelectionCache:
+    """A selection is factored once per (rho, Pi, A) objects and shared by
+    every coupling; the cache must change no result and hold no selection
+    for long."""
+
+    @staticmethod
+    def _selection(seed):
+        rng = np.random.default_rng(seed)
+        m = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+        return HermitianObservable((m + m.conj().T) / 2), random_density(rng, 4, 2), random_projector(rng, 4, 2)
+
+    def test_sweep_is_bit_identical_to_fresh_operators(self):
+        obs, rho, pi = self._selection(31)
+        pointer = GaussianPointer(0.7)
+        gs = np.geomspace(1e-3, 10.0, 200)
+        misses = _selection_amplitudes.cache_info().misses
+        cached = [exact_shifts(MeasurementSetup(obs, rho, pi, float(g), pointer)) for g in gs]
+        fresh = [
+            exact_shifts(MeasurementSetup(
+                HermitianObservable(obs.matrix), DensityOperator(rho.matrix),
+                ProjectionOperator(pi.matrix), float(g), pointer,
+            ))
+            for g in gs
+        ]
+        assert _selection_amplitudes.cache_info().misses == misses + 1 + len(gs)
+        assert cached == fresh
+        # and equal to the uncached contraction that hardy and the optimizer use
+        c, eigs = _selection_amplitudes(rho, pi, obs).amplitudes, obs.eigenvalues
+        n_val, q_num, _, _ = _pointer_sums(c, eigs, _overlap_kernels(eigs, gs / 0.7))
+        assert [out.delta_q for out in cached] == (gs * (q_num / n_val)).tolist()
+
+    def test_cached_arrays_refuse_writes(self):
+        obs, rho, pi = self._selection(32)
+        sel = _selection_amplitudes(rho, pi, obs)
+        for array in (sel.amplitudes, sel.terms[2], *sel.factors):
+            with pytest.raises(ValueError, match="read-only"):
+                array[...] = 0.0
+
+    def test_cache_is_bounded_and_releases_operators(self):
+        obs, rho, pi = self._selection(33)
+        first = DensityOperator(rho.matrix)
+        exact_shifts(MeasurementSetup(obs, first, pi, 0.5, GaussianPointer(1.0)))
+        alive = weakref.ref(first)
+        del first
+        for _ in range(10_000):
+            _selection_amplitudes(DensityOperator(rho.matrix), pi, obs)
+        gc.collect()
+        info = _selection_amplitudes.cache_info()
+        assert info.currsize <= info.maxsize
+        assert alive() is None
 
 
 class TestExtremeScales:

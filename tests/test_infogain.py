@@ -12,8 +12,11 @@ import pytest
 from pytest import approx
 
 from weakmeter import (
+    InternalConsistencyError,
+    UndefinedExtremeError,
     ValidationError,
     info_curve,
+    infogain,
     information_gain,
     reduced_device_states,
 )
@@ -117,6 +120,53 @@ class TestInfoCurve:
         holds all the way."""
         curve = info_curve(0.0, 40.0, 2000)
         assert curve[-1].i_a == 1.0
+
+    def test_gain_stays_on_one_bit_where_envelope_saturates(self):
+        """Out to g = 1e200 Delta, where G and q_min saturate to 0, the gain
+        holds at 1 bit and the non-decreasing check still passes."""
+        curve = info_curve(0.0, 1e200, 2000)
+        assert curve[-1].i_a == 1.0
+
+    @pytest.mark.parametrize(
+        "g_min,g_max,spacing",
+        [(0.0, 40.0, "lin"), (1e-7, 40.0, "log"), (0.0, 1e200, "lin")],
+    )
+    def test_every_point_equals_the_one_point_call(self, g_min, g_max, spacing):
+        """The array pass and information_gain are one computation."""
+        for pt in info_curve(g_min, g_max, 2000, spacing=spacing):
+            one = information_gain(pt.g)
+            fields = [(pt.g, one.g), (pt.lam, one.lam), (pt.i_a, one.i_a), (pt.q_min, one.q_min)]
+            assert all(type(a) is float and (a == b or a != a and b != b) for a, b in fields), (pt, one)
+
+    def test_underflowing_range_is_rejected_cleanly(self):
+        """At g ~ 1e-200 Delta the envelope cannot be told from g = 0."""
+        with pytest.raises(UndefinedExtremeError, match="1e-200"):
+            info_curve(1e-200, 1e-190, 50)
+
+    @staticmethod
+    def _nudge(monkeypatch, index, by):
+        closed_form = infogain._binary_entropy_bits
+
+        def nudged(h):
+            bits = closed_form(h)
+            bits[index] += by
+            return bits
+
+        monkeypatch.setattr(infogain, "_binary_entropy_bits", nudged)
+
+    def test_route_check_covers_every_point(self, monkeypatch):
+        gs = np.linspace(0.0, 40.0, 2000)
+        self._nudge(monkeypatch, 777, 1e-11)
+        with pytest.raises(InternalConsistencyError, match=f"at g = {float(gs[777])!r}$"):
+            info_curve(0.0, 40.0, 2000)
+
+    def test_monotonicity_check_covers_every_point(self, monkeypatch):
+        """A dip of 5e-13 bits on the 1-bit plateau passes the route check
+        but not the non-decreasing one."""
+        gs = np.linspace(0.0, 40.0, 2000)
+        self._nudge(monkeypatch, 1500, -5e-13)
+        with pytest.raises(InternalConsistencyError, match=f"between g = {float(gs[1499])!r} and"):
+            info_curve(0.0, 40.0, 2000)
 
     def test_low_gain_rides_deep_negative_extremes(self):
         """Wherever the device has gathered under 0.01 bits the optimal

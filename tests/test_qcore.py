@@ -14,6 +14,7 @@ from weakmeter import (
     tensor_product,
     von_neumann_entropy,
 )
+from weakmeter.sampling import random_projector
 
 RNG = np.random.default_rng(231119)
 
@@ -121,6 +122,25 @@ class TestHermitianObservable:
         obs = HermitianObservable.from_projector(p)
         assert obs.is_projector()
         assert obs.eigenvalues == approx((0.0, 1.0))
+
+    @pytest.mark.parametrize("dim", range(2, 9))
+    def test_from_projector_matches_the_spectral_route(self, dim):
+        """The known spectrum (levels 0 and 1, projectors I - P and P) is
+        what a full decomposition of P finds, at every rank."""
+        rng = np.random.default_rng(dim)
+        for rank in range(dim + 1):
+            if 0 < rank < dim:
+                p = random_projector(rng, dim, rank)
+            else:
+                p = ProjectionOperator(np.eye(dim) * (rank > 0))
+            fast, full = HermitianObservable.from_projector(p), HermitianObservable(p.matrix)
+            assert fast.eigenvalues.shape == full.eigenvalues.shape, rank
+            np.testing.assert_allclose(fast.eigenvalues, full.eigenvalues, rtol=0.0, atol=1e-15)
+            np.testing.assert_allclose(fast.projectors, full.projectors, rtol=0.0, atol=1e-12)
+
+    def test_from_projector_keeps_the_dimension_limit(self):
+        with pytest.raises(ValidationError, match="d <= 8"):
+            HermitianObservable.from_projector(ProjectionOperator.identity(9))
 
     def test_rejects_nonhermitian(self):
         with pytest.raises(ValidationError):
