@@ -37,8 +37,10 @@ from .exactengine import (
     GaussianPointer,
     MeasurementSetup,
     _check_coupling,
-    _overlap_kernels,
+    _kernel_factors,
+    _overlaps,
     _pointer_sums,
+    _pointer_terms,
     exact_shifts,
 )
 from .qcore import HermitianObservable, StateVector
@@ -241,12 +243,12 @@ _FLOOR_BISECTIONS = 44
 
 
 def _pencil_extremes(
-    eigs: np.ndarray, ratio: float, kernels: np.ndarray, floor: float
+    eigs: np.ndarray, ratio: float, h: np.ndarray, qker: np.ndarray, floor: float
 ) -> tuple[np.ndarray, np.ndarray]:
     """Real amplitudes c_k = <f|P_k|i>, ||c||_1 = 1, of the largest and smallest delta_q.
 
     A pure selection enters the shift only through c.  With the engine's
-    kernels h = 1 - G and qker = (a + a')/2 h (g = `ratio`, pointer units),
+    K x K kernels h = 1 - G and qker = (a + a')/2 h (g = `ratio`, pointer units),
 
         N     = (1 . c)^2 - c^T h c,
         q_num = g [(1 . c)(a . c) - c^T qker c],
@@ -266,7 +268,6 @@ def _pencil_extremes(
     N / ||c||_1^2 meets the floor.  If none clears it, the penalty is
     ||c||_2^2 >= ||c||_1^2 / K, which reaches N / ||c||_1^2 >= 1 / K.
     """
-    h, qker, _ = kernels
     rot = np.linalg.qr(np.ones((len(eigs), 1)), mode="complete")[0]
     head = rot[:, 0].sum()
     n_small = rot.T @ h @ rot
@@ -378,11 +379,12 @@ def optimize_pps(
         raise ValidationError("min_postselect must be >= the 1e-14 orthogonality floor")
 
     eigs, pstack = observable.eigenvalues, observable.projectors
-    kernels = _overlap_kernels(eigs, ratio)
+    coef, spread = factors = _kernel_factors(eigs)
+    h = _overlaps(ratio, spread)
     # 1 - G below the normal range has no precision left: the displaced
     # pointers cannot be told apart, as at g = 0 (the identity masks the
     # zero diagonal)
-    if ratio == 0.0 or np.any(kernels[0] + np.eye(len(eigs)) < np.finfo(float).tiny):
+    if ratio == 0.0 or np.any(h + np.eye(len(eigs)) < np.finfo(float).tiny):
         raise UndefinedExtremeError(f"extremal search is undefined at g / delta = {ratio!r}")
 
     # closed-form envelope where one exists
@@ -401,10 +403,11 @@ def optimize_pps(
     def selection(c: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
         root = np.sqrt(np.abs(c))
         pre, post = (np.sign(c) * root) @ units, root @ units
-        n_val, q_num, _, _ = _pointer_sums(((pstack @ pre) @ post.conj())[:, None], eigs, kernels)
-        return g * float(q_num / n_val), pre, post
+        terms = _pointer_terms(((pstack @ pre) @ post.conj())[:, None], eigs, factors)
+        n_val, q_num, _, _ = _pointer_sums(terms, h.reshape(-1))
+        return g * (q_num / n_val), pre, post
 
-    c_max, c_min = _pencil_extremes(eigs, ratio, kernels, min_postselect)
+    c_max, c_min = _pencil_extremes(eigs, ratio, h, coef[1] * h, min_postselect)
     best_max, *top = selection(c_max)
     best_min, *bottom = selection(c_min)
     tol = 1e-9 * max(1.0, delta, g * float(np.max(np.abs(eigs))))

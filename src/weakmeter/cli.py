@@ -32,7 +32,7 @@ from .errors import (
     UndefinedExtremeError,
     ValidationError,
 )
-from .exactengine import GaussianPointer, exact_shifts, grid_shifts
+from .exactengine import MAX_SWEEP_POINTS, GaussianPointer, exact_shifts, grid_shifts
 from .hardy import probability_curve
 from .infogain import info_curve
 from .qcore import HermitianObservable, ProjectionOperator
@@ -53,9 +53,12 @@ def _fmt(x: float) -> str:
 def _emit(text: str, out: str) -> None:
     if out == "-":
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(out, "w", newline="\n") as fh:
             fh.write(text)
+    except OSError as exc:  # a path that cannot be written is bad input, not a fault
+        raise ValidationError(f"cannot write {out!r}: {exc.strerror or exc}") from exc
 
 
 def _resolve_scenario(name: str):
@@ -216,6 +219,7 @@ def build_parser() -> argparse.ArgumentParser:
         epilog="exit codes: 0 ok, 1 invariant failure, 2 invalid input, 3 orthogonal selection",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    points_help = f"number of couplings, 2..{MAX_SWEEP_POINTS} (default 200)"
 
     p = sub.add_parser("run", help="evaluate one scenario file")
     p.add_argument("scenario", help="path to a scenario JSON, or the name of a bundled one")
@@ -224,7 +228,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("hardy-sweep", help="sweep the four inferred which-path probabilities")
     p.add_argument("--g-min", type=float, default=1e-3)
     p.add_argument("--g-max", type=float, default=10.0)
-    p.add_argument("--points", type=int, default=200)
+    p.add_argument("--points", type=int, default=200, help=points_help)
     p.add_argument("--delta", type=float, default=1.0)
     p.add_argument("--spacing", choices=("lin", "log"), default="log")
     p.add_argument("--out", default="-", help="output CSV path, or - for stdout")
@@ -233,7 +237,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("info-sweep", help="sweep device information gain and extreme shift")
     p.add_argument("--g-min", type=float, default=0.01)
     p.add_argument("--g-max", type=float, default=10.0)
-    p.add_argument("--points", type=int, default=200)
+    p.add_argument("--points", type=int, default=200, help=points_help)
     p.add_argument("--delta", type=float, default=1.0)
     p.add_argument("--out", default="-", help="output CSV path, or - for stdout")
     p.set_defaults(func=_cmd_info_sweep)

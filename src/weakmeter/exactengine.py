@@ -17,13 +17,15 @@ first.
 
 The closed form has one path for every selection.  (rho, Pi), each
 decomposed once by its own class, is contracted into pure-state amplitudes
-(:func:`_selection_amplitudes`, cached with the sums' g-independent terms
-so that a sweep over g factors a selection once), and one kernel
-(:func:`_pointer_sums`) forms the Gaussian-overlap sums in pointer units,
-where only g / Delta enters, for one coupling or a batch of them.  The
+(:func:`_selection_amplitudes`, cached).  Their g-independent terms,
+with the kernel coefficients folded into the selection weights, are
+formed once per selection (:func:`_pointer_terms`), so a coupling costs
+only the overlaps h = 1 - G in pointer units, where only g / Delta enters
+(:func:`_overlaps`), and one contraction (:func:`_pointer_sums`), for one
+coupling or a batch of them.  The
 extremal search in :mod:`.bounds` and the which-path sweep in :mod:`.hardy`
-call the same kernel, and :mod:`.weakvalue` reads the weak moments and the
-Schwarz gap off the same amplitudes.
+call the same contraction, and :mod:`.weakvalue` reads the weak moments
+and the Schwarz gap off the same amplitudes.
 """
 
 from __future__ import annotations
@@ -31,6 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from math import isfinite, pi
+from typing import NamedTuple
 
 import numpy as np
 
@@ -167,15 +170,20 @@ class GridSpec:
         return cls(reach, num_points)
 
 
+# Couplings in one sweep at most: a sweep holds about 0.5 kB per point while
+# it runs, so its peak stays near 0.5 GB; more is refused before allocating.
+MAX_SWEEP_POINTS = 1_000_000
+
+
 def _coupling_grid(g_min: float, g_max: float, points: int, spacing: str) -> np.ndarray:
     """`points` couplings from g_min to g_max, "lin" or "log" spaced.
 
-    Requires finite 0 <= g_min < g_max (g_min > 0 for "log") and points >= 2.
+    Requires finite 0 <= g_min < g_max (g_min > 0 for "log"), 2 <= points <= MAX_SWEEP_POINTS.
     """
     if not np.isfinite(g_min) or not np.isfinite(g_max) or g_min < 0.0 or g_max <= g_min:
         raise ValidationError(f"need 0 <= g_min < g_max, got {g_min!r}, {g_max!r}")
-    if points < 2:
-        raise ValidationError(f"points must be >= 2, got {points!r}")
+    if not 2 <= points <= MAX_SWEEP_POINTS:
+        raise ValidationError(f"points must be in 2..{MAX_SWEEP_POINTS}, got {points!r}")
     if spacing == "lin":
         return np.linspace(g_min, g_max, points)
     if spacing != "log":
@@ -197,42 +205,84 @@ def _one_minus_overlap(ratio):
 
 
 def _kernel_factors(eigenvalues: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The g-independent factors of the kernels of :func:`_overlap_kernels`.
-
-    Returns the coefficients [1, (a + a')/2, (a - a')/4], stacked (3, K, K),
-    and the spreads |a - a'|, shape (K, K).
+    """The coefficients [1, (a + a')/2, (a - a')/4] of the three pointer sums,
+    stacked (3, K, K), and the level spreads |a - a'|, shape (K, K).
     """
     a = np.asarray(eigenvalues, dtype=float)
     da = a[:, None] - a[None, :]
     return np.array([np.ones_like(da), (a[:, None] + a[None, :]) / 2.0, da / 4.0]), np.abs(da)
 
 
-def _kernels_from(factors: tuple[np.ndarray, np.ndarray], ratio) -> np.ndarray:
-    """The kernels of :func:`_overlap_kernels` from their :func:`_kernel_factors`."""
-    coef, spread = factors
-    # an overflowed g / delta (inf) would put inf * 0 on the diagonal; every
-    # off-diagonal G is already 0 at 1e300, and an overflowed product gives h = 1
-    r = np.minimum(ratio, 1e300)[..., None, None]
+def _overlaps(ratio, spread: np.ndarray):
+    """h = 1 - G(ratio * spread) (:func:`_one_minus_overlap`), pointer units;
+    a 1-d `ratio` gives a leading coupling axis."""
+    # an overflowed g / delta (inf) would put inf * 0 on the diagonal; the
+    # largest double keeps every finite ratio and gives h = 1 off it, as inf would
+    r = np.minimum(ratio, np.finfo(float).max)[..., None]
     with np.errstate(over="ignore"):
-        h = _one_minus_overlap(r * spread)
-    return h[..., None, :, :] * coef
+        return _one_minus_overlap(r * spread)
 
 
-def _overlap_kernels(eigenvalues: np.ndarray, ratio) -> np.ndarray:
-    """Stacked real K x K kernels of the cancellation-free shift sums.
-
-    Pointer units: only ratio = g / delta enters.  Returns [h, qker, pker]
-    with h = 1 - G(ratio (a - a')) elementwise (:func:`_one_minus_overlap`),
-    qker = (a + a')/2 * h and pker = (a - a')/4 * h (the Hermitian momentum
-    kernel is i * pker).  A 1-d `ratio` gives a leading coupling axis:
-    shape ratio.shape + (3, K, K).
+class _PointerTerms(NamedTuple):
+    """The g-independent terms of one selection's pointer sums, over the level
+    pairs (k, l) flattened; arrays read-only, scalars Python floats.  With
+    S0 = sum_k c_k and S1 = sum_k a_k c_k per column of the amplitudes,
+    W = c^* c^T and coef_j from :func:`_kernel_factors`:
     """
-    return _kernels_from(_kernel_factors(eigenvalues), ratio)
+
+    weights: np.ndarray  # (K^2, 6): coef_j * W as (re, im) pairs, j = 0, 1, 2
+    spread: np.ndarray  # (K^2,): |a - a'|
+    norm_sq: float  # sum |S0|^2
+    anchor_re: float  # Re sum S0^* S1
+    anchor_im: float  # Im sum S0^* S1
+    scale: float  # a bound on the absolute mass of every kernel sum
+    span: float  # the largest spread, a_max - a_min
 
 
-def _read_only(*arrays: np.ndarray) -> None:
-    for a in arrays:
-        a.flags.writeable = False
+def _pointer_terms(c: np.ndarray, eigenvalues: np.ndarray, factors: tuple) -> _PointerTerms:
+    """The :class:`_PointerTerms` of amplitudes c[k, r] (a pure pair is one
+    column), with `factors` = :func:`_kernel_factors` (eigenvalues)."""
+    k = len(eigenvalues)
+    coef, spread = factors
+    s0 = c.sum(axis=0)
+    w_pairs = (c.conj() @ c.T).view(float).reshape(k * k, 1, 2)
+    weights = (coef.reshape(3, k * k).T[:, :, None] * w_pairs).reshape(k * k, 6)
+    spread = spread.reshape(k * k)
+    weights.flags.writeable = spread.flags.writeable = False
+    # kernel entries are at most max(1, |a|) (h <= 1, |qker| <= |a|, |pker| <= |a| / 2;
+    # eigenvalues ascending), so this bounds the absolute mass of every sum
+    scale = float(np.vdot(c, c).real * max(1.0, -eigenvalues[0], eigenvalues[-1]) + 1e-300)
+    anchor, norm_sq = complex(np.vdot(s0, eigenvalues @ c)), float(np.vdot(s0, s0).real)
+    span = float(eigenvalues[-1] - eigenvalues[0])
+    return _PointerTerms(weights, spread, norm_sq, anchor.real, anchor.imag, scale, span)
+
+
+def _pointer_sums(terms: _PointerTerms, h: np.ndarray):
+    """Selection probability and shift numerators at each coupling.
+
+    `terms` come from :func:`_pointer_terms` and h = 1 - G from
+    :func:`_overlaps` at its spreads, shape (K^2,) or (n, K^2).  With G = 1 - h,
+
+        N = sum |S0|^2            - sum_kl W_kl h_kl
+        q = Re sum S0^* S1        - sum_kl W_kl (a + a')/2 h_kl,    delta_q = g q / N
+        p = Im sum S0^* S1 / 2 + Im sum_kl W_kl (a - a')/4 h_kl,    delta_p = (g / delta) p / (N delta)
+
+    The g-independent parts come from the column sums S0, S1 before any
+    product is formed, so N keeps its relative precision down to the
+    orthogonality floor.  Returns (N, q, p, resid), resid being the worst
+    imaginary residue of the (mathematically real) kernel sums relative to
+    a bound on their absolute mass: Python floats for a 1-d h, else arrays
+    over its n couplings.
+    """
+    if h.ndim == 1:
+        n_re, n_im, q_re, q_im, p_re, p_im = (h @ terms.weights).tolist()
+        imag = max(abs(n_im), abs(q_im), abs(p_re))
+    else:
+        # a stack of row vectors, (n, 1, K^2) @ (K^2, 6), is the 1-d product
+        # above row by row, bit for bit; a 2-d gemm would round differently
+        n_re, n_im, q_re, q_im, p_re, p_im = (h[:, None, :] @ terms.weights)[:, 0, :].T
+        imag = np.maximum(np.maximum(abs(n_im), abs(q_im)), abs(p_re))
+    return terms.norm_sq - n_re, terms.anchor_re - q_re, 0.5 * terms.anchor_im + p_im, imag / terms.scale
 
 
 @dataclass(frozen=True, eq=False)
@@ -240,25 +290,16 @@ class _Selection:
     """One selection (rho, Pi, A) factored for every coupling; arrays read-only.
 
     `amplitudes` are the c[k, r] of :func:`_selection_amplitudes`.  The
-    g-independent terms of the pointer sums (:func:`_selection_terms`) and
-    the observable's kernel factors (:func:`_kernel_factors`) are formed on
-    first use, so callers that need only the amplitudes do not pay for them.
+    pointer-sum terms (:func:`_pointer_terms`) are formed on first use, so
+    callers that need only the amplitudes do not pay for them.
     """
 
     amplitudes: np.ndarray
     eigenvalues: np.ndarray
 
     @cached_property
-    def terms(self) -> tuple:
-        terms = _selection_terms(self.amplitudes, self.eigenvalues)
-        _read_only(terms[2])
-        return terms
-
-    @cached_property
-    def factors(self) -> tuple[np.ndarray, np.ndarray]:
-        factors = _kernel_factors(self.eigenvalues)
-        _read_only(*factors)
-        return factors
+    def terms(self) -> _PointerTerms:
+        return _pointer_terms(self.amplitudes, self.eigenvalues, _kernel_factors(self.eigenvalues))
 
 
 # Selections kept factored at once.  The operators are frozen and hash by
@@ -279,68 +320,18 @@ def _selection_amplitudes(
     tr(Pi P_l rho P_k) = sum_r c[k, r]^* c[l, r], so no sum over the
     selection needs a trace or a purity test.
 
-    The record (:class:`_Selection`) also keeps every g-independent term of
-    the pointer sums once they are formed, so a sweep over couplings
-    factors its selection once.  The last few selections stay cached, keyed
-    on the three operator objects; every array in the record is read-only,
-    since callers share it.
+    The record (:class:`_Selection`) also keeps the selection's pointer-sum
+    terms once they are formed, with the kernel coefficients already folded
+    into the weights, so a sweep over couplings factors its selection once
+    and each coupling costs one contraction.  The last few selections stay
+    cached, keyed on the three operator objects; every array in the record
+    is read-only, since callers share it.
     """
     eigs = observable.eigenvalues
     amplitudes = pi.bras @ observable.projectors @ (rho.kets.T * np.sqrt(rho.weights))
     c = amplitudes.reshape(len(eigs), -1)
-    _read_only(c)
+    c.flags.writeable = False
     return _Selection(c, eigs)
-
-
-def _selection_terms(c: np.ndarray, eigenvalues: np.ndarray) -> tuple:
-    """The g-independent terms of :func:`_pointer_sums`.
-
-    With S0 = sum_k c_k and S1 = sum_k a_k c_k per column and W = c^* c^T:
-    (sum |S0|^2, sum S0^* S1, W as real pairs of shape (K^2, 2), and the
-    residue scale, a bound on the absolute mass of every kernel sum).
-    """
-    k = len(eigenvalues)
-    s0 = c.sum(axis=0)
-    w = c.conj() @ c.T
-    # kernel entries are at most max(1, |a|) (h <= 1, |qker| <= |a|, |pker| <= |a| / 2;
-    # eigenvalues ascending), so this bounds the absolute mass of every sum
-    scale = np.vdot(c, c).real * max(1.0, -eigenvalues[0], eigenvalues[-1]) + 1e-300
-    anchor = np.vdot(s0, eigenvalues @ c)
-    return np.vdot(s0, s0).real, anchor, w.view(float).reshape(k * k, 2), scale
-
-
-def _kernel_sums(terms: tuple, kernels: np.ndarray):
-    """(N, q, p, resid) of :func:`_pointer_sums` from its :func:`_selection_terms`."""
-    norm_sq, anchor, w_pairs, scale = terms
-    # one matmul: real and imaginary parts of sum_kl W_kl kernel_kl, (..., 3, 2)
-    sums = kernels.reshape(*kernels.shape[:-2], -1) @ w_pairs
-    n_val = norm_sq - sums[..., 0, 0]
-    q_num = anchor.real - sums[..., 1, 0]
-    p_num = 0.5 * anchor.imag + sums[..., 2, 1]
-    res = np.abs(sums)
-    resid = np.maximum(res[..., :2, 1].max(axis=-1), res[..., 2, 0]) / scale
-    return n_val, q_num, p_num, resid
-
-
-def _pointer_sums(c: np.ndarray, eigenvalues: np.ndarray, kernels: np.ndarray):
-    """Selection probability and shift numerators from factored amplitudes.
-
-    `c` comes from :func:`_selection_amplitudes` (a pure pair is one column)
-    and `kernels` from :func:`_overlap_kernels`.  With S0 = sum_k c_k and
-    S1 = sum_k a_k c_k per column, W = c^* c^T, and the identity G = 1 - h,
-
-        N = sum |S0|^2            - sum_kl W_kl h_kl
-        q = Re sum S0^* S1        - sum_kl W_kl qker_kl,    delta_q = g q / N
-        p = Im sum S0^* S1 / 2 + Im sum_kl W_kl pker_kl,    delta_p = (g / delta) p / (N delta)
-
-    The g-independent parts come from the column sums S0, S1 before any
-    product is formed, so N keeps its relative precision down to the
-    orthogonality floor.  Returns (N, q, p, resid), resid being the worst
-    imaginary residue of the (mathematically real) kernel sums relative to
-    a bound on their absolute mass; a leading coupling axis on `kernels`
-    carries through to all four.
-    """
-    return _kernel_sums(_selection_terms(c, eigenvalues), kernels)
 
 
 def exact_shifts(setup: MeasurementSetup) -> MeasurementOutcome:
@@ -356,13 +347,14 @@ def exact_shifts(setup: MeasurementSetup) -> MeasurementOutcome:
 
     One path serves every selection: the weights are factored into
     pure-state amplitudes (:func:`_selection_amplitudes`) and the sums are
-    taken in pointer units (only g / delta enters the kernels) in a
+    taken in pointer units (only g / delta enters the overlaps) in a
     rearranged form that subtracts the g-independent part analytically
     (:func:`_pointer_sums`), so nearly orthogonal selections do not suffer
     catastrophic cancellation, and no power of delta can overflow.  The
     selection is factored once per (rho, Pi, A) objects and stays cached
-    with every g-independent term, so a call at a new coupling forms only
-    the overlaps h, one kernel contraction and the checks below.
+    with every g-independent term, the kernel coefficients already folded
+    into its weights, so a call at a new coupling forms only the overlaps
+    h (one expm1), one contraction h @ weights and the checks below.
 
     Raises
     ------
@@ -378,11 +370,14 @@ def exact_shifts(setup: MeasurementSetup) -> MeasurementOutcome:
     ratio = g / delta
     if not isfinite(ratio):
         raise ValidationError(f"g / delta = {g!r} / {delta!r} overflows")
-    sel = _selection_amplitudes(setup.preselection, setup.postselection, setup.observable)
+    terms = _selection_amplitudes(setup.preselection, setup.postselection, setup.observable).terms
+    # h as _overlaps forms it, whose errstate guard costs a fifth of this call
+    # and is needed only where some ratio * spread can overflow
+    safe = ratio * terms.span <= 1e300
+    h = _one_minus_overlap(ratio * terms.spread) if safe else _overlaps(ratio, terms.spread)
     # Python floats from here on: an out-of-range shift becomes inf, which
     # MeasurementOutcome rejects, rather than a numpy overflow warning
-    kernels = _kernels_from(sel.factors, ratio)
-    n_val, q_num, p_num, resid = map(float, _kernel_sums(sel.terms, kernels))
+    n_val, q_num, p_num, resid = _pointer_sums(terms, h)
     if n_val <= ORTHOGONALITY_FLOOR:
         raise OrthogonalSelectionError(
             f"postselection probability {n_val:.3e} at or below 1e-14; "

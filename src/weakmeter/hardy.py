@@ -32,7 +32,7 @@ from .exactengine import (
     _check_coupling,
     _coupling_grid,
     _one_minus_overlap,
-    _overlap_kernels,
+    _overlaps,
     _pointer_sums,
     _selection_amplitudes,
 )
@@ -101,32 +101,26 @@ def closed_form_shifts(g, delta: float) -> dict:
 
 
 @lru_cache(maxsize=1)
-def _cached_amplitudes() -> dict[str, tuple[np.ndarray, np.ndarray]]:
-    """Per arm pair: the observable's eigenvalues and the selection amplitudes."""
+def _cached_terms() -> tuple:
+    """The pointer-sum terms of each arm pair's selection, in PATH_LABELS order."""
     sc = build_hardy()
     rho = sc.preselection.density()
-    pieces = {}
-    for label, proj in sc.operators.items():
-        observable = HermitianObservable.from_projector(proj)
-        c = _selection_amplitudes(rho, sc.postselection, observable).amplitudes  # read-only
-        pieces[label] = (observable.eigenvalues, c)
-    return pieces
+    observables = (HermitianObservable.from_projector(sc.operators[label]) for label in PATH_LABELS)
+    return tuple(_selection_amplitudes(rho, sc.postselection, obs).terms for obs in observables)
 
 
 def _probability_points(gs: np.ndarray, delta: float) -> list[ProbabilityPoint]:
     """The four inferred probabilities at every coupling in gs (all > 0).
 
-    Each arm pair's shifts come from one engine call over all couplings, and
-    every point is checked against :func:`closed_form_shifts`.
+    Each arm pair's shifts come from one engine contraction over all
+    couplings, and every point is checked against :func:`closed_form_shifts`.
     """
     GaussianPointer(delta)  # validates delta
-    pieces = _cached_amplitudes()
-    with np.errstate(over="ignore"):  # the kernels clip a saturated g / delta
+    with np.errstate(over="ignore"):  # the overlaps clip a saturated g / delta
         ratio = gs / delta
     probs = np.empty((len(PATH_LABELS), len(gs)))  # rows in PATH_LABELS order
-    for row, label in zip(probs, PATH_LABELS):
-        eigs, c = pieces[label]
-        n_val, q_num, _, _ = _pointer_sums(c, eigs, _overlap_kernels(eigs, ratio))
+    for row, terms in zip(probs, _cached_terms()):
+        n_val, q_num, _, _ = _pointer_sums(terms, _overlaps(ratio, terms.spread))
         row[:] = q_num / n_val
     closed = closed_form_shifts(gs, delta)
     expected = np.array([closed[label] for label in PATH_LABELS])

@@ -4,12 +4,14 @@ import json
 import math
 import subprocess
 import sys
+import tracemalloc
 from importlib import resources
 
 import pytest
 from pytest import approx
 
 from weakmeter.cli import _fmt, main
+from weakmeter.exactengine import MAX_SWEEP_POINTS
 
 
 def _parse_report(text):
@@ -275,6 +277,47 @@ class TestExtremeScales:
             assert all(math.isfinite(float(v)) for v in values), out
         else:
             assert code == 2 and err.startswith("error:"), (code, err)
+
+
+class TestOutputAndSizeErrors:
+    """An output path that cannot be written and a sweep too large to hold
+    are bad input: exit 2 with one `error:` line, not a traceback."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["hardy-sweep", "--points", "5"],
+            ["info-sweep", "--points", "5"],
+            ["bounds-optimize", "--restarts", "1"],
+        ],
+        ids=["hardy-sweep", "info-sweep", "bounds-optimize"],
+    )
+    @pytest.mark.parametrize("target", ["missing/out.txt", "."], ids=["missing dir", "a directory"])
+    def test_unwritable_out_exits_2(self, capsys, tmp_path, argv, target):
+        out = tmp_path / target
+        code, stdout, err = _run(capsys, *argv, "--out", str(out))
+        assert code == 2
+        assert err.startswith("error: cannot write") and err.count("\n") == 1, err
+        assert stdout == ""
+
+    @pytest.mark.parametrize("command", ["hardy-sweep", "info-sweep"])
+    @pytest.mark.parametrize("points", [MAX_SWEEP_POINTS + 1, 10**14])
+    def test_points_above_the_ceiling_exit_2_allocating_nothing(self, capsys, command, points):
+        tracemalloc.start()
+        try:
+            code, out, err = _run(capsys, command, "--points", str(points))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 2 and out == ""
+        assert err.startswith("error: points must be in 2..")
+        assert peak < 1_000_000, peak
+
+    @pytest.mark.parametrize("command", ["hardy-sweep", "info-sweep"])
+    def test_points_ceiling_is_in_the_help(self, capsys, command):
+        code, out, _ = _run(capsys, command, "--help")
+        assert code == 0
+        assert f"2..{MAX_SWEEP_POINTS}" in out
 
 
 class TestVerifySubcommand:

@@ -8,6 +8,7 @@ no code beyond the setup container, so agreement is a real check.
 
 import gc
 import json
+import warnings
 import weakref
 from importlib import resources
 
@@ -38,7 +39,13 @@ from weakmeter import (
     von_neumann_entropy,
     weak_moments,
 )
-from weakmeter.exactengine import _overlap_kernels, _pointer_sums, _selection_amplitudes
+from weakmeter.exactengine import (
+    _kernel_factors,
+    _overlaps,
+    _pointer_sums,
+    _pointer_terms,
+    _selection_amplitudes,
+)
 from weakmeter.sampling import random_density, random_projector, random_projector_observable
 
 PATH = HermitianObservable(np.diag([1.0, 0.0]))
@@ -72,7 +79,8 @@ def overlap_elements(a, a_prime, g, delta):
         <Phi_a | q | Phi_a'> = g (a + a') / 2 * G
         <Phi_a | p | Phi_a'> = i g (a - a') / (4 delta^2) * G
     """
-    h, qker, pker = _overlap_kernels(np.array([a, a_prime]), g / delta)[:, 0, 1]
+    coef, spread = _kernel_factors(np.array([a, a_prime]))
+    h, qker, pker = (coef * _overlaps(g / delta, spread))[:, 0, 1]
     s = 1.0 - h
     q_elem = g * ((a + a_prime) / 2.0 - qker)
     p_elem = 1j * (g / delta**2) * ((a - a_prime) / 4.0 - pker)
@@ -207,22 +215,36 @@ class TestSelectionFamilies:
                 exact_shifts(setup)
 
     def test_factored_batch_matches_single_couplings(self):
-        """A 1-d ratio gives one result per coupling, equal to the scalar calls."""
+        """A 1-d ratio gives one result per coupling, bit for bit the scalar
+        calls: K = 2..8, ratios from 1e-300 to 1e300 and levels up to
+        +/-1e300, with no floating-point warning on the way."""
         rng = np.random.default_rng(8)
         m = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-        obs = HermitianObservable((m + m.conj().T) / 2)
-        rho = DensityOperator(np.diag([0.4, 0.3, 0.2, 0.1]))
-        pi = ProjectionOperator(np.diag([1.0, 1.0, 0.0, 0.0]))
-        eigs = np.array(obs.eigenvalues)
-        c = _selection_amplitudes(rho, pi, obs).amplitudes
-        ratios = np.geomspace(1e-3, 30.0, 9)
-        *batch, batch_resid = _pointer_sums(c, eigs, _overlap_kernels(eigs, ratios))
-        assert batch_resid.shape == ratios.shape and np.all(batch_resid < 1e-13)
-        for i, r in enumerate(ratios):
-            *single, resid = _pointer_sums(c, eigs, _overlap_kernels(eigs, r))
-            assert resid < 1e-13
-            for b, s_ in zip(batch, single):
-                assert b[i] == approx(float(s_), rel=1e-14)
+        cases = [(
+            HermitianObservable((m + m.conj().T) / 2),
+            DensityOperator(np.diag([0.4, 0.3, 0.2, 0.1])),
+            ProjectionOperator(np.diag([1.0, 1.0, 0.0, 0.0])),
+        )]
+        for dim in range(2, 9):
+            basis = np.linalg.qr(rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))[0]
+            levels = np.linspace(-1.0, 1.0, dim) + rng.uniform(-0.2, 0.2, dim) / dim
+            rho, pi = random_density(rng, dim, dim - 1), random_projector(rng, dim, max(1, dim // 2))
+            for scale in (1.0, 1e300):
+                cases.append((HermitianObservable((basis * (scale * levels)) @ basis.conj().T), rho, pi))
+        ratios = np.concatenate([[1e-300], np.geomspace(1e-3, 30.0, 9), [1.0, 1e300]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for obs, rho, pi in cases:
+                eigs = obs.eigenvalues
+                c = _selection_amplitudes(rho, pi, obs).amplitudes
+                terms = _pointer_terms(c, eigs, _kernel_factors(eigs))
+                *batch, batch_resid = _pointer_sums(terms, _overlaps(ratios, terms.spread))
+                assert batch_resid.shape == ratios.shape and np.all(batch_resid < 1e-13)
+                for i, r in enumerate(ratios.tolist()):
+                    single = _pointer_sums(terms, _overlaps(r, terms.spread))
+                    assert all(type(x) is float for x in single[:3])
+                    assert [float(b[i]) for b in (*batch, batch_resid)] == [float(x) for x in single]
+        assert sorted({len(obs.eigenvalues) for obs, _, _ in cases}) == list(range(2, 9))
 
     def test_operators_are_decomposed_once(self, monkeypatch):
         """rho is decomposed when it is built and Pi on its first selection;
@@ -259,7 +281,7 @@ class TestSelectionCache:
     def test_sweep_is_bit_identical_to_fresh_operators(self):
         obs, rho, pi = self._selection(31)
         pointer = GaussianPointer(0.7)
-        gs = np.geomspace(1e-3, 10.0, 200)
+        gs = np.append(np.geomspace(1e-3, 10.0, 200), [1e299, 1e306])  # the last two can overflow g / delta * spread
         misses = _selection_amplitudes.cache_info().misses
         cached = [exact_shifts(MeasurementSetup(obs, rho, pi, float(g), pointer)) for g in gs]
         fresh = [
@@ -272,14 +294,16 @@ class TestSelectionCache:
         assert _selection_amplitudes.cache_info().misses == misses + 1 + len(gs)
         assert cached == fresh
         # and equal to the uncached contraction that hardy and the optimizer use
-        c, eigs = _selection_amplitudes(rho, pi, obs).amplitudes, obs.eigenvalues
-        n_val, q_num, _, _ = _pointer_sums(c, eigs, _overlap_kernels(eigs, gs / 0.7))
+        terms = _pointer_terms(
+            _selection_amplitudes(rho, pi, obs).amplitudes, obs.eigenvalues, _kernel_factors(obs.eigenvalues)
+        )
+        n_val, q_num, _, _ = _pointer_sums(terms, _overlaps(gs / 0.7, terms.spread))
         assert [out.delta_q for out in cached] == (gs * (q_num / n_val)).tolist()
 
     def test_cached_arrays_refuse_writes(self):
         obs, rho, pi = self._selection(32)
         sel = _selection_amplitudes(rho, pi, obs)
-        for array in (sel.amplitudes, sel.terms[2], *sel.factors):
+        for array in (sel.amplitudes, sel.terms.weights, sel.terms.spread):
             with pytest.raises(ValueError, match="read-only"):
                 array[...] = 0.0
 
@@ -312,6 +336,24 @@ class TestExtremeScales:
         assert exact_shifts(setup).delta_q == approx(expected, rel=1e-12)
 
 
+    def test_ratios_above_1e300_keep_their_value(self):
+        """Levels 1e-300 apart at g = 1e305 delta are 1e5 widths apart, as
+        levels 1 apart at g = 1e5 delta: the pointer resolves both the same
+        way, with N = 0.5 and delta_q = g * 0.64 e-300 = 64000."""
+        pre = StateVector.normalized([1.0, 1.0]).density()
+        post = StateVector.normalized([0.6, -0.8]).projector()
+        tiny = exact_shifts(MeasurementSetup(
+            HermitianObservable(np.diag([0.0, 1e-300])), pre, post, 1e305, GaussianPointer(1.0)
+        ))
+        unit = exact_shifts(MeasurementSetup(
+            HermitianObservable(np.diag([0.0, 1.0])), pre, post, 1e5, GaussianPointer(1.0)
+        ))
+        assert tiny.postselect_prob == approx(0.5, rel=1e-15)
+        assert tiny.postselect_prob == unit.postselect_prob
+        assert tiny.delta_q == approx(64000.0, rel=1e-14)
+        assert tiny.delta_q == approx(unit.delta_q, rel=1e-14)
+
+
 def _near_orthogonal_setups(family, rng, n0=1e-9):
     """Selections with tr(Pi rho) ~ 1e-9 on A = diag(a), d = 4."""
     d = 4
@@ -336,38 +378,70 @@ def _near_orthogonal_setups(family, rng, n0=1e-9):
     return np.diag(a), (rho + rho.conj().T) / 2, np.outer(f, f.conj())
 
 
-def _mp_delta_q(a, rho, pi, g, delta):
-    """delta_q and N at 50 digits from the same double inputs, A = diag(a):
-    w(k, l) = Pi_kl rho_lk, G = exp(-g^2 (a_k - a_l)^2 / (8 delta^2))."""
+def _mp_shifts(a, rho, pi, g, delta):
+    """delta_q, delta_p and N at 50 digits from the same double inputs, A = diag(a):
+    w(k, l) = Pi_kl rho_lk, G = exp(-g^2 (a_k - a_l)^2 / (8 delta^2)),
+    delta_p = i g sum w (a_k - a_l) / (4 delta^2) G / N."""
     with mpmath.workdps(50):
-        num = den = mpmath.mpf(0)
+        num_q = num_p = den = mpmath.mpf(0)
+        g_mp, delta_mp = mpmath.mpf(g), mpmath.mpf(delta)
         for k in range(len(a)):
             for l in range(len(a)):
                 w = mpmath.mpc(complex(pi[k, l])) * mpmath.mpc(complex(rho[l, k]))
                 ak, al = mpmath.mpf(float(a[k])), mpmath.mpf(float(a[l]))
-                overlap = mpmath.exp(-((mpmath.mpf(g) * (ak - al)) ** 2) / (8 * mpmath.mpf(delta) ** 2))
+                overlap = mpmath.exp(-((g_mp * (ak - al)) ** 2) / (8 * delta_mp**2))
                 den += w * overlap
-                num += w * (ak + al) / 2 * overlap
-        return float((mpmath.mpf(g) * num / den).real), float(den.real)
+                num_q += w * (ak + al) / 2 * overlap
+                num_p += w * 1j * (ak - al) / (4 * delta_mp**2) * overlap
+        return float((g_mp * num_q / den).real), float((g_mp * num_p / den).real), float(den.real)
+
+
+def _near_orthogonal_outcomes(family, g, delta=1.0):
+    """(setup amplitudes, engine outcome, 50-digit (delta_q, delta_p, N)) for
+    the 20 draws of one family, all at coupling g."""
+    rng = np.random.default_rng({"pure": 11, "two-eigenvector": 12, "near-pure": 13}[family])
+    for _ in range(20):
+        a_mat, rho, pi = _near_orthogonal_setups(family, rng)
+        obs, rho_op, pi_op = HermitianObservable(a_mat), DensityOperator(rho), ProjectionOperator(pi)
+        out = exact_shifts(MeasurementSetup(obs, rho_op, pi_op, g, GaussianPointer(delta)))
+        c = _selection_amplitudes(rho_op, pi_op, obs).amplitudes
+        yield obs.eigenvalues, c, out, _mp_shifts(np.diag(a_mat).real, rho, pi, g, delta)
 
 
 @pytest.mark.parametrize("family", ["pure", "two-eigenvector", "near-pure"])
 def test_delta_q_keeps_relative_precision_near_orthogonality(family):
-    """At g = 1e-4 delta and N ~ 1e-9 the relative error of delta_q against
-    a 50-digit evaluation stays within 16 eps / N, the rounding of N itself."""
+    """At g = 1e-4 delta and N ~ 1e-9 the relative errors of delta_q, delta_p
+    and N against a 50-digit evaluation stay within 16 eps / N, the rounding
+    of N itself."""
     eps = 2.2e-16
-    g, delta = 1e-4, 1.0
-    rng = np.random.default_rng({"pure": 11, "two-eigenvector": 12, "near-pure": 13}[family])
-    for _ in range(20):
-        a_mat, rho, pi = _near_orthogonal_setups(family, rng)
-        setup = MeasurementSetup(
-            HermitianObservable(a_mat), DensityOperator(rho), ProjectionOperator(pi),
-            g, GaussianPointer(delta),
-        )
-        ref, n_ref = _mp_delta_q(np.diag(a_mat).real, rho, pi, g, delta)
+    for _, _, out, (dq, dp, n_ref) in _near_orthogonal_outcomes(family, 1e-4):
         assert 1e-11 < n_ref < 1e-8
-        err = abs(exact_shifts(setup).delta_q - ref) / abs(ref)
-        assert err <= 16.0 * eps / n_ref, (err * n_ref / eps, ref)
+        got = (out.delta_q, out.delta_p, out.postselect_prob)
+        for name, value, ref in zip(("delta_q", "delta_p", "N"), got, (dq, dp, n_ref)):
+            err = abs(value - ref) / abs(ref)
+            assert err <= 16.0 * eps / n_ref, (name, err * n_ref / eps, ref)
+
+
+@pytest.mark.parametrize("g", [0.5, 1.0, 2.0])
+@pytest.mark.parametrize("family", ["pure", "two-eigenvector", "near-pure"])
+def test_shifts_keep_precision_at_moderate_coupling(family, g):
+    """Once g ~ delta the kernel sums themselves cancel, and the error scale
+    is that of the extremal selections, eps (|S0| ||c||_1 + |c|^T h |c|) / N
+    per column of amplitudes, plus eps ||c||_1^2 / N for amplitudes factored
+    from matrices.  N, and delta_q and delta_p relative to their size plus
+    their natural scale (g max|a| and g max|a| / (2 delta^2)), stay within 4
+    units of it against a 50-digit evaluation; the worst before the kernel
+    coefficients were folded into the weights was 1.3 units."""
+    eps, delta = 2.2e-16, 1.0
+    for eigs, c, out, (dq, dp, n_ref) in _near_orthogonal_outcomes(family, g, delta):
+        mass, s0 = np.abs(c).sum(axis=0), np.abs(c.sum(axis=0))
+        h = -np.expm1(-((g / delta) * (eigs[:, None] - eigs[None, :])) ** 2 / 8.0)
+        scale = s0 @ mass + np.einsum("kr,kl,lr->", np.abs(c), h, np.abs(c)) + mass @ mass
+        unit = 4.0 * eps * scale / n_ref
+        top = float(np.max(np.abs(eigs)))
+        assert abs(out.postselect_prob - n_ref) <= unit * n_ref
+        assert abs(out.delta_q - dq) <= unit * (g * top + abs(dq)), (dq, out.delta_q)
+        assert abs(out.delta_p - dp) <= unit * (g * top / (2.0 * delta**2) + abs(dp)), (dp, out.delta_p)
 
 
 def _mp_moments(a, rho, pi):
