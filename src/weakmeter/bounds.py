@@ -380,7 +380,8 @@ def optimize_pps(
 
     eigs, pstack = observable.eigenvalues, observable.projectors
     coef, spread = factors = _kernel_factors(eigs)
-    h = _overlaps(ratio, spread)
+    e = _overlaps(ratio, spread)
+    h = -e
     # 1 - G below the normal range has no precision left: the displaced
     # pointers cannot be told apart, as at g = 0 (the identity masks the
     # zero diagonal)
@@ -404,7 +405,7 @@ def optimize_pps(
         root = np.sqrt(np.abs(c))
         pre, post = (np.sign(c) * root) @ units, root @ units
         terms = _pointer_terms(((pstack @ pre) @ post.conj())[:, None], eigs, factors)
-        n_val, q_num, _, _ = _pointer_sums(terms, h.reshape(-1))
+        n_val, q_num, _, _ = _pointer_sums(terms, e.reshape(-1))
         return g * (q_num / n_val), pre, post
 
     c_max, c_min = _pencil_extremes(eigs, ratio, h, coef[1] * h, min_postselect)

@@ -20,7 +20,7 @@ decomposed once by its own class, is contracted into pure-state amplitudes
 (:func:`_selection_amplitudes`, cached).  Their g-independent terms,
 with the kernel coefficients folded into the selection weights, are
 formed once per selection (:func:`_pointer_terms`), so a coupling costs
-only the overlaps h = 1 - G in pointer units, where only g / Delta enters
+only the overlaps, as G - 1 in pointer units, where only g / Delta enters
 (:func:`_overlaps`), and one contraction (:func:`_pointer_sums`), for one
 coupling or a batch of them.  The
 extremal search in :mod:`.bounds` and the which-path sweep in :mod:`.hardy`
@@ -30,9 +30,9 @@ and the Schwarz gap off the same amplitudes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property, lru_cache
-from math import isfinite, pi
+from math import inf, isfinite, pi
 from typing import NamedTuple
 
 import numpy as np
@@ -106,13 +106,14 @@ class MeasurementSetup:
     pointer: GaussianPointer
 
     def __post_init__(self) -> None:
-        d = self.observable.dimension
-        if self.preselection.dimension != d or self.postselection.dimension != d:
+        shape = self.observable.matrix.shape
+        if self.preselection.matrix.shape != shape or self.postselection.matrix.shape != shape:
             raise ValidationError(
                 "dimension mismatch: observable/preselection/postselection are "
-                f"{d}/{self.preselection.dimension}/{self.postselection.dimension}"
+                f"{shape[0]}/{self.preselection.dimension}/{self.postselection.dimension}"
             )
-        object.__setattr__(self, "g", _check_coupling(self.g))
+        if type(self.g) is not float or not 0.0 <= self.g < inf:
+            object.__setattr__(self, "g", _check_coupling(self.g))
 
 
 @dataclass(frozen=True)
@@ -130,15 +131,16 @@ class MeasurementOutcome:
     postselect_prob: float
 
     def __post_init__(self) -> None:
-        for name in ("delta_q", "delta_p", "postselect_prob"):
-            v = float(getattr(self, name))
-            if not isfinite(v):
-                raise ValidationError(f"measurement outcome: {name} is not finite ({v!r})")
-            object.__setattr__(self, name, v)
-        if not 0.0 < self.postselect_prob <= 1.0 + 1e-12:
-            raise ValidationError(
-                f"measurement outcome: postselect_prob {self.postselect_prob!r} outside (0, 1]"
-            )
+        q, p, prob = values = (self.delta_q, self.delta_p, self.postselect_prob)
+        if not type(q) is type(p) is type(prob) is float:
+            q, p, prob = values = (float(q), float(p), float(prob))
+            for f, v in zip(fields(self), values):
+                object.__setattr__(self, f.name, v)
+        if not (isfinite(q) and isfinite(p) and isfinite(prob)):
+            name, v = next((f.name, v) for f, v in zip(fields(self), values) if not isfinite(v))
+            raise ValidationError(f"measurement outcome: {name} is not finite ({v!r})")
+        if not 0.0 < prob <= 1.0 + 1e-12:
+            raise ValidationError(f"measurement outcome: postselect_prob {prob!r} outside (0, 1]")
 
 
 @dataclass(frozen=True)
@@ -158,11 +160,11 @@ class GridSpec:
         hw = float(self.half_width)
         if not np.isfinite(hw) or hw <= 0.0:
             raise ValidationError(f"grid half_width must be positive, got {self.half_width!r}")
-        n = int(self.num_points)
-        if n < 1024 or n & (n - 1):
+        n = self.num_points
+        if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1024 or n & (n - 1):
             raise ValidationError(f"grid num_points must be a power of two >= 1024, got {n}")
         object.__setattr__(self, "half_width", hw)
-        object.__setattr__(self, "num_points", n)
+        object.__setattr__(self, "num_points", int(n))
 
     @classmethod
     def for_setup(cls, setup: MeasurementSetup, num_points: int = 4096) -> "GridSpec":
@@ -178,10 +180,13 @@ MAX_SWEEP_POINTS = 1_000_000
 def _coupling_grid(g_min: float, g_max: float, points: int, spacing: str) -> np.ndarray:
     """`points` couplings from g_min to g_max, "lin" or "log" spaced.
 
-    Requires finite 0 <= g_min < g_max (g_min > 0 for "log"), 2 <= points <= MAX_SWEEP_POINTS.
+    Requires finite 0 <= g_min < g_max (g_min > 0 for "log") and an int or numpy
+    integer (not a bool) 2 <= points <= MAX_SWEEP_POINTS.
     """
     if not np.isfinite(g_min) or not np.isfinite(g_max) or g_min < 0.0 or g_max <= g_min:
         raise ValidationError(f"need 0 <= g_min < g_max, got {g_min!r}, {g_max!r}")
+    if isinstance(points, bool) or not isinstance(points, (int, np.integer)):
+        raise ValidationError(f"points must be an integer, got {points!r}")
     if not 2 <= points <= MAX_SWEEP_POINTS:
         raise ValidationError(f"points must be in 2..{MAX_SWEEP_POINTS}, got {points!r}")
     if spacing == "lin":
@@ -214,13 +219,13 @@ def _kernel_factors(eigenvalues: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _overlaps(ratio, spread: np.ndarray):
-    """h = 1 - G(ratio * spread) (:func:`_one_minus_overlap`), pointer units;
+    """G - 1 = -h(ratio * spread) (:func:`_one_minus_overlap`), pointer units;
     a 1-d `ratio` gives a leading coupling axis."""
     # an overflowed g / delta (inf) would put inf * 0 on the diagonal; the
-    # largest double keeps every finite ratio and gives h = 1 off it, as inf would
+    # largest double keeps every finite ratio and gives G - 1 = -1 off it, as inf would
     r = np.minimum(ratio, np.finfo(float).max)[..., None]
     with np.errstate(over="ignore"):
-        return _one_minus_overlap(r * spread)
+        return -_one_minus_overlap(r * spread)
 
 
 class _PointerTerms(NamedTuple):
@@ -257,32 +262,32 @@ def _pointer_terms(c: np.ndarray, eigenvalues: np.ndarray, factors: tuple) -> _P
     return _PointerTerms(weights, spread, norm_sq, anchor.real, anchor.imag, scale, span)
 
 
-def _pointer_sums(terms: _PointerTerms, h: np.ndarray):
+def _pointer_sums(terms: _PointerTerms, e: np.ndarray):
     """Selection probability and shift numerators at each coupling.
 
-    `terms` come from :func:`_pointer_terms` and h = 1 - G from
-    :func:`_overlaps` at its spreads, shape (K^2,) or (n, K^2).  With G = 1 - h,
+    `terms` come from :func:`_pointer_terms` and e = G - 1 from
+    :func:`_overlaps` at its spreads, shape (K^2,) or (n, K^2).  With G = 1 + e,
 
-        N = sum |S0|^2            - sum_kl W_kl h_kl
-        q = Re sum S0^* S1        - sum_kl W_kl (a + a')/2 h_kl,    delta_q = g q / N
-        p = Im sum S0^* S1 / 2 + Im sum_kl W_kl (a - a')/4 h_kl,    delta_p = (g / delta) p / (N delta)
+        N = sum |S0|^2            + sum_kl W_kl e_kl
+        q = Re sum S0^* S1        + sum_kl W_kl (a + a')/2 e_kl,    delta_q = g q / N
+        p = Im sum S0^* S1 / 2 - Im sum_kl W_kl (a - a')/4 e_kl,    delta_p = (g / delta) p / (N delta)
 
     The g-independent parts come from the column sums S0, S1 before any
     product is formed, so N keeps its relative precision down to the
     orthogonality floor.  Returns (N, q, p, resid), resid being the worst
     imaginary residue of the (mathematically real) kernel sums relative to
-    a bound on their absolute mass: Python floats for a 1-d h, else arrays
+    a bound on their absolute mass: Python floats for a 1-d e, else arrays
     over its n couplings.
     """
-    if h.ndim == 1:
-        n_re, n_im, q_re, q_im, p_re, p_im = (h @ terms.weights).tolist()
+    if e.ndim == 1:
+        n_re, n_im, q_re, q_im, p_re, p_im = (e @ terms.weights).tolist()
         imag = max(abs(n_im), abs(q_im), abs(p_re))
     else:
         # a stack of row vectors, (n, 1, K^2) @ (K^2, 6), is the 1-d product
         # above row by row, bit for bit; a 2-d gemm would round differently
-        n_re, n_im, q_re, q_im, p_re, p_im = (h[:, None, :] @ terms.weights)[:, 0, :].T
+        n_re, n_im, q_re, q_im, p_re, p_im = (e[:, None, :] @ terms.weights)[:, 0, :].T
         imag = np.maximum(np.maximum(abs(n_im), abs(q_im)), abs(p_re))
-    return terms.norm_sq - n_re, terms.anchor_re - q_re, 0.5 * terms.anchor_im + p_im, imag / terms.scale
+    return terms.norm_sq + n_re, terms.anchor_re + q_re, 0.5 * terms.anchor_im - p_im, imag / terms.scale
 
 
 @dataclass(frozen=True, eq=False)
@@ -354,7 +359,9 @@ def exact_shifts(setup: MeasurementSetup) -> MeasurementOutcome:
     selection is factored once per (rho, Pi, A) objects and stays cached
     with every g-independent term, the kernel coefficients already folded
     into its weights, so a call at a new coupling forms only the overlaps
-    h (one expm1), one contraction h @ weights and the checks below.
+    G - 1 (one expm1; the overflow guards of :func:`_overlaps` run only
+    where g / delta times the level span exceeds 1e150), one contraction
+    (G - 1) @ weights and the checks below.
 
     Raises
     ------
@@ -371,13 +378,13 @@ def exact_shifts(setup: MeasurementSetup) -> MeasurementOutcome:
     if not isfinite(ratio):
         raise ValidationError(f"g / delta = {g!r} / {delta!r} overflows")
     terms = _selection_amplitudes(setup.preselection, setup.postselection, setup.observable).terms
-    # h as _overlaps forms it, whose errstate guard costs a fifth of this call
-    # and is needed only where some ratio * spread can overflow
-    safe = ratio * terms.span <= 1e300
-    h = _one_minus_overlap(ratio * terms.spread) if safe else _overlaps(ratio, terms.spread)
+    if ratio * terms.span <= 1e150:  # no ratio * spread reaches the guards of _overlaps
+        e = np.expm1(np.square(ratio * terms.spread) / -8.0)
+    else:
+        e = _overlaps(ratio, terms.spread)
     # Python floats from here on: an out-of-range shift becomes inf, which
     # MeasurementOutcome rejects, rather than a numpy overflow warning
-    n_val, q_num, p_num, resid = _pointer_sums(terms, h)
+    n_val, q_num, p_num, resid = _pointer_sums(terms, e)
     if n_val <= ORTHOGONALITY_FLOOR:
         raise OrthogonalSelectionError(
             f"postselection probability {n_val:.3e} at or below 1e-14; "

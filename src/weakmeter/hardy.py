@@ -109,8 +109,9 @@ def _cached_terms() -> tuple:
     return tuple(_selection_amplitudes(rho, sc.postselection, obs).terms for obs in observables)
 
 
-def _probability_points(gs: np.ndarray, delta: float) -> list[ProbabilityPoint]:
-    """The four inferred probabilities at every coupling in gs (all > 0).
+def _probability_rows(gs: np.ndarray, delta: float) -> np.ndarray:
+    """The four inferred probabilities at every coupling in gs (all > 0),
+    shape (4, len(gs)), rows in PATH_LABELS order.
 
     Each arm pair's shifts come from one engine contraction over all
     couplings, and every point is checked against :func:`closed_form_shifts`.
@@ -134,7 +135,7 @@ def _probability_points(gs: np.ndarray, delta: float) -> list[ProbabilityPoint]:
             f"engine and closed-form shifts disagree for {PATH_LABELS[k]} at "
             f"g = {float(gs[i])!r}: {float(shifts[k, i])!r} vs {float(expected[k, i])!r}"
         )
-    return [ProbabilityPoint(float(g), *map(float, column)) for g, column in zip(gs, probs.T)]
+    return probs
 
 
 def hardy_probabilities(g: float, delta: float = 1.0) -> ProbabilityPoint:
@@ -150,7 +151,8 @@ def hardy_probabilities(g: float, delta: float = 1.0) -> ProbabilityPoint:
     InternalConsistencyError
         If the two routes disagree.
     """
-    return _probability_points(np.array([_check_coupling(g, positive=True)]), delta)[0]
+    g = _check_coupling(g, positive=True)
+    return ProbabilityPoint(g, *_probability_rows(np.array([g]), delta)[:, 0].tolist())
 
 
 def probability_curve(
@@ -170,10 +172,13 @@ def probability_curve(
     """
     if not g_min > 0.0:
         raise ValidationError(f"need 0 < g_min < g_max, got {g_min!r}, {g_max!r}")
-    curve = _probability_points(_coupling_grid(g_min, g_max, points, spacing), delta)
-    for prev, here in zip(curve, curve[1:]):
-        if here.prob_nono < prev.prob_nono:
-            raise InternalConsistencyError(
-                f"NO-NO probability decreased between g = {prev.g!r} and {here.g!r}"
-            )
-    return curve
+    gs = _coupling_grid(g_min, g_max, points, spacing)
+    probs = _probability_rows(gs, delta)
+    nono = probs[-1]  # rows in PATH_LABELS order
+    drops = np.flatnonzero(nono[1:] < nono[:-1])
+    if drops.size:
+        i = drops[0]
+        raise InternalConsistencyError(
+            f"NO-NO probability decreased between g = {float(gs[i])!r} and {float(gs[i + 1])!r}"
+        )
+    return [ProbabilityPoint(*pt) for pt in zip(gs.tolist(), *probs.tolist())]

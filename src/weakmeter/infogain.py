@@ -94,8 +94,9 @@ def _binary_entropy_bits(h: np.ndarray) -> np.ndarray:
     return np.where(q == 0.0, 0.0, np.where(q <= 0.25, near, far)) / _LN2
 
 
-def _gain_points(gs: np.ndarray, delta: float) -> list[InfoGainResult]:
-    """The gain at every coupling in gs (all >= 0), both routes checked at each.
+def _gain_columns(gs: np.ndarray, delta: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The arrays (lam, i_a, q_min) over the couplings in gs (all >= 0), both
+    routes checked at each.
 
     One array pass: the reduced states of :func:`reduced_device_states`,
     stacked (n, 3, 2, 2), take one batched eigensolve for the entropy route,
@@ -135,9 +136,7 @@ def _gain_points(gs: np.ndarray, delta: float) -> list[InfoGainResult]:
     q_min = np.full(len(gs), np.nan)  # NaN at g = 0, where the extremes are undefined
     coupled = gs > 0.0
     q_min[coupled] = _envelope_curve(gs[coupled], delta)[1]
-    lam = 1.0 - 0.5 * h
-    columns = (gs.tolist(), lam.tolist(), closed.tolist(), q_min.tolist())
-    return [InfoGainResult(*pt) for pt in zip(*columns)]
+    return 1.0 - 0.5 * h, closed, q_min
 
 
 def information_gain(g: float, delta: float = 1.0) -> InfoGainResult:
@@ -154,7 +153,8 @@ def information_gain(g: float, delta: float = 1.0) -> InfoGainResult:
     InternalConsistencyError
         If the two routes disagree.
     """
-    return _gain_points(np.array([_check_coupling(g)]), delta)[0]
+    g = _check_coupling(g)
+    return InfoGainResult(g, *(float(col[0]) for col in _gain_columns(np.array([g]), delta)))
 
 
 def info_curve(
@@ -172,12 +172,11 @@ def info_curve(
     increasing until the overlap underflow plateau near g ~ 12 delta.
     """
     gs = _coupling_grid(g_min, g_max, points, spacing)
-    curve = _gain_points(gs, delta)
-    gains = np.array([pt.i_a for pt in curve])
+    lam, gains, q_min = _gain_columns(gs, delta)
     drops = np.flatnonzero(gains[1:] < gains[:-1])
     if drops.size:
         i = drops[0]
         raise InternalConsistencyError(
-            f"information gain decreased between g = {curve[i].g!r} and {curve[i + 1].g!r}"
+            f"information gain decreased between g = {float(gs[i])!r} and {float(gs[i + 1])!r}"
         )
-    return curve
+    return [InfoGainResult(*pt) for pt in zip(gs.tolist(), lam.tolist(), gains.tolist(), q_min.tolist())]

@@ -348,7 +348,7 @@ class TestPencilSolve:
             obs = random_hermitian(rng, k)
             g = float(np.exp(rng.uniform(np.log(0.3), np.log(30.0))))
             bottom, top = _mp_pencil(obs.eigenvalues, g)
-            h = _overlaps(g, _kernel_factors(obs.eigenvalues)[1])
+            h = -_overlaps(g, _kernel_factors(obs.eigenvalues)[1])
             for objective, sign, ref in (("max", 1.0, top), ("min", -1.0, bottom)):
                 result = optimize_pps(obs, g, POINTER, objective=objective)
                 pre, post = (s.amplitudes for s in result.argmax_states)

@@ -23,6 +23,7 @@ from weakmeter import (
     GaussianPointer,
     GridSpec,
     HermitianObservable,
+    MeasurementOutcome,
     MeasurementSetup,
     OrthogonalSelectionError,
     ProjectionOperator,
@@ -73,17 +74,17 @@ def _quad_elements(a, a_prime, g, delta):
 
 def overlap_elements(a, a_prime, g, delta):
     """Matrix elements of 1, q and p between two displaced pointer components,
-    read off the engine's kernels h, qker and pker at ratio g / delta:
+    read off the engine's kernels e = G - 1, qker and pker at ratio g / delta:
 
-        <Phi_a | Phi_a'>     = G = 1 - h
+        <Phi_a | Phi_a'>     = G = 1 + e
         <Phi_a | q | Phi_a'> = g (a + a') / 2 * G
         <Phi_a | p | Phi_a'> = i g (a - a') / (4 delta^2) * G
     """
     coef, spread = _kernel_factors(np.array([a, a_prime]))
-    h, qker, pker = (coef * _overlaps(g / delta, spread))[:, 0, 1]
-    s = 1.0 - h
-    q_elem = g * ((a + a_prime) / 2.0 - qker)
-    p_elem = 1j * (g / delta**2) * ((a - a_prime) / 4.0 - pker)
+    e, qker, pker = (coef * _overlaps(g / delta, spread))[:, 0, 1]
+    s = 1.0 + e
+    q_elem = g * ((a + a_prime) / 2.0 + qker)
+    p_elem = 1j * (g / delta**2) * ((a - a_prime) / 4.0 + pker)
     return s, q_elem, p_elem
 
 
@@ -281,7 +282,12 @@ class TestSelectionCache:
     def test_sweep_is_bit_identical_to_fresh_operators(self):
         obs, rho, pi = self._selection(31)
         pointer = GaussianPointer(0.7)
-        gs = np.append(np.geomspace(1e-3, 10.0, 200), [1e299, 1e306])  # the last two can overflow g / delta * spread
+        # exact_shifts takes its unguarded branch while g / delta * span <= 1e150:
+        # couplings a few ulp either side of that edge, then two that can overflow
+        span = float(obs.eigenvalues[-1] - obs.eigenvalues[0])
+        edge = 1e150 * 0.7 / span * (1.0 + 2.3e-16 * np.arange(-4, 5))
+        assert 0 < np.count_nonzero(edge / 0.7 * span <= 1e150) < len(edge)
+        gs = np.concatenate([np.geomspace(1e-3, 10.0, 200), edge, [1e299, 1e306]])
         misses = _selection_amplitudes.cache_info().misses
         cached = [exact_shifts(MeasurementSetup(obs, rho, pi, float(g), pointer)) for g in gs]
         fresh = [
@@ -297,8 +303,24 @@ class TestSelectionCache:
         terms = _pointer_terms(
             _selection_amplitudes(rho, pi, obs).amplitudes, obs.eigenvalues, _kernel_factors(obs.eigenvalues)
         )
-        n_val, q_num, _, _ = _pointer_sums(terms, _overlaps(gs / 0.7, terms.spread))
+        n_val, q_num, p_num, _ = _pointer_sums(terms, _overlaps(gs / 0.7, terms.spread))
         assert [out.delta_q for out in cached] == (gs * (q_num / n_val)).tolist()
+        assert [out.delta_p for out in cached] == ((gs / 0.7) * (p_num / n_val) / 0.7).tolist()
+        assert [out.postselect_prob for out in cached] == np.minimum(n_val, 1.0).tolist()
+
+    def test_unguarded_branch_runs_no_guard(self, monkeypatch):
+        """Where no g / delta * spread can reach the clip, exact_shifts on a
+        cached selection forms G - 1 without errstate, abs or the clip."""
+        obs, rho, pi = self._selection(34)
+        pointer = GaussianPointer(0.7)
+        before = exact_shifts(MeasurementSetup(obs, rho, pi, 0.7, pointer))
+
+        def guard(*args, **kwargs):
+            raise AssertionError("overflow guard on the unguarded branch")
+
+        for name in ("errstate", "abs", "minimum"):
+            monkeypatch.setattr(np, name, guard)
+        assert exact_shifts(MeasurementSetup(obs, rho, pi, 0.7, pointer)) == before
 
     def test_cached_arrays_refuse_writes(self):
         obs, rho, pi = self._selection(32)
@@ -543,6 +565,15 @@ class TestGridSpec:
         with pytest.raises(ValidationError):
             GridSpec(half_width=10.0, num_points=3000)
 
+    @pytest.mark.parametrize("num_points", [1024.5, 1024.0, np.float64(2048.0), True, "4096"])
+    def test_non_integral_point_count(self, num_points):
+        with pytest.raises(ValidationError, match="num_points must be a power of two"):
+            GridSpec(3.0, num_points)
+
+    def test_numpy_integer_point_count(self):
+        spec = GridSpec(3.0, np.int64(2048))
+        assert spec.num_points == 2048 and type(spec.num_points) is int
+
     def test_minimum_resolution(self):
         with pytest.raises(ValidationError):
             GridSpec(half_width=10.0, num_points=512)
@@ -561,7 +592,7 @@ class TestGridSpec:
 
 class TestSetupValidation:
     def test_dimension_mismatch(self):
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError, match="observable/preselection/postselection are 2/3/3"):
             MeasurementSetup(
                 PATH,
                 StateVector.basis_state(3, 0).density(),
@@ -579,6 +610,49 @@ class TestSetupValidation:
                 g=-0.1,
                 pointer=GaussianPointer(1.0),
             )
+
+    def _setup(self, g):
+        return MeasurementSetup(
+            PATH,
+            StateVector.basis_state(2, 0).density(),
+            StateVector.normalized([1.0, 1.0]).projector(),
+            g=g,
+            pointer=GaussianPointer(1.0),
+        )
+
+    @pytest.mark.parametrize("g", [np.float64(0.25), 2, np.int64(3), 0.0])
+    def test_coupling_is_stored_as_a_python_float(self, g):
+        setup = self._setup(g)
+        assert type(setup.g) is float and setup.g == float(g)
+
+    @pytest.mark.parametrize("g", [-0.1, -1, float("nan"), float("inf"), np.float64(-2.0), np.float64("nan")])
+    def test_bad_coupling_message(self, g):
+        with pytest.raises(ValidationError, match=r"coupling g must be finite and >= 0, got "):
+            self._setup(g)
+
+    @pytest.mark.parametrize("field", [0, 1, 2])
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf"), np.float64("nan")])
+    def test_outcome_names_the_non_finite_field(self, field, bad):
+        values = [0.1, -0.2, 0.5]
+        values[field] = bad
+        name = ("delta_q", "delta_p", "postselect_prob")[field]
+        with pytest.raises(ValidationError, match=f"measurement outcome: {name} is not finite"):
+            MeasurementOutcome(*values)
+
+    def test_outcome_names_the_first_non_finite_field(self):
+        with pytest.raises(ValidationError, match="delta_p is not finite"):
+            MeasurementOutcome(0.1, float("inf"), float("nan"))
+
+    @pytest.mark.parametrize("prob", [0.0, -0.5, 1.0 + 2e-12])
+    def test_outcome_probability_outside_unit_interval(self, prob):
+        with pytest.raises(ValidationError, match=r"postselect_prob .* outside \(0, 1\]"):
+            MeasurementOutcome(0.1, 0.2, prob)
+
+    def test_outcome_stores_python_floats(self):
+        out = MeasurementOutcome(np.float64(0.1), 2, np.float32(0.5))
+        assert [type(v) for v in (out.delta_q, out.delta_p, out.postselect_prob)] == [float] * 3
+        assert (out.delta_q, out.delta_p, out.postselect_prob) == (0.1, 2.0, 0.5)
+        assert MeasurementOutcome(0.1, 0.2, 1.0 + 1e-12).postselect_prob == 1.0 + 1e-12
 
     def test_pointer_width_positive(self):
         with pytest.raises(ValidationError):

@@ -13,9 +13,11 @@ from pytest import approx
 
 from weakmeter import (
     HermitianObservable,
+    InternalConsistencyError,
     ValidationError,
     build_hardy,
     closed_form_shifts,
+    hardy,
     hardy_probabilities,
     probability_curve,
     weak_moments,
@@ -108,6 +110,19 @@ class TestCurve:
         assert curve[0].g == approx(1e-3)
         assert curve[-1].g == approx(10.0)
 
+    def test_monotonicity_check_covers_every_point(self, monkeypatch):
+        rows = hardy._probability_rows
+
+        def dipped(gs, delta):
+            probs = rows(gs, delta)
+            probs[-1, 40] = probs[-1, 39] - 1e-9
+            return probs
+
+        monkeypatch.setattr(hardy, "_probability_rows", dipped)
+        gs = np.geomspace(1e-3, 10.0, 64)
+        with pytest.raises(InternalConsistencyError, match=f"between g = {float(gs[39])!r} and {float(gs[40])!r}$"):
+            probability_curve(1e-3, 10.0, 64)
+
     def test_lin_spacing(self):
         curve = probability_curve(1.0, 2.0, 3, spacing="lin")
         assert [p.g for p in curve] == approx([1.0, 1.5, 2.0])
@@ -118,13 +133,26 @@ class TestCurve:
 
     @pytest.mark.parametrize(
         "g_min,g_max,points",
-        [(0.0, 1.0, 10), (-1.0, 1.0, 10), (1.0, 0.5, 10), (0.1, 1.0, 1)],
+        [(0.0, 1.0, 10), (-1.0, 1.0, 10), (1.0, 0.5, 10), (0.1, 1.0, 1),
+         (1e-3, 1.0, 2.5), (1e-3, 1.0, 8.0), (1e-3, 1.0, np.float64(5.0)), (1e-3, 1.0, True)],
     )
     def test_bad_ranges(self, g_min, g_max, points):
         with pytest.raises(ValidationError):
             probability_curve(g_min, g_max, points)
 
+    def test_numpy_integer_point_count(self):
+        assert len(probability_curve(1e-3, 1.0, np.int64(5))) == 5
+
     def test_bad_spacing(self):
         with pytest.raises(ValidationError):
             probability_curve(0.1, 1.0, 8, spacing="sqrt")
+
+    @pytest.mark.parametrize("g_min,g_max,spacing", [(1e-3, 40.0, "log"), (1e-3, 40.0, "lin")])
+    def test_every_point_equals_the_one_point_call(self, g_min, g_max, spacing):
+        """The batched sweep and hardy_probabilities are one computation,
+        and every record holds Python floats."""
+        for pt in probability_curve(g_min, g_max, 500, spacing=spacing):
+            one = hardy_probabilities(pt.g)
+            fields = list(zip(vars(pt).values(), vars(one).values()))
+            assert len(fields) == 5 and all(type(a) is type(b) is float and a == b for a, b in fields), (pt, one)
 

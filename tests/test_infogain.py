@@ -181,3 +181,6 @@ class TestInfoCurve:
             info_curve(-0.1, 1.0, 10)
         with pytest.raises(ValidationError):
             info_curve(1.0, 1.0, 10)
+        for points in (2.5, np.float64(5.0), True):
+            with pytest.raises(ValidationError, match="points must be an integer"):
+                info_curve(0.0, 1.0, points)
