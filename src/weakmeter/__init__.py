@@ -10,16 +10,7 @@ three-box/pair-of-particles interference paradox, and the information the
 device itself acquires about the system.
 """
 
-from .bounds import (
-    BOUND_RELATIVE_TOL,
-    WEAK_REGIME_LIMIT,
-    BoundReport,
-    ExtremePair,
-    check_weak_bounds,
-    extreme_shifts_projector,
-    k_value,
-    optimize_pps,
-)
+from .bounds import BoundReport, ExtremePair, check_weak_bounds, optimize_pps
 from .errors import (
     ContractError,
     DegenerateDenominatorError,
@@ -38,30 +29,9 @@ from .exactengine import (
     exact_shifts,
     grid_shifts,
 )
-from .hardy import (
-    PATH_LABELS,
-    HardyScenario,
-    ProbabilityPoint,
-    build_hardy,
-    closed_form_shifts,
-    hardy_probabilities,
-    probability_curve,
-)
-from .infogain import (
-    InfoGainResult,
-    info_curve,
-    information_gain,
-    reduced_device_states,
-)
-from .qcore import (
-    DensityOperator,
-    HermitianObservable,
-    ProjectionOperator,
-    StateVector,
-    spectral_decompose,
-    tensor_product,
-    von_neumann_entropy,
-)
+from .hardy import ProbabilityPoint, probability_curve
+from .infogain import InfoGainResult, info_curve
+from .qcore import DensityOperator, HermitianObservable, ProjectionOperator, StateVector
 from .scenario import load_scenario, parse_scenario, setup_to_json
 from .verify import SUITE_NAMES, SuiteResult, run_suites
 from .weakvalue import (
@@ -76,10 +46,7 @@ from .weakvalue import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BOUND_RELATIVE_TOL",
-    "PATH_LABELS",
     "SUITE_NAMES",
-    "WEAK_REGIME_LIMIT",
     "BoundReport",
     "ContractError",
     "DegenerateDenominatorError",
@@ -87,7 +54,6 @@ __all__ = [
     "ExtremePair",
     "GaussianPointer",
     "GridSpec",
-    "HardyScenario",
     "HermitianObservable",
     "InfoGainResult",
     "InternalConsistencyError",
@@ -104,29 +70,19 @@ __all__ = [
     "WeakMeterError",
     "WeakMoments",
     "WeakValue",
-    "build_hardy",
     "check_weak_bounds",
-    "closed_form_shifts",
     "exact_shifts",
-    "extreme_shifts_projector",
     "grid_shifts",
-    "hardy_probabilities",
     "info_curve",
-    "information_gain",
     "jozsa_shifts",
-    "k_value",
     "load_scenario",
     "optimize_pps",
     "parse_scenario",
     "probability_curve",
-    "reduced_device_states",
     "run_suites",
     "schwarz_gap",
     "second_order_shifts",
     "setup_to_json",
-    "spectral_decompose",
-    "tensor_product",
-    "von_neumann_entropy",
     "weak_moments",
     "__version__",
 ]

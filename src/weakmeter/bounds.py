@@ -339,8 +339,9 @@ def optimize_pps(
 
     has exactly those amplitudes.  Each direction's selection is scored
     once with the exact engine's cancellation-free sums; `objective` only
-    selects which pair is returned.  `restarts` (>= 1) and `seed` are kept
-    for compatibility and change nothing.
+    selects which pair is returned.  `restarts` (>= 1) and `seed` change
+    nothing; they remain only because the perfbench extremal workload
+    passes them.
 
     Selections with postselection probability <= `min_postselect` are
     excluded: below that, double precision cannot certify shifts against

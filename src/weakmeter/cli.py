@@ -22,6 +22,8 @@ import sys
 from importlib import resources
 from pathlib import Path
 
+import numpy as np
+
 from .bounds import optimize_pps
 from .errors import (
     ContractError,
@@ -141,8 +143,6 @@ def _cmd_info_sweep(args: argparse.Namespace) -> int:
 
 
 def _canonical_observable(kind: str, dim: int) -> tuple[HermitianObservable, str]:
-    import numpy as np
-
     if not 2 <= dim <= 8:
         raise ValidationError(f"--dim must be in 2..8, got {dim}")
     if kind == "identity":
@@ -161,10 +161,7 @@ def _canonical_observable(kind: str, dim: int) -> tuple[HermitianObservable, str
 def _cmd_bounds_optimize(args: argparse.Namespace) -> int:
     observable, label = _canonical_observable(args.observable, args.dim)
     pointer = GaussianPointer(args.delta)
-    result = optimize_pps(
-        observable, args.g, pointer,
-        objective=args.objective, restarts=args.restarts, seed=args.seed,
-    )
+    result = optimize_pps(observable, args.g, pointer, objective=args.objective)
     best = result.optimizer_best_max if args.objective == "max" else result.optimizer_best_min
     target = result.q_max if args.objective == "max" else result.q_min
     gap = abs(best - target)
@@ -175,8 +172,6 @@ def _cmd_bounds_optimize(args: argparse.Namespace) -> int:
         ("g", _fmt(args.g)),
         ("delta", _fmt(args.delta)),
         ("objective", args.objective),
-        ("restarts", str(args.restarts)),
-        ("seed", str(args.seed)),
         ("best_delta_q_max", _fmt(result.optimizer_best_max)),
         ("best_delta_q_min", _fmt(result.optimizer_best_min)),
         ("envelope_q_max", _fmt(result.q_max)),
@@ -247,8 +242,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--g", type=float, default=1.0)
     p.add_argument("--delta", type=float, default=1.0)
     p.add_argument("--objective", choices=("max", "min"), default="max")
-    p.add_argument("--restarts", type=int, default=64)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--observable", choices=("which-path", "identity"), default="which-path")
     p.add_argument("--out", default="-", help="output report path, or - for stdout")
     p.set_defaults(func=_cmd_bounds_optimize)

@@ -143,14 +143,20 @@ class MeasurementOutcome:
             raise ValidationError(f"measurement outcome: postselect_prob {prob!r} outside (0, 1]")
 
 
+# Grid points in one oracle call at most: grid_shifts holds about 2.85 kB
+# per point at d = 8 (full-rank rho, rank-7 Pi), so its peak stays near
+# 0.37 GB; more is refused before allocating.
+MAX_GRID_POINTS = 2**17
+
+
 @dataclass(frozen=True)
 class GridSpec:
     """Quadrature grid for the brute-force oracle.
 
     half_width is the position half-extent (the grid covers [-L, L]);
-    num_points must be a power of two >= 1024.  Use :meth:`for_setup` to get
-    a half-width guaranteed to contain every displaced pointer component
-    with ten widths of Gaussian tail to spare.
+    num_points must be a power of two in 1024..MAX_GRID_POINTS.  Use
+    :meth:`for_setup` to get a half-width guaranteed to contain every
+    displaced pointer component with ten widths of Gaussian tail to spare.
     """
 
     half_width: float
@@ -161,15 +167,18 @@ class GridSpec:
         if not np.isfinite(hw) or hw <= 0.0:
             raise ValidationError(f"grid half_width must be positive, got {self.half_width!r}")
         n = self.num_points
-        if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1024 or n & (n - 1):
-            raise ValidationError(f"grid num_points must be a power of two >= 1024, got {n}")
+        if (isinstance(n, bool) or not isinstance(n, (int, np.integer))
+                or not 1024 <= n <= MAX_GRID_POINTS or n & (n - 1)):
+            raise ValidationError(
+                f"grid num_points must be a power of two in 1024..{MAX_GRID_POINTS}, got {n}"
+            )
         object.__setattr__(self, "half_width", hw)
         object.__setattr__(self, "num_points", int(n))
 
     @classmethod
-    def for_setup(cls, setup: MeasurementSetup, num_points: int = 4096) -> "GridSpec":
+    def for_setup(cls, setup: MeasurementSetup) -> "GridSpec":
         reach = 10.0 * setup.pointer.delta + setup.g * setup.observable.max_abs_eigenvalue
-        return cls(reach, num_points)
+        return cls(reach)
 
 
 # Couplings in one sweep at most: a sweep holds about 0.5 kB per point while

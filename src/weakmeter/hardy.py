@@ -23,6 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import product
 
 import numpy as np
 
@@ -36,7 +37,7 @@ from .exactengine import (
     _pointer_sums,
     _selection_amplitudes,
 )
-from .qcore import HermitianObservable, ProjectionOperator, StateVector, tensor_product
+from .qcore import HermitianObservable, ProjectionOperator, StateVector
 
 #: Arm-pair labels, electron arm first: O = overlapping, NO = non-overlapping.
 PATH_LABELS = ("OO", "ONO", "NOO", "NONO")
@@ -71,13 +72,9 @@ def build_hardy() -> HardyScenario:
     pre = StateVector(np.array([0.0, 1.0, 1.0, 1.0], dtype=complex) / np.sqrt(3.0))
     post = StateVector(np.array([1.0, -1.0, -1.0, 1.0], dtype=complex) / 2.0).projector()
     p_o = ProjectionOperator(np.diag([1.0, 0.0]).astype(complex))
-    p_no = p_o.complement()
-    ops = {
-        "OO": tensor_product(p_o, p_o),
-        "ONO": tensor_product(p_o, p_no),
-        "NOO": tensor_product(p_no, p_o),
-        "NONO": tensor_product(p_no, p_no),
-    }
+    arm = {"O": p_o.matrix, "NO": p_o.complement().matrix}
+    # keys in PATH_LABELS order
+    ops = {e + p: ProjectionOperator(np.kron(arm[e], arm[p])) for e, p in product(arm, repeat=2)}
     total = sum(p.matrix for p in ops.values())
     assert float(np.max(np.abs(total - np.eye(4)))) == 0.0
     return HardyScenario(pre, post, ops)

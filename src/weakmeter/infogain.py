@@ -56,10 +56,8 @@ class InfoGainResult:
             raise ValidationError(f"i_a {self.i_a!r} outside [0, 1]")
 
 
-def reduced_device_states(
-    g: float, delta: float
-) -> tuple[DensityOperator, DensityOperator, DensityOperator]:
-    """(rho_R, rho_1R, rho_2R) for the two pointer records, one shared basis.
+def _device_states(h: np.ndarray) -> np.ndarray:
+    """(rho_R, rho_1R, rho_2R) at each h = 1 - G, stacked (n, 3, 2, 2), real.
 
     The off-diagonal of rho_R is G / 2, half the overlap <Phi_1|Phi_0> of
     the pointer displaced by g with the undisplaced one.  The branch records are
@@ -67,16 +65,26 @@ def reduced_device_states(
     that basis their even mixture is exactly rho_R and their mutual overlap
     is G.
     """
-    delta = GaussianPointer(delta).delta  # validates delta
-    h = float(_one_minus_overlap(_check_coupling(g) / delta))
     overlap = 1.0 - h
-    rho_r = DensityOperator(np.array([[0.5, 0.5 * overlap], [0.5 * overlap, 0.5]], dtype=complex))
-    a = 0.5 * (math.sqrt(1.0 + overlap) + math.sqrt(h))
-    b = 0.5 * (math.sqrt(1.0 + overlap) - math.sqrt(h))
-    rho_1 = DensityOperator(np.array([[a * a, a * b], [a * b, b * b]], dtype=complex))
-    rho_2 = DensityOperator(np.array([[b * b, a * b], [a * b, a * a]], dtype=complex))
-    assert np.allclose(0.5 * (rho_1.matrix + rho_2.matrix), rho_r.matrix, atol=1e-14)
-    return rho_r, rho_1, rho_2
+    a = 0.5 * (np.sqrt(1.0 + overlap) + np.sqrt(h))
+    b = 0.5 * (np.sqrt(1.0 + overlap) - np.sqrt(h))
+    states = np.empty((len(h), 3, 2, 2))
+    states[:, 0] = 0.5
+    states[:, 0, 0, 1] = states[:, 0, 1, 0] = 0.5 * overlap
+    states[:, 1, 0, 0] = states[:, 2, 1, 1] = a * a
+    states[:, 1, 1, 1] = states[:, 2, 0, 0] = b * b
+    states[:, 1:, 0, 1] = states[:, 1:, 1, 0] = (a * b)[:, None]
+    return states
+
+
+def reduced_device_states(
+    g: float, delta: float
+) -> tuple[DensityOperator, DensityOperator, DensityOperator]:
+    """(rho_R, rho_1R, rho_2R) for the two pointer records at coupling g, one
+    shared basis: the one-point read of :func:`_device_states`."""
+    delta = GaussianPointer(delta).delta  # validates delta
+    h = _one_minus_overlap(np.array([_check_coupling(g) / delta]))
+    return tuple(DensityOperator(state) for state in _device_states(h)[0])
 
 
 def _binary_entropy_bits(h: np.ndarray) -> np.ndarray:
@@ -98,22 +106,14 @@ def _gain_columns(gs: np.ndarray, delta: float) -> tuple[np.ndarray, np.ndarray,
     """The arrays (lam, i_a, q_min) over the couplings in gs (all >= 0), both
     routes checked at each.
 
-    One array pass: the reduced states of :func:`reduced_device_states`,
-    stacked (n, 3, 2, 2), take one batched eigensolve for the entropy route,
-    which must match the closed form within 1e-12 bits at every point.
+    One array pass: the reduced states of :func:`_device_states` take one
+    batched eigensolve for the entropy route, which must match the closed
+    form within 1e-12 bits at every point.
     """
     delta = GaussianPointer(delta).delta  # validates delta
     with np.errstate(over="ignore"):  # a saturated g / delta gives h = 1
         h = _one_minus_overlap(gs / delta)
-    overlap = 1.0 - h
-    a = 0.5 * (np.sqrt(1.0 + overlap) + np.sqrt(h))
-    b = 0.5 * (np.sqrt(1.0 + overlap) - np.sqrt(h))
-    states = np.empty((len(gs), 3, 2, 2))  # rho_R, rho_1R, rho_2R
-    states[:, 0] = 0.5
-    states[:, 0, 0, 1] = states[:, 0, 1, 0] = 0.5 * overlap
-    states[:, 1, 0, 0] = states[:, 2, 1, 1] = a * a
-    states[:, 1, 1, 1] = states[:, 2, 0, 0] = b * b
-    states[:, 1:, 0, 1] = states[:, 1:, 1, 0] = (a * b)[:, None]
+    states = _device_states(h)
     spectra = np.linalg.eigvalsh(states)
     mixture = np.isclose(0.5 * (states[:, 1] + states[:, 2]), states[:, 0], atol=1e-14)
     bad = np.flatnonzero((spectra[:, :, 0] < _MIN_EIGENVALUE).any(axis=1) | ~mixture.all(axis=(1, 2)))
@@ -157,21 +157,15 @@ def information_gain(g: float, delta: float = 1.0) -> InfoGainResult:
     return InfoGainResult(g, *(float(col[0]) for col in _gain_columns(np.array([g]), delta)))
 
 
-def info_curve(
-    g_min: float,
-    g_max: float,
-    points: int,
-    delta: float = 1.0,
-    spacing: str = "lin",
-) -> list[InfoGainResult]:
-    """Sweep the information gain over a coupling range (linear by default).
+def info_curve(g_min: float, g_max: float, points: int, delta: float = 1.0) -> list[InfoGainResult]:
+    """Sweep the information gain over a linearly spaced coupling range.
 
     The whole grid goes through one array pass, with the dual-route check
     of :func:`information_gain` on every point.  g_min = 0 is allowed (its
     q_min is NaN).  The gain is checked to be non-decreasing; it is strictly
     increasing until the overlap underflow plateau near g ~ 12 delta.
     """
-    gs = _coupling_grid(g_min, g_max, points, spacing)
+    gs = _coupling_grid(g_min, g_max, points, "lin")
     lam, gains, q_min = _gain_columns(gs, delta)
     drops = np.flatnonzero(gains[1:] < gains[:-1])
     if drops.size:

@@ -12,8 +12,10 @@ only re-check what is cheap.  Each operator is decomposed once, too.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
 from functools import cached_property
+from math import isfinite
 
 import numpy as np
 
@@ -33,6 +35,9 @@ _MAX_SPECTRAL_DIM = 8
 
 # Relative gap below which adjacent eigenvalues are treated as degenerate.
 _DEGENERACY_GAP = 1e-9
+
+# Entries past this magnitude can overflow when an observable is symmetrized.
+_HALF_DOUBLE_MAX = 0.5 * sys.float_info.max
 
 
 def _as_complex_matrix(matrix: object, what: str) -> np.ndarray:
@@ -87,15 +92,6 @@ class StateVector:
     @property
     def dimension(self) -> int:
         return self.amplitudes.shape[0]
-
-    @classmethod
-    def basis_state(cls, dimension: int, index: int) -> "StateVector":
-        """Computational basis vector |index> in dimension `dimension`."""
-        if not 0 <= index < dimension:
-            raise ValidationError(f"basis index {index} out of range for dimension {dimension}")
-        a = np.zeros(dimension, dtype=complex)
-        a[index] = 1.0
-        return cls(a)
 
     @classmethod
     def normalized(cls, amplitudes: object) -> "StateVector":
@@ -208,20 +204,33 @@ def spectral_decompose(matrix: object) -> tuple[np.ndarray, np.ndarray]:
     ------
     ValidationError
         If the matrix is not square, not Hermitian within tolerance, or
-        d > 8.
+        d > 8, or if its symmetrized entries, its level span or the sum
+        over a degenerate level overflow the double range.
     """
     m = _as_complex_matrix(matrix, "observable")
     d = m.shape[0]
     _check_spectral_dimension(d)
     scale = max(1.0, float(np.max(np.abs(m))))
     _check_hermitian(m, "observable", atol=1e-10 * scale)
+    if scale > _HALF_DOUBLE_MAX:  # below this, m + m^H cannot overflow
+        with np.errstate(over="ignore"):
+            finite = np.isfinite(m + m.conj().T).all()
+        if not finite:
+            raise ValidationError("observable: symmetrized entries overflow the double range")
 
     vals, vecs = np.linalg.eigh((m + m.conj().T) / 2.0)
+    span = float(vals[-1]) - float(vals[0])  # Python floats: an overflow gives inf, no warning
+    if not isfinite(span):
+        raise ValidationError(f"observable: level span {span!r} is not finite")
     norm = float(np.max(np.abs(vals)))
     # a new level starts after every gap wider than the degeneracy tolerance
     level = np.concatenate(([0], np.cumsum(np.diff(vals) > _DEGENERACY_GAP * norm)))
     member = level == np.arange(level[-1] + 1)[:, None]  # (K, d): eigenvector j in level k
-    eigenvalues = (member @ vals) / member.sum(axis=1)
+    size = member.sum(axis=1)
+    # a level's sum is at most its size times norm, which can overflow only past d * norm
+    if not isfinite(d * norm) and not isfinite(float(size.max()) * norm):
+        raise ValidationError("observable: a degenerate level sums beyond the double range")
+    eigenvalues = (member @ vals) / size
     projectors = (vecs * member[:, None, :]) @ vecs.conj().T
     projectors = (projectors + projectors.conj().transpose(0, 2, 1)) / 2.0
 
@@ -271,10 +280,10 @@ class HermitianObservable:
     def max_abs_eigenvalue(self) -> float:
         return float(np.max(np.abs(self.eigenvalues)))
 
-    def is_projector(self, tol: float = 1e-10) -> bool:
-        """True when A^2 = A within `tol` (max-abs entrywise)."""
+    def is_projector(self) -> bool:
+        """True when A^2 = A within 1e-10 (max-abs entrywise)."""
         m = self.matrix
-        return float(np.max(np.abs(m @ m - m))) <= tol
+        return float(np.max(np.abs(m @ m - m))) <= _ATOL_IDEMPOTENT
 
     @classmethod
     def from_projector(cls, projector: ProjectionOperator) -> "HermitianObservable":
@@ -309,22 +318,3 @@ def von_neumann_entropy(rho: DensityOperator) -> float:
     """
     return max(float(-np.sum(rho.weights * np.log2(rho.weights))), 0.0)
 
-
-def tensor_product(x, y):
-    """Kronecker product of two states or two like-kind operators.
-
-    The left factor owns the slow (most significant) index: basis state
-    |j> (x) |k> lands at flat index j * dim(y) + k.
-
-    Supported pairings: StateVector (x) StateVector, and matching operator
-    types (ProjectionOperator, DensityOperator, HermitianObservable).
-    Mixed kinds raise ValidationError.
-    """
-    if isinstance(x, StateVector) and isinstance(y, StateVector):
-        return StateVector(np.kron(x.amplitudes, y.amplitudes))
-    for kind in (ProjectionOperator, DensityOperator, HermitianObservable):
-        if isinstance(x, kind) and isinstance(y, kind):
-            return kind(np.kron(x.matrix, y.matrix))
-    raise ValidationError(
-        f"tensor_product: unsupported pairing {type(x).__name__} (x) {type(y).__name__}"
-    )

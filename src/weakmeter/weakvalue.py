@@ -25,6 +25,9 @@ from .errors import DegenerateDenominatorError, OrthogonalSelectionError, Valida
 from .exactengine import ORTHOGONALITY_FLOOR, GaussianPointer, _check_coupling, _selection_amplitudes
 from .qcore import DensityOperator, HermitianObservable, ProjectionOperator
 
+# Levels past this square into the second-moment sums beyond the double range.
+_MAX_MOMENT_LEVEL = 1e153
+
 
 @dataclass(frozen=True)
 class WeakValue:
@@ -103,8 +106,8 @@ def _selection_sums(
     """Rows S_n = sum_k a_k^n c[k, r], n = 0, 1, 2, of the engine's factored
     amplitudes c (:func:`_selection_amplitudes`), and p = |S0|^2 = tr(Pi_f rho_s).
 
-    Raises ValidationError on dimension mismatch, OrthogonalSelectionError if
-    p <= 1e-14.
+    Raises ValidationError on dimension mismatch or a level beyond 1e153,
+    OrthogonalSelectionError if p <= 1e-14.
     """
     d = observable.dimension
     if rho_s.dimension != d or pi_f.dimension != d:
@@ -112,8 +115,12 @@ def _selection_sums(
             f"dimension mismatch: observable/state/projector are "
             f"{d}/{rho_s.dimension}/{pi_f.dimension}"
         )
+    eigs = observable.eigenvalues  # ascending
+    level = float(max(-eigs[0], eigs[-1]))
+    if level > _MAX_MOMENT_LEVEL:
+        raise ValidationError(f"weak moments: observable level magnitude {level!r} exceeds 1e153")
     c = _selection_amplitudes(rho_s, pi_f, observable).amplitudes
-    sums = (observable.eigenvalues ** np.arange(3)[:, None]) @ c
+    sums = (eigs ** np.arange(3)[:, None]) @ c
     prob = float(np.vdot(sums[0], sums[0]).real)
     if prob <= ORTHOGONALITY_FLOOR:
         raise OrthogonalSelectionError(
@@ -139,7 +146,7 @@ def weak_moments(
     OrthogonalSelectionError
         If tr(Pi_f rho_s) <= 1e-14.
     ValidationError
-        On dimension mismatch.
+        On dimension mismatch, or an observable level beyond 1e153.
     """
     (s0, s1, s2), prob = _selection_sums(rho_s, pi_f, observable)
     return WeakMoments(

@@ -28,11 +28,10 @@ from weakmeter import (
     WeakValue,
     check_weak_bounds,
     exact_shifts,
-    extreme_shifts_projector,
-    k_value,
     optimize_pps,
     weak_moments,
 )
+from weakmeter.bounds import extreme_shifts_projector, k_value
 from weakmeter.cli import main
 from weakmeter.exactengine import _kernel_factors, _overlaps
 from weakmeter.sampling import random_hermitian, random_state

@@ -169,10 +169,7 @@ class TestSweepCSV:
 
 class TestBoundsOptimize:
     def test_report_and_determinism(self, capsys, tmp_path):
-        args = [
-            "bounds-optimize", "--dim", "2", "--g", "1.0",
-            "--restarts", "2", "--seed", "7", "--out",
-        ]
+        args = ["bounds-optimize", "--dim", "2", "--g", "1.0", "--out"]
         a, b = tmp_path / "a.txt", tmp_path / "b.txt"
         assert main(args + [str(a)]) == 0
         assert main(args + [str(b)]) == 0
@@ -183,10 +180,7 @@ class TestBoundsOptimize:
         assert len(report["preselect_re"].split()) == 2
 
     def test_identity_observable_is_flat(self, capsys):
-        code, out, _ = _run(
-            capsys, "bounds-optimize", "--observable", "identity",
-            "--g", "0.7", "--restarts", "2",
-        )
+        code, out, _ = _run(capsys, "bounds-optimize", "--observable", "identity", "--g", "0.7")
         assert code == 0
         report = _parse_report(out)
         assert float(report["envelope_q_max"]) == approx(0.7, rel=1e-14)
@@ -213,7 +207,7 @@ class TestExtremeScales:
     )
     def test_bounds_optimize_exits_cleanly(self, flags):
         proc = subprocess.run(
-            [sys.executable, "-m", "weakmeter.cli", "bounds-optimize", "--restarts", "1", *flags],
+            [sys.executable, "-m", "weakmeter.cli", "bounds-optimize", *flags],
             capture_output=True,
             text=True,
         )
@@ -257,9 +251,29 @@ class TestExtremeScales:
         assert code == expected
         assert err == "" or err.startswith("error:")
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "scale,message",
+        [
+            (1e200, "error: weak moments: observable level magnitude 1e+200 exceeds 1e153"),
+            (1e308, "error: observable: symmetrized entries overflow"),
+            (1.7e308, "error: observable: symmetrized entries overflow"),
+        ],
+    )
+    def test_run_with_a_huge_observable_exits_2(self, capsys, tmp_path, scale, message):
+        """diag(s, -s): past 1e153 the weak moments overflow, past half the
+        double range so does the symmetrized observable; both are bad input."""
+        text = resources.files("weakmeter").joinpath("scenarios", "anomalous_qubit.json").read_text()
+        path = tmp_path / "case.json"
+        observable = [[[scale, 0.0], [0.0, 0.0]], [[0.0, 0.0], [-scale, 0.0]]]
+        path.write_text(json.dumps({**json.loads(text), "observable": observable}))
+        code, out, err = _run(capsys, "run", str(path))
+        assert code == 2 and out == ""
+        assert err.startswith(message) and err.count("\n") == 1, err
+
     @pytest.mark.parametrize("dim", ["-1", "0"])
     def test_bounds_optimize_rejects_dimensions_below_two(self, capsys, dim):
-        code, _, err = _run(capsys, "bounds-optimize", f"--dim={dim}", "--restarts", "1")
+        code, _, err = _run(capsys, "bounds-optimize", f"--dim={dim}")
         assert code == 2
         assert err.startswith("error:")
 
@@ -288,7 +302,7 @@ class TestOutputAndSizeErrors:
         [
             ["hardy-sweep", "--points", "5"],
             ["info-sweep", "--points", "5"],
-            ["bounds-optimize", "--restarts", "1"],
+            ["bounds-optimize"],
         ],
         ids=["hardy-sweep", "info-sweep", "bounds-optimize"],
     )
@@ -311,6 +325,22 @@ class TestOutputAndSizeErrors:
             tracemalloc.stop()
         assert code == 2 and out == ""
         assert err.startswith("error: points must be in 2..")
+        assert peak < 1_000_000, peak
+
+    def test_grid_points_above_the_ceiling_exit_2_allocating_nothing(self, capsys, tmp_path):
+        text = resources.files("weakmeter").joinpath("scenarios", "hardy_nono.json").read_text()
+        data = json.loads(text)
+        data["pointer_grid"]["num_points"] = 2**40
+        path = tmp_path / "case.json"
+        path.write_text(json.dumps(data))
+        tracemalloc.start()
+        try:
+            code, out, err = _run(capsys, "run", str(path))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 2 and out == ""
+        assert err.startswith("error: pointer_grid: grid num_points must be a power of two in 1024..131072")
         assert peak < 1_000_000, peak
 
     @pytest.mark.parametrize("command", ["hardy-sweep", "info-sweep"])

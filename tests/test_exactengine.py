@@ -29,7 +29,6 @@ from weakmeter import (
     ProjectionOperator,
     StateVector,
     ValidationError,
-    build_hardy,
     check_weak_bounds,
     exact_shifts,
     grid_shifts,
@@ -37,16 +36,18 @@ from weakmeter import (
     parse_scenario,
     schwarz_gap,
     second_order_shifts,
-    von_neumann_entropy,
     weak_moments,
 )
 from weakmeter.exactengine import (
+    MAX_GRID_POINTS,
     _kernel_factors,
     _overlaps,
     _pointer_sums,
     _pointer_terms,
     _selection_amplitudes,
 )
+from weakmeter.hardy import build_hardy
+from weakmeter.qcore import von_neumann_entropy
 from weakmeter.sampling import random_density, random_projector, random_projector_observable
 
 PATH = HermitianObservable(np.diag([1.0, 0.0]))
@@ -526,7 +527,7 @@ class TestGridOracle:
             obs, hardy.preselection.density(), hardy.postselection, g, GaussianPointer(1.0)
         )
         exact = exact_shifts(setup)
-        oracle = grid_shifts(setup, GridSpec.for_setup(setup, num_points=8192))
+        oracle = grid_shifts(setup, GridSpec(GridSpec.for_setup(setup).half_width, 8192))
         assert oracle.delta_q == approx(exact.delta_q, abs=1e-8)
         assert oracle.delta_p == approx(exact.delta_p, abs=1e-8)
         assert oracle.postselect_prob == approx(exact.postselect_prob, abs=1e-8)
@@ -539,17 +540,17 @@ class TestGridOracle:
         obs = HermitianObservable((h + h.conj().T) / 2)
         rho = DensityOperator(np.diag([0.5, 0.3, 0.2]))
         v = StateVector.normalized([1.0, 1.0j, 0.0]).projector()
-        pi = type(v)(v.matrix + StateVector.basis_state(3, 2).projector().matrix)
+        pi = type(v)(v.matrix + StateVector(np.eye(3)[2]).projector().matrix)
         setup = MeasurementSetup(obs, rho, pi, 1.3, GaussianPointer(0.8))
         exact = exact_shifts(setup)
-        oracle = grid_shifts(setup, GridSpec.for_setup(setup, num_points=8192))
+        oracle = grid_shifts(setup, GridSpec(GridSpec.for_setup(setup).half_width, 8192))
         assert oracle.delta_q == approx(exact.delta_q, abs=1e-8 * 0.8)
         assert oracle.delta_p == approx(exact.delta_p, abs=1e-8 / (2 * 0.8))
 
     def test_complex_amplitudes_move_momentum(self):
         setup = MeasurementSetup(
             HermitianObservable(np.array([[0.0, 1.0], [1.0, 0.0]])),
-            StateVector.basis_state(2, 0).density(),
+            StateVector(np.eye(2)[0]).density(),
             StateVector.normalized([1.0, 1.0j]).projector(),
             g=0.7,
             pointer=GaussianPointer(1.0),
@@ -578,6 +579,11 @@ class TestGridSpec:
         with pytest.raises(ValidationError):
             GridSpec(half_width=10.0, num_points=512)
 
+    def test_point_ceiling(self):
+        assert GridSpec(10.0, MAX_GRID_POINTS).num_points == 2**17
+        with pytest.raises(ValidationError, match=r"power of two in 1024\.\.131072, got 262144"):
+            GridSpec(10.0, 2**18)
+
     def test_for_setup_covers_translated_packets(self):
         setup = MeasurementSetup(
             HermitianObservable(np.diag([3.0, -3.0])),
@@ -595,8 +601,8 @@ class TestSetupValidation:
         with pytest.raises(ValidationError, match="observable/preselection/postselection are 2/3/3"):
             MeasurementSetup(
                 PATH,
-                StateVector.basis_state(3, 0).density(),
-                StateVector.basis_state(3, 1).projector(),
+                StateVector(np.eye(3)[0]).density(),
+                StateVector(np.eye(3)[1]).projector(),
                 g=0.1,
                 pointer=GaussianPointer(1.0),
             )
@@ -605,7 +611,7 @@ class TestSetupValidation:
         with pytest.raises(ValidationError):
             MeasurementSetup(
                 PATH,
-                StateVector.basis_state(2, 0).density(),
+                StateVector(np.eye(2)[0]).density(),
                 StateVector.normalized([1.0, 1.0]).projector(),
                 g=-0.1,
                 pointer=GaussianPointer(1.0),
@@ -614,7 +620,7 @@ class TestSetupValidation:
     def _setup(self, g):
         return MeasurementSetup(
             PATH,
-            StateVector.basis_state(2, 0).density(),
+            StateVector(np.eye(2)[0]).density(),
             StateVector.normalized([1.0, 1.0]).projector(),
             g=g,
             pointer=GaussianPointer(1.0),

@@ -70,6 +70,49 @@ def test_run_with_overridden_coupling_and_width(name, g, delta):
         _exits_cleanly(["run", str(path)])
 
 
+@FUZZ
+@given(
+    name=st.sampled_from(["anomalous_qubit.json", "hardy_nono.json", "random"]),
+    seed=st.integers(0, 2**32 - 1),
+    exponent=st.integers(0, 308),
+    mantissa=st.integers(0, 10**9).map(lambda n: 1.0 + 0.7e-9 * n),
+)
+def test_run_with_a_scaled_observable(name, seed, exponent, mantissa):
+    """The bundled observables, or a random d = 2..4 one, scaled by up to
+    1.7e308: where the moments, the symmetrized matrix or its levels leave
+    the double range, the input is refused with exit 2."""
+    if name == "random":
+        rng = np.random.default_rng(seed)
+        dim = int(rng.integers(2, 5))
+        obs = random_hermitian(rng, dim).matrix
+        obs = obs / np.max(np.abs(obs))  # the largest entry scales to `scale`
+        data = {"dimension": dim, "preselect": _pairs(random_state(rng, dim).amplitudes),
+                "postselect": _pairs(random_state(rng, dim).amplitudes), "g": 0.5, "delta": 1.0}
+    else:
+        data = json.loads(resources.files("weakmeter").joinpath("scenarios", name).read_text())
+        obs = np.array(data["observable"]) @ [1.0, 1.0j]
+    scale = mantissa * 10.0**exponent
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "scaled.json"
+        path.write_text(json.dumps({**data, "observable": matrix_to_json(obs * scale)}))
+        _exits_cleanly(["run", str(path)])
+
+
+@FUZZ
+@given(exponent=st.integers(0, 40), offset=st.sampled_from([-1, 0, 0, 0, 1]))
+def test_run_with_a_drawn_grid_size(exponent, offset):
+    """num_points around 2**k for k up to 40: past 2**17 the grid is refused
+    before anything is allocated."""
+    data = json.loads(resources.files("weakmeter").joinpath("scenarios", "hardy_nono.json").read_text())
+    num_points = 2**exponent + offset
+    data["pointer_grid"]["num_points"] = num_points
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "grid.json"
+        path.write_text(json.dumps(data))
+        valid = offset == 0 and 10 <= exponent <= 17
+        _exits_cleanly(["run", str(path)], codes=(0,) if valid else (2,))
+
+
 def _pairs(v):
     return [[float(z.real), float(z.imag)] for z in v]
 
@@ -130,5 +173,5 @@ def test_info_sweep(g_range, delta, points):
 def test_bounds_optimize(g, delta, dim, objective, observable):
     _exits_cleanly([
         "bounds-optimize", _flag("g", g), _flag("delta", delta), f"--dim={dim}",
-        f"--objective={objective}", f"--observable={observable}", "--restarts=1",
+        f"--objective={objective}", f"--observable={observable}",
     ])

@@ -15,13 +15,11 @@ from weakmeter import (
     HermitianObservable,
     InternalConsistencyError,
     ValidationError,
-    build_hardy,
-    closed_form_shifts,
     hardy,
-    hardy_probabilities,
     probability_curve,
     weak_moments,
 )
+from weakmeter.hardy import build_hardy, closed_form_shifts, hardy_probabilities
 
 
 class TestScenario:

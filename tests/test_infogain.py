@@ -12,14 +12,14 @@ import pytest
 from pytest import approx
 
 from weakmeter import (
+    InfoGainResult,
     InternalConsistencyError,
     UndefinedExtremeError,
     ValidationError,
     info_curve,
     infogain,
-    information_gain,
-    reduced_device_states,
 )
+from weakmeter.infogain import information_gain, reduced_device_states
 
 
 def _overlap(g, delta=1.0):
@@ -52,6 +52,26 @@ class TestReducedStates:
         rho, rho_1, rho_2 = reduced_device_states(0.0, 1.0)
         np.testing.assert_allclose(rho_1.matrix, rho_2.matrix, atol=1e-15)
         assert np.trace(rho.matrix @ rho.matrix).real == approx(1.0)  # still pure
+
+    @pytest.mark.parametrize("delta", [0.7, 1.0])
+    def test_one_point_read_of_the_array_pass(self, monkeypatch, delta):
+        """reduced_device_states(g, delta) is, bit for bit, the row that the
+        array pass builds at g: over the default info-sweep grid and at
+        g = 0, 1e-12 and 1e200."""
+        built, stack = [], infogain._device_states
+
+        def recording(h):
+            built.append(stack(h))
+            return built[-1]
+
+        monkeypatch.setattr(infogain, "_device_states", recording)
+        gs = np.concatenate((np.linspace(0.01, 10.0, 200), [0.0, 1e-12, 1e200]))
+        infogain._gain_columns(gs, delta)
+        (states,) = built
+        for g, row in zip(gs.tolist(), states):
+            one = np.array([rho.matrix for rho in reduced_device_states(g, delta)])
+            assert not one.imag.any()
+            assert one.real.tobytes() == row.tobytes(), g
 
 
 class TestInformationGain:
@@ -133,7 +153,13 @@ class TestInfoCurve:
     )
     def test_every_point_equals_the_one_point_call(self, g_min, g_max, spacing):
         """The array pass and information_gain are one computation."""
-        for pt in info_curve(g_min, g_max, 2000, spacing=spacing):
+        if spacing == "lin":
+            curve = info_curve(g_min, g_max, 2000)
+        else:  # info_curve sweeps linearly; a log grid goes through its array pass directly
+            gs = np.geomspace(g_min, g_max, 2000)
+            columns = (col.tolist() for col in infogain._gain_columns(gs, 1.0))
+            curve = [InfoGainResult(*pt) for pt in zip(gs.tolist(), *columns)]
+        for pt in curve:
             one = information_gain(pt.g)
             fields = [(pt.g, one.g), (pt.lam, one.lam), (pt.i_a, one.i_a), (pt.q_min, one.q_min)]
             assert all(type(a) is float and (a == b or a != a and b != b) for a, b in fields), (pt, one)

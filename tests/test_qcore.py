@@ -10,21 +10,14 @@ from weakmeter import (
     ProjectionOperator,
     StateVector,
     ValidationError,
-    spectral_decompose,
-    tensor_product,
-    von_neumann_entropy,
 )
+from weakmeter.qcore import spectral_decompose, von_neumann_entropy
 from weakmeter.sampling import random_projector
 
 RNG = np.random.default_rng(231119)
 
 
 class TestStateVector:
-    def test_basis_state(self):
-        e1 = StateVector.basis_state(3, 1)
-        assert e1.amplitudes.tolist() == [0, 1, 0]
-        assert e1.dimension == 3
-
     def test_normalized_rescales(self):
         s = StateVector.normalized([3.0, 4.0j])
         assert np.linalg.norm(s.amplitudes) == approx(1.0, abs=1e-15)
@@ -39,7 +32,7 @@ class TestStateVector:
             StateVector.normalized([0.0, 0.0])
 
     def test_amplitudes_are_frozen(self):
-        s = StateVector.basis_state(2, 0)
+        s = StateVector(np.eye(2)[0])
         with pytest.raises(ValueError):
             s.amplitudes[0] = 5.0
 
@@ -80,7 +73,7 @@ class TestDensityOperator:
         np.testing.assert_allclose(rebuilt, rho.matrix, atol=1e-13)
 
     def test_eigen_ensemble_drops_null_weights(self):
-        rho = StateVector.basis_state(4, 2).density()
+        rho = StateVector(np.eye(4)[2]).density()
         weights, vecs = rho.weights, rho.kets
         assert len(weights) == 1
         assert weights[0] == approx(1.0)
@@ -165,6 +158,26 @@ class TestSpectralDecompose:
         eigs, _ = spectral_decompose(np.diag([5.0, -2.0, 0.0]))
         assert eigs == approx([-2.0, 0.0, 5.0])
 
+    @pytest.mark.parametrize(
+        "matrix,message",
+        [
+            (np.diag([1e308, -1e308]), "symmetrized entries overflow"),
+            (np.diag([1.7e308, -1.7e308]), "symmetrized entries overflow"),
+            (np.diag([1.7e308, 1.7e308]), "symmetrized entries overflow"),
+            (np.array([[0.8e308, 0.8e308], [0.8e308, -0.8e308]]), "level span inf is not finite"),
+            (np.diag([8e307, 8e307, 8e307]), "a degenerate level sums beyond the double range"),
+        ],
+        ids=["1e308", "1.7e308", "1.7e308 degenerate", "span", "level sum"],
+    )
+    def test_overflowing_observable_is_refused(self, matrix, message):
+        """Huge but finite entries: the symmetrized matrix, the span of its
+        levels or a degenerate level's sum leaves the double range, which is
+        bad input, not a fault."""
+        with pytest.raises(ValidationError, match=message):
+            spectral_decompose(matrix)
+        with pytest.raises(ValidationError, match=message):
+            HermitianObservable(matrix)
+
     def test_projectors_orthogonal(self):
         h = np.diag([0.0, 1.0, 2.0, 2.0])
         _, projs = spectral_decompose(h)
@@ -193,22 +206,6 @@ class TestEntropy:
         assert von_neumann_entropy(DensityOperator(u @ d @ u.conj().T)) == approx(
             von_neumann_entropy(DensityOperator(d)), abs=1e-12
         )
-
-
-class TestTensorProduct:
-    def test_state_product(self):
-        s = tensor_product(StateVector.basis_state(2, 1), StateVector.basis_state(2, 0))
-        assert s.amplitudes.tolist() == [0, 0, 1, 0]  # left factor owns the slow index
-
-    def test_projector_product(self):
-        p = tensor_product(
-            ProjectionOperator(np.diag([1.0, 0.0])), ProjectionOperator.identity(2)
-        )
-        np.testing.assert_allclose(p.matrix, np.diag([1.0, 1.0, 0.0, 0.0]), atol=1e-15)
-
-    def test_mixed_kinds_rejected(self):
-        with pytest.raises(ValidationError):
-            tensor_product(StateVector.basis_state(2, 0), ProjectionOperator.identity(2))
 
 
 def _array_holders():
