@@ -37,10 +37,10 @@ from .exactengine import (
     GaussianPointer,
     MeasurementSetup,
     _check_coupling,
-    _kernel_factors,
     _overlaps,
     _pointer_sums,
     _pointer_terms,
+    _ratio,
     exact_shifts,
 )
 from .qcore import HermitianObservable, StateVector
@@ -195,9 +195,8 @@ def _envelope_curve(gs: np.ndarray, delta: float) -> np.ndarray:
     The same closed form, element by element, each point on its own branch.
     Raises UndefinedExtremeError at the first g whose g / delta underflows.
     """
-    with np.errstate(over="ignore"):  # x saturates to inf, as in the scalar call
-        ratio = gs / delta
-        x = 0.25 * ratio * ratio
+    ratio = _ratio(gs, delta)
+    x = 0.25 * ratio * ratio
     under = np.flatnonzero(x == 0.0)
     if under.size:
         raise _unresolvable(float(ratio[under[0]]))
@@ -380,9 +379,7 @@ def optimize_pps(
         raise ValidationError("min_postselect must be >= the 1e-14 orthogonality floor")
 
     eigs, pstack = observable.eigenvalues, observable.projectors
-    coef, spread = factors = _kernel_factors(eigs)
-    e = _overlaps(ratio, spread)
-    h = -e
+    h = -_overlaps(ratio, np.abs(eigs[:, None] - eigs[None, :]), float(eigs[-1] - eigs[0]))
     # 1 - G below the normal range has no precision left: the displaced
     # pointers cannot be told apart, as at g = 0 (the identity masks the
     # zero diagonal)
@@ -405,11 +402,11 @@ def optimize_pps(
     def selection(c: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
         root = np.sqrt(np.abs(c))
         pre, post = (np.sign(c) * root) @ units, root @ units
-        terms = _pointer_terms(((pstack @ pre) @ post.conj())[:, None], eigs, factors)
-        n_val, q_num, _, _ = _pointer_sums(terms, e.reshape(-1))
+        terms = _pointer_terms(((pstack @ pre) @ post.conj())[:, None], eigs)
+        n_val, q_num, _, _ = _pointer_sums(terms, ratio)
         return g * (q_num / n_val), pre, post
 
-    c_max, c_min = _pencil_extremes(eigs, ratio, h, coef[1] * h, min_postselect)
+    c_max, c_min = _pencil_extremes(eigs, ratio, h, (eigs[:, None] + eigs[None, :]) / 2.0 * h, min_postselect)
     best_max, *top = selection(c_max)
     best_min, *bottom = selection(c_min)
     tol = 1e-9 * max(1.0, delta, g * float(np.max(np.abs(eigs))))

@@ -21,11 +21,12 @@ decomposed once by its own class, is contracted into pure-state amplitudes
 with the kernel coefficients folded into the selection weights, are
 formed once per selection (:func:`_pointer_terms`), so a coupling costs
 only the overlaps, as G - 1 in pointer units, where only g / Delta enters
-(:func:`_overlaps`), and one contraction (:func:`_pointer_sums`), for one
-coupling or a batch of them.  The
+(:func:`_overlaps`, the one such step), and one contraction
+(:func:`_pointer_sums`), for one coupling or a batch of them.  The
 extremal search in :mod:`.bounds` and the which-path sweep in :mod:`.hardy`
 call the same contraction, and :mod:`.weakvalue` reads the weak moments
-and the Schwarz gap off the same amplitudes.
+and the Schwarz gap off the same amplitudes.  The closed forms elsewhere
+take g / Delta, validated and saturated, from :func:`_ratio`.
 """
 
 from __future__ import annotations
@@ -207,41 +208,51 @@ def _coupling_grid(g_min: float, g_max: float, points: int, spacing: str) -> np.
     return np.geomspace(g_min, g_max, points)
 
 
-def _one_minus_overlap(ratio):
-    """h = 1 - G for two pointers displaced by ratio = g / delta widths.
-
-    G = exp(-ratio^2 / 8) is their overlap.  Through expm1, h keeps full
-    relative precision as ratio -> 0; |ratio| is clipped at 1e150, past
-    which G = 0 exactly, so h saturates to 1 instead of overflowing.
-    """
-    t = np.minimum(np.abs(ratio), 1e150)
-    return -np.expm1(np.square(t) / -8.0)
-
-
-def _kernel_factors(eigenvalues: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The coefficients [1, (a + a')/2, (a - a')/4] of the three pointer sums,
-    stacked (3, K, K), and the level spreads |a - a'|, shape (K, K).
-    """
-    a = np.asarray(eigenvalues, dtype=float)
-    da = a[:, None] - a[None, :]
-    return np.array([np.ones_like(da), (a[:, None] + a[None, :]) / 2.0, da / 4.0]), np.abs(da)
+def _nondecreasing(values: np.ndarray, gs: np.ndarray, what: str) -> None:
+    """InternalConsistencyError at the first coupling where `what` decreases."""
+    drops = np.flatnonzero(values[1:] < values[:-1])
+    if drops.size:
+        i = drops[0]
+        raise InternalConsistencyError(
+            f"{what} decreased between g = {float(gs[i])!r} and {float(gs[i + 1])!r}"
+        )
 
 
-def _overlaps(ratio, spread: np.ndarray):
-    """G - 1 = -h(ratio * spread) (:func:`_one_minus_overlap`), pointer units;
-    a 1-d `ratio` gives a leading coupling axis."""
-    # an overflowed g / delta (inf) would put inf * 0 on the diagonal; the
-    # largest double keeps every finite ratio and gives G - 1 = -1 off it, as inf would
-    r = np.minimum(ratio, np.finfo(float).max)[..., None]
+_RATIO_CAP = 1e150  # G = exp(-(g / delta)^2 / 8) is 0 from about 77 widths: this clips no G
+
+
+def _ratio(g, delta: float):
+    """g / delta for couplings g >= 0, clipped at _RATIO_CAP so that it and its
+    square stay finite; delta is validated as a pointer width (ValidationError)."""
     with np.errstate(over="ignore"):
-        return -_one_minus_overlap(r * spread)
+        return np.minimum(np.divide(g, GaussianPointer(delta).delta), _RATIO_CAP)
+
+
+def _one_minus_overlap(ratio):
+    """h = 1 - G for pointers ratio = g / delta widths apart; expm1 keeps it exact as ratio -> 0."""
+    return -np.expm1(np.square(ratio) / -8.0)
+
+
+def _overlaps(ratio, spread: np.ndarray, span: float):
+    """G - 1 at ratio = g / delta over the level spreads |a - a'| (largest
+    `span`); a 1-d `ratio` gives a leading coupling axis.
+
+    The ratio, not each product, is clipped at _RATIO_CAP / span (at the cap
+    for one level), so every square stays finite, and exactly: distinct
+    levels lie over 5e-10 of the span apart (the 1e-9 degeneracy merge of
+    :func:`.qcore.spectral_decompose`; `from_projector` gives 0 and 1), so a
+    lowered product stays above 5e140, where G = 0 either way.
+    """
+    cap = _RATIO_CAP / (span or 1.0)
+    r = min(ratio, cap) if isinstance(ratio, float) else np.minimum(ratio, cap)[..., None]
+    return np.expm1(np.square(r * spread) / -8.0)
 
 
 class _PointerTerms(NamedTuple):
     """The g-independent terms of one selection's pointer sums, over the level
     pairs (k, l) flattened; arrays read-only, scalars Python floats.  With
     S0 = sum_k c_k and S1 = sum_k a_k c_k per column of the amplitudes,
-    W = c^* c^T and coef_j from :func:`_kernel_factors`:
+    W = c^* c^T and the kernel coefficients coef = [1, (a + a')/2, (a - a')/4]:
     """
 
     weights: np.ndarray  # (K^2, 6): coef_j * W as (re, im) pairs, j = 0, 1, 2
@@ -253,15 +264,16 @@ class _PointerTerms(NamedTuple):
     span: float  # the largest spread, a_max - a_min
 
 
-def _pointer_terms(c: np.ndarray, eigenvalues: np.ndarray, factors: tuple) -> _PointerTerms:
+def _pointer_terms(c: np.ndarray, eigenvalues: np.ndarray) -> _PointerTerms:
     """The :class:`_PointerTerms` of amplitudes c[k, r] (a pure pair is one
-    column), with `factors` = :func:`_kernel_factors` (eigenvalues)."""
+    column) at the observable's ascending levels."""
     k = len(eigenvalues)
-    coef, spread = factors
+    da = eigenvalues[:, None] - eigenvalues[None, :]
+    coef = np.array([np.ones_like(da), (eigenvalues[:, None] + eigenvalues[None, :]) / 2.0, da / 4.0])
     s0 = c.sum(axis=0)
     w_pairs = (c.conj() @ c.T).view(float).reshape(k * k, 1, 2)
     weights = (coef.reshape(3, k * k).T[:, :, None] * w_pairs).reshape(k * k, 6)
-    spread = spread.reshape(k * k)
+    spread = np.abs(da).reshape(k * k)
     weights.flags.writeable = spread.flags.writeable = False
     # kernel entries are at most max(1, |a|) (h <= 1, |qker| <= |a|, |pker| <= |a| / 2;
     # eigenvalues ascending), so this bounds the absolute mass of every sum
@@ -271,11 +283,12 @@ def _pointer_terms(c: np.ndarray, eigenvalues: np.ndarray, factors: tuple) -> _P
     return _PointerTerms(weights, spread, norm_sq, anchor.real, anchor.imag, scale, span)
 
 
-def _pointer_sums(terms: _PointerTerms, e: np.ndarray):
+def _pointer_sums(terms: _PointerTerms, ratio):
     """Selection probability and shift numerators at each coupling.
 
-    `terms` come from :func:`_pointer_terms` and e = G - 1 from
-    :func:`_overlaps` at its spreads, shape (K^2,) or (n, K^2).  With G = 1 + e,
+    `terms` come from :func:`_pointer_terms`, and `ratio` = g / delta is a
+    float or a 1-d array of n couplings; e = G - 1 comes from
+    :func:`_overlaps` at the terms' spreads.  With G = 1 + e,
 
         N = sum |S0|^2            + sum_kl W_kl e_kl
         q = Re sum S0^* S1        + sum_kl W_kl (a + a')/2 e_kl,    delta_q = g q / N
@@ -285,9 +298,10 @@ def _pointer_sums(terms: _PointerTerms, e: np.ndarray):
     product is formed, so N keeps its relative precision down to the
     orthogonality floor.  Returns (N, q, p, resid), resid being the worst
     imaginary residue of the (mathematically real) kernel sums relative to
-    a bound on their absolute mass: Python floats for a 1-d e, else arrays
-    over its n couplings.
+    a bound on their absolute mass: Python floats for a float ratio, else
+    arrays over its n couplings.
     """
+    e = _overlaps(ratio, terms.spread, terms.span)
     if e.ndim == 1:
         n_re, n_im, q_re, q_im, p_re, p_im = (e @ terms.weights).tolist()
         imag = max(abs(n_im), abs(q_im), abs(p_re))
@@ -313,7 +327,7 @@ class _Selection:
 
     @cached_property
     def terms(self) -> _PointerTerms:
-        return _pointer_terms(self.amplitudes, self.eigenvalues, _kernel_factors(self.eigenvalues))
+        return _pointer_terms(self.amplitudes, self.eigenvalues)
 
 
 # Selections kept factored at once.  The operators are frozen and hash by
@@ -368,9 +382,8 @@ def exact_shifts(setup: MeasurementSetup) -> MeasurementOutcome:
     selection is factored once per (rho, Pi, A) objects and stays cached
     with every g-independent term, the kernel coefficients already folded
     into its weights, so a call at a new coupling forms only the overlaps
-    G - 1 (one expm1; the overflow guards of :func:`_overlaps` run only
-    where g / delta times the level span exceeds 1e150), one contraction
-    (G - 1) @ weights and the checks below.
+    G - 1 (one expm1, behind the exact clip of :func:`_overlaps`), one
+    contraction (G - 1) @ weights and the checks below.
 
     Raises
     ------
@@ -387,13 +400,9 @@ def exact_shifts(setup: MeasurementSetup) -> MeasurementOutcome:
     if not isfinite(ratio):
         raise ValidationError(f"g / delta = {g!r} / {delta!r} overflows")
     terms = _selection_amplitudes(setup.preselection, setup.postselection, setup.observable).terms
-    if ratio * terms.span <= 1e150:  # no ratio * spread reaches the guards of _overlaps
-        e = np.expm1(np.square(ratio * terms.spread) / -8.0)
-    else:
-        e = _overlaps(ratio, terms.spread)
     # Python floats from here on: an out-of-range shift becomes inf, which
     # MeasurementOutcome rejects, rather than a numpy overflow warning
-    n_val, q_num, p_num, resid = _pointer_sums(terms, e)
+    n_val, q_num, p_num, resid = _pointer_sums(terms, ratio)
     if n_val <= ORTHOGONALITY_FLOOR:
         raise OrthogonalSelectionError(
             f"postselection probability {n_val:.3e} at or below 1e-14; "

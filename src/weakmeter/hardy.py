@@ -29,12 +29,12 @@ import numpy as np
 
 from .errors import InternalConsistencyError, ValidationError
 from .exactengine import (
-    GaussianPointer,
     _check_coupling,
     _coupling_grid,
+    _nondecreasing,
     _one_minus_overlap,
-    _overlaps,
     _pointer_sums,
+    _ratio,
     _selection_amplitudes,
 )
 from .qcore import HermitianObservable, ProjectionOperator, StateVector
@@ -91,9 +91,7 @@ def closed_form_shifts(g, delta: float) -> dict:
 
     `g` may be a scalar or an array of couplings; each value has its shape.
     """
-    delta = GaussianPointer(delta).delta  # validates delta
-    with np.errstate(over="ignore"):  # g / delta may saturate to inf, where h = 1
-        h = _one_minus_overlap(np.divide(g, delta))
+    h = _one_minus_overlap(_ratio(g, delta))
     return {"OO": 0.0 * g, "ONO": g, "NOO": g, "NONO": g * (2.0 * h - 1.0) / (1.0 + 4.0 * h)}
 
 
@@ -113,12 +111,10 @@ def _probability_rows(gs: np.ndarray, delta: float) -> np.ndarray:
     Each arm pair's shifts come from one engine contraction over all
     couplings, and every point is checked against :func:`closed_form_shifts`.
     """
-    GaussianPointer(delta)  # validates delta
-    with np.errstate(over="ignore"):  # the overlaps clip a saturated g / delta
-        ratio = gs / delta
+    ratio = _ratio(gs, delta)
     probs = np.empty((len(PATH_LABELS), len(gs)))  # rows in PATH_LABELS order
     for row, terms in zip(probs, _cached_terms()):
-        n_val, q_num, _, _ = _pointer_sums(terms, _overlaps(ratio, terms.spread))
+        n_val, q_num, _, _ = _pointer_sums(terms, ratio)
         row[:] = q_num / n_val
     closed = closed_form_shifts(gs, delta)
     expected = np.array([closed[label] for label in PATH_LABELS])
@@ -171,11 +167,5 @@ def probability_curve(
         raise ValidationError(f"need 0 < g_min < g_max, got {g_min!r}, {g_max!r}")
     gs = _coupling_grid(g_min, g_max, points, spacing)
     probs = _probability_rows(gs, delta)
-    nono = probs[-1]  # rows in PATH_LABELS order
-    drops = np.flatnonzero(nono[1:] < nono[:-1])
-    if drops.size:
-        i = drops[0]
-        raise InternalConsistencyError(
-            f"NO-NO probability decreased between g = {float(gs[i])!r} and {float(gs[i + 1])!r}"
-        )
+    _nondecreasing(probs[-1], gs, "NO-NO probability")  # rows in PATH_LABELS order
     return [ProbabilityPoint(*pt) for pt in zip(gs.tolist(), *probs.tolist())]

@@ -27,7 +27,7 @@ import numpy as np
 
 from .bounds import _envelope_curve
 from .errors import InternalConsistencyError, ValidationError
-from .exactengine import GaussianPointer, _check_coupling, _coupling_grid, _one_minus_overlap
+from .exactengine import _check_coupling, _coupling_grid, _nondecreasing, _one_minus_overlap, _ratio
 from .qcore import _MIN_EIGENVALUE, DensityOperator
 
 _ROUTE_TOL = 1e-12
@@ -82,8 +82,7 @@ def reduced_device_states(
 ) -> tuple[DensityOperator, DensityOperator, DensityOperator]:
     """(rho_R, rho_1R, rho_2R) for the two pointer records at coupling g, one
     shared basis: the one-point read of :func:`_device_states`."""
-    delta = GaussianPointer(delta).delta  # validates delta
-    h = _one_minus_overlap(np.array([_check_coupling(g) / delta]))
+    h = _one_minus_overlap(_ratio(np.array([_check_coupling(g)]), delta))
     return tuple(DensityOperator(state) for state in _device_states(h)[0])
 
 
@@ -110,9 +109,7 @@ def _gain_columns(gs: np.ndarray, delta: float) -> tuple[np.ndarray, np.ndarray,
     batched eigensolve for the entropy route, which must match the closed
     form within 1e-12 bits at every point.
     """
-    delta = GaussianPointer(delta).delta  # validates delta
-    with np.errstate(over="ignore"):  # a saturated g / delta gives h = 1
-        h = _one_minus_overlap(gs / delta)
+    h = _one_minus_overlap(_ratio(gs, delta))
     states = _device_states(h)
     spectra = np.linalg.eigvalsh(states)
     mixture = np.isclose(0.5 * (states[:, 1] + states[:, 2]), states[:, 0], atol=1e-14)
@@ -167,10 +164,5 @@ def info_curve(g_min: float, g_max: float, points: int, delta: float = 1.0) -> l
     """
     gs = _coupling_grid(g_min, g_max, points, "lin")
     lam, gains, q_min = _gain_columns(gs, delta)
-    drops = np.flatnonzero(gains[1:] < gains[:-1])
-    if drops.size:
-        i = drops[0]
-        raise InternalConsistencyError(
-            f"information gain decreased between g = {float(gs[i])!r} and {float(gs[i + 1])!r}"
-        )
+    _nondecreasing(gains, gs, "information gain")
     return [InfoGainResult(*pt) for pt in zip(gs.tolist(), lam.tolist(), gains.tolist(), q_min.tolist())]

@@ -52,9 +52,24 @@ def _as_complex_matrix(matrix: object, what: str) -> np.ndarray:
 
 
 def _check_hermitian(m: np.ndarray, what: str, atol: float = _ATOL_HERMITIAN) -> None:
-    asym = float(np.max(np.abs(m - m.conj().T)))
+    with np.errstate(over="ignore"):  # an asymmetry beyond the double range reads as inf
+        asym = float(np.abs(m - m.conj().T).max())
     if asym > atol:
         raise ValidationError(f"{what}: not Hermitian (max asymmetry {asym:.3e} > {atol:.1e})")
+
+
+def _not_idempotent(m: np.ndarray) -> str:
+    """Why a Hermitian m is not idempotent within 1e-10, or "" if it is.
+
+    A Hermitian idempotent has |m_ij| <= 1, and a Hermitian m with an entry
+    beyond 2 has an eigenvalue beyond 2, so max |m^2 - m| > 2 / d: such an m
+    is refused without forming m @ m, which could overflow.
+    """
+    big = float(np.abs(m).max())
+    if not big <= 2.0:
+        return f"entry of modulus {big:.3e} > 2"
+    drift = float(np.abs(m @ m - m).max())
+    return "" if drift <= _ATOL_IDEMPOTENT else f"max |P^2 - P| = {drift:.3e} > 1e-10"  # NaN fails too
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:
@@ -128,8 +143,9 @@ class DensityOperator:
     def __post_init__(self) -> None:
         m = _as_complex_matrix(self.matrix, "density operator")
         _check_hermitian(m, "density operator")
-        tr = m.trace()
-        if abs(tr - 1.0) > _ATOL_TRACE:
+        with np.errstate(over="ignore", invalid="ignore"):  # past the double range: inf or NaN
+            tr = m.trace()
+        if not abs(tr - 1.0) <= _ATOL_TRACE:  # NaN fails too
             raise ValidationError(f"density operator: trace {tr!r} differs from 1 by more than 1e-12")
         vals, vecs = np.linalg.eigh(m)
         if vals[0] < _MIN_EIGENVALUE:
@@ -154,9 +170,9 @@ class ProjectionOperator:
     def __post_init__(self) -> None:
         m = _as_complex_matrix(self.matrix, "projector")
         _check_hermitian(m, "projector")
-        drift = float(np.max(np.abs(m @ m - m)))
-        if drift > _ATOL_IDEMPOTENT:
-            raise ValidationError(f"projector: not idempotent (max |P^2 - P| = {drift:.3e} > 1e-10)")
+        reason = _not_idempotent(m)
+        if reason:
+            raise ValidationError(f"projector: not idempotent ({reason})")
         object.__setattr__(self, "matrix", _freeze(m))
 
     @property
@@ -282,8 +298,7 @@ class HermitianObservable:
 
     def is_projector(self) -> bool:
         """True when A^2 = A within 1e-10 (max-abs entrywise)."""
-        m = self.matrix
-        return float(np.max(np.abs(m @ m - m))) <= _ATOL_IDEMPOTENT
+        return not _not_idempotent(self.matrix)
 
     @classmethod
     def from_projector(cls, projector: ProjectionOperator) -> "HermitianObservable":

@@ -33,7 +33,7 @@ from weakmeter import (
 )
 from weakmeter.bounds import extreme_shifts_projector, k_value
 from weakmeter.cli import main
-from weakmeter.exactengine import _kernel_factors, _overlaps
+from weakmeter.exactengine import _overlaps
 from weakmeter.sampling import random_hermitian, random_state
 
 PATH = HermitianObservable(np.diag([1.0, 0.0]))
@@ -347,7 +347,8 @@ class TestPencilSolve:
             obs = random_hermitian(rng, k)
             g = float(np.exp(rng.uniform(np.log(0.3), np.log(30.0))))
             bottom, top = _mp_pencil(obs.eigenvalues, g)
-            h = -_overlaps(g, _kernel_factors(obs.eigenvalues)[1])
+            eigs = obs.eigenvalues
+            h = -_overlaps(g, np.abs(eigs[:, None] - eigs), float(eigs[-1] - eigs[0]))
             for objective, sign, ref in (("max", 1.0, top), ("min", -1.0, bottom)):
                 result = optimize_pps(obs, g, POINTER, objective=objective)
                 pre, post = (s.amplitudes for s in result.argmax_states)

@@ -14,6 +14,10 @@ from weakmeter.cli import _fmt, main
 from weakmeter.exactengine import MAX_SWEEP_POINTS
 
 
+# non-Hermitian, with opposite-sign entries whose difference overflows
+_ASYMMETRIC = [[[0.0, 0.0], [1e308, 0.0]], [[-1e308, 0.0], [0.0, 0.0]]]
+
+
 def _parse_report(text):
     out = {}
     for line in text.strip().splitlines():
@@ -267,6 +271,28 @@ class TestExtremeScales:
         path = tmp_path / "case.json"
         observable = [[[scale, 0.0], [0.0, 0.0]], [[0.0, 0.0], [-scale, 0.0]]]
         path.write_text(json.dumps({**json.loads(text), "observable": observable}))
+        code, out, err = _run(capsys, "run", str(path))
+        assert code == 2 and out == ""
+        assert err.startswith(message) and err.count("\n") == 1, err
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "field,matrix,message",
+        [
+            ("postselect", [[[0, 0], [1e200, 1e200]], [[1e200, -1e200], [0, 0]]],
+             "error: postselect: projector: not idempotent (entry of modulus"),
+            ("observable", _ASYMMETRIC, "error: observable: not Hermitian (max asymmetry inf"),
+            ("preselect", _ASYMMETRIC, "error: preselect: density operator: not Hermitian (max asymmetry inf"),
+            ("postselect", _ASYMMETRIC, "error: postselect: projector: not Hermitian (max asymmetry inf"),
+        ],
+        ids=["huge non-projector", "asymmetric observable", "asymmetric preselect", "asymmetric postselect"],
+    )
+    def test_run_with_a_matrix_past_the_double_range_exits_2(self, capsys, tmp_path, field, matrix, message):
+        """m @ m of the huge non-projector and m - m^H of the asymmetric
+        matrix overflow; each is refused as bad input, without a warning."""
+        text = resources.files("weakmeter").joinpath("scenarios", "anomalous_qubit.json").read_text()
+        path = tmp_path / "case.json"
+        path.write_text(json.dumps({**json.loads(text), field: matrix}))
         code, out, err = _run(capsys, "run", str(path))
         assert code == 2 and out == ""
         assert err.startswith(message) and err.count("\n") == 1, err

@@ -40,17 +40,19 @@ from weakmeter import (
 )
 from weakmeter.exactengine import (
     MAX_GRID_POINTS,
-    _kernel_factors,
     _overlaps,
     _pointer_sums,
     _pointer_terms,
     _selection_amplitudes,
 )
-from weakmeter.hardy import build_hardy
+from weakmeter.bounds import _envelope_curve
+from weakmeter.hardy import build_hardy, closed_form_shifts, hardy_probabilities, probability_curve
+from weakmeter.infogain import information_gain, reduced_device_states
 from weakmeter.qcore import von_neumann_entropy
 from weakmeter.sampling import random_density, random_projector, random_projector_observable
 
 PATH = HermitianObservable(np.diag([1.0, 0.0]))
+EPS = np.finfo(float).eps
 
 
 def _pointer_wave(q, delta):
@@ -81,8 +83,9 @@ def overlap_elements(a, a_prime, g, delta):
         <Phi_a | q | Phi_a'> = g (a + a') / 2 * G
         <Phi_a | p | Phi_a'> = i g (a - a') / (4 delta^2) * G
     """
-    coef, spread = _kernel_factors(np.array([a, a_prime]))
-    e, qker, pker = (coef * _overlaps(g / delta, spread))[:, 0, 1]
+    spread = abs(a - a_prime)
+    e = _overlaps(g / delta, np.array([spread]), spread)[0]
+    qker, pker = (a + a_prime) / 2.0 * e, (a - a_prime) / 4.0 * e
     s = 1.0 + e
     q_elem = g * ((a + a_prime) / 2.0 + qker)
     p_elem = 1j * (g / delta**2) * ((a - a_prime) / 4.0 + pker)
@@ -239,11 +242,11 @@ class TestSelectionFamilies:
             for obs, rho, pi in cases:
                 eigs = obs.eigenvalues
                 c = _selection_amplitudes(rho, pi, obs).amplitudes
-                terms = _pointer_terms(c, eigs, _kernel_factors(eigs))
-                *batch, batch_resid = _pointer_sums(terms, _overlaps(ratios, terms.spread))
+                terms = _pointer_terms(c, eigs)
+                *batch, batch_resid = _pointer_sums(terms, ratios)
                 assert batch_resid.shape == ratios.shape and np.all(batch_resid < 1e-13)
                 for i, r in enumerate(ratios.tolist()):
-                    single = _pointer_sums(terms, _overlaps(r, terms.spread))
+                    single = _pointer_sums(terms, r)
                     assert all(type(x) is float for x in single[:3])
                     assert [float(b[i]) for b in (*batch, batch_resid)] == [float(x) for x in single]
         assert sorted({len(obs.eigenvalues) for obs, _, _ in cases}) == list(range(2, 9))
@@ -283,11 +286,11 @@ class TestSelectionCache:
     def test_sweep_is_bit_identical_to_fresh_operators(self):
         obs, rho, pi = self._selection(31)
         pointer = GaussianPointer(0.7)
-        # exact_shifts takes its unguarded branch while g / delta * span <= 1e150:
-        # couplings a few ulp either side of that edge, then two that can overflow
+        # _overlaps clips g / delta at 1e150 / span: couplings a few ulp either
+        # side of that clip, then two whose products with the spreads can overflow
         span = float(obs.eigenvalues[-1] - obs.eigenvalues[0])
         edge = 1e150 * 0.7 / span * (1.0 + 2.3e-16 * np.arange(-4, 5))
-        assert 0 < np.count_nonzero(edge / 0.7 * span <= 1e150) < len(edge)
+        assert 0 < np.count_nonzero(edge / 0.7 <= 1e150 / span) < len(edge)
         gs = np.concatenate([np.geomspace(1e-3, 10.0, 200), edge, [1e299, 1e306]])
         misses = _selection_amplitudes.cache_info().misses
         cached = [exact_shifts(MeasurementSetup(obs, rho, pi, float(g), pointer)) for g in gs]
@@ -301,17 +304,15 @@ class TestSelectionCache:
         assert _selection_amplitudes.cache_info().misses == misses + 1 + len(gs)
         assert cached == fresh
         # and equal to the uncached contraction that hardy and the optimizer use
-        terms = _pointer_terms(
-            _selection_amplitudes(rho, pi, obs).amplitudes, obs.eigenvalues, _kernel_factors(obs.eigenvalues)
-        )
-        n_val, q_num, p_num, _ = _pointer_sums(terms, _overlaps(gs / 0.7, terms.spread))
+        terms = _pointer_terms(_selection_amplitudes(rho, pi, obs).amplitudes, obs.eigenvalues)
+        n_val, q_num, p_num, _ = _pointer_sums(terms, gs / 0.7)
         assert [out.delta_q for out in cached] == (gs * (q_num / n_val)).tolist()
         assert [out.delta_p for out in cached] == ((gs / 0.7) * (p_num / n_val) / 0.7).tolist()
         assert [out.postselect_prob for out in cached] == np.minimum(n_val, 1.0).tolist()
 
     def test_unguarded_branch_runs_no_guard(self, monkeypatch):
-        """Where no g / delta * spread can reach the clip, exact_shifts on a
-        cached selection forms G - 1 without errstate, abs or the clip."""
+        """exact_shifts on a cached selection forms G - 1 without errstate,
+        abs or a numpy clip: its float g / delta is clipped by Python's min."""
         obs, rho, pi = self._selection(34)
         pointer = GaussianPointer(0.7)
         before = exact_shifts(MeasurementSetup(obs, rho, pi, 0.7, pointer))
@@ -342,6 +343,40 @@ class TestSelectionCache:
         info = _selection_amplitudes.cache_info()
         assert info.currsize <= info.maxsize
         assert alive() is None
+
+
+def _dimensionless(g, delta):
+    """Every closed-form and which-path output at (g, delta) that depends on
+    g / delta alone, as the bits of one float array."""
+    closed = closed_form_shifts(g, delta)
+    point = hardy_probabilities(g, delta)
+    curve = probability_curve(g / 2.0, g, 2, delta, "lin")
+    gain = information_gain(g, delta)
+    values = [
+        *(closed[label] / g for label in ("OO", "ONO", "NOO", "NONO")),
+        point.prob_oo, point.prob_ono, point.prob_noo, point.prob_nono,
+        *(p for row in curve for p in (row.prob_oo, row.prob_ono, row.prob_noo, row.prob_nono)),
+        gain.lam, gain.i_a, gain.q_min / g,
+        *np.concatenate([rho.matrix.view(float).ravel() for rho in reduced_device_states(g, delta)]),
+        *(_envelope_curve(np.array([g]), delta)[:, 0] / g),
+    ]
+    return np.array(values, dtype=float).view(np.uint64)
+
+
+class TestSaturation:
+    @pytest.mark.parametrize(
+        "g,delta",
+        [(1e150 * (1.0 - 4.0 * EPS), 1.0), (1e150 * (1.0 + 4.0 * EPS), 1.0), (1e200, 1.0), (1e308, 1e-300)],
+        ids=["1e150 (1 - 4 eps)", "1e150 (1 + 4 eps)", "1e200", "overflowing quotient"],
+    )
+    def test_one_saturation_rule_at_every_entry(self, g, delta):
+        """Just under the 1e150 clip of g / delta, just over it, far past it
+        and where the quotient overflows, every closed form and which-path
+        output equals its value at g / delta = 1e150 bit for bit, with no
+        floating-point warning."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert np.array_equal(_dimensionless(g, delta), _dimensionless(1e150, 1.0))
 
 
 class TestExtremeScales:

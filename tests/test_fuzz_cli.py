@@ -3,7 +3,8 @@
 Couplings and pointer widths are drawn log-uniform over [1e-300, 1e300],
 together with 0, NaN, +-inf and negative values.  Warnings are raised as
 errors, because outside pytest they would print to stderr.  Random valid
-selections near orthogonality must not exit 2, which is kept for bad input.
+selections near orthogonality must not exit 2, which is kept for bad input,
+and invalid matrices scaled up to 1.7e308 must exit 2.
 """
 
 import contextlib
@@ -16,7 +17,7 @@ from importlib import resources
 from pathlib import Path
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from weakmeter.cli import main
@@ -48,7 +49,7 @@ def _exits_cleanly(argv, codes=(0, 2, 3)):
             code = main(argv)
     assert code in codes, (argv, code, err.getvalue())
     stderr = err.getvalue()
-    assert stderr == "" or stderr.startswith("error:"), (argv, stderr)
+    assert stderr == "" or (stderr.startswith("error:") and stderr.count("\n") == 1), (argv, stderr)
 
 
 def _flag(name, value):
@@ -115,6 +116,61 @@ def test_run_with_a_drawn_grid_size(exponent, offset):
 
 def _pairs(v):
     return [[float(z.real), float(z.imag)] for z in v]
+
+
+# (field, Hermitian?): a non-Hermitian matrix fits no field; a traceless
+# nonzero Hermitian one is neither a state nor a projector
+_INVALID_KINDS = [("observable", False), ("preselect", False), ("preselect", True),
+                  ("postselect", False), ("postselect", True)]
+
+
+def _invalid_matrix(kind, seed, exponent, mantissa):
+    """(field, matrix) for a random d = 2..4 matrix of `kind` whose largest
+    entry has modulus mantissa * 10**exponent."""
+    field, hermitian = kind
+    rng = np.random.default_rng(seed)
+    dim = int(rng.integers(2, 5))
+    m = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    if hermitian:
+        m = m + m.conj().T
+        m -= np.trace(m).real / dim * np.eye(dim)
+    return field, matrix_to_json(m / np.max(np.abs(m)) * (mantissa * 10.0**exponent))
+
+
+_INVALID_MATRICES = st.builds(
+    _invalid_matrix,
+    st.sampled_from(_INVALID_KINDS),
+    st.integers(0, 2**32 - 1),
+    st.integers(0, 308),
+    st.integers(0, 10**9).map(lambda n: 1.0 + 0.7e-9 * n),
+)
+
+# m @ m, m - m^H and the trace of these overflow
+_HUGE_NON_PROJECTOR = [[[0.0, 0.0], [1e200, 1e200]], [[1e200, -1e200], [0.0, 0.0]]]
+_ASYMMETRIC = [[[0.0, 0.0], [1e308, 0.0]], [[-1e308, 0.0], [0.0, 0.0]]]
+_HUGE_TRACELESS = matrix_to_json(np.diag([1.7e308, 1.7e308, -1.7e308, -1.7e308]))
+
+
+@FUZZ
+@example(case=("postselect", _HUGE_NON_PROJECTOR))
+@example(case=("observable", _ASYMMETRIC))
+@example(case=("preselect", _ASYMMETRIC))
+@example(case=("postselect", _ASYMMETRIC))
+@example(case=("preselect", _HUGE_TRACELESS))
+@given(case=_INVALID_MATRICES)
+def test_run_with_an_invalid_scaled_matrix(case):
+    """A matrix that fits none of the fields it is put in, scaled by up to
+    1.7e308, into an otherwise valid scenario: bad input, so exit 2."""
+    field, matrix = case
+    dim = len(matrix)
+    rng = np.random.default_rng(dim)
+    data = {"dimension": dim, "observable": matrix_to_json(random_hermitian(rng, dim).matrix),
+            "preselect": _pairs(random_state(rng, dim).amplitudes),
+            "postselect": _pairs(random_state(rng, dim).amplitudes), "g": 0.5, "delta": 1.0}
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "invalid.json"
+        path.write_text(json.dumps({**data, field: matrix}))
+        _exits_cleanly(["run", str(path)], codes=(2,))
 
 
 @FUZZ

@@ -6,10 +6,14 @@ from pytest import approx
 
 from weakmeter import (
     DensityOperator,
+    GaussianPointer,
     HermitianObservable,
+    MeasurementSetup,
     ProjectionOperator,
     StateVector,
     ValidationError,
+    check_weak_bounds,
+    optimize_pps,
 )
 from weakmeter.qcore import spectral_decompose, von_neumann_entropy
 from weakmeter.sampling import random_projector
@@ -99,6 +103,26 @@ class TestProjectionOperator:
         with pytest.raises(ValidationError):
             ProjectionOperator(np.diag([1.0, 0.5]))
 
+    def test_rejects_a_huge_non_projector(self):
+        """m @ m overflows for entries past ~1e154; the entry is refused
+        before it is formed, so no NaN drift passes and no warning is raised."""
+        with pytest.raises(ValidationError, match=r"not idempotent \(entry of modulus 1.414e\+200 > 2\)"):
+            ProjectionOperator(np.array([[0, 1e200 + 1e200j], [1e200 - 1e200j, 0]]))
+
+    def test_rejects_every_huge_hermitian_draw(self):
+        """Hermitian d = 2..5 with entries in {0, +-1, +-i} 10^U(154, 308):
+        each one with a nonzero entry is refused."""
+        rng = np.random.default_rng(20261019)
+        units = np.array([0.0, 1.0, -1.0, 1j, -1j])
+        for _ in range(400):
+            d = int(rng.integers(2, 6))
+            upper = np.triu(units[rng.integers(0, 5, (d, d))] * 10.0 ** rng.uniform(154, 308, (d, d)), 1)
+            diagonal = units[rng.integers(0, 3, d)].real * 10.0 ** rng.uniform(154, 308, d)
+            m = upper + upper.conj().T + np.diag(diagonal)
+            if np.any(m):
+                with pytest.raises(ValidationError, match="not idempotent"):
+                    ProjectionOperator(m)
+
 
 class TestHermitianObservable:
     def test_spectrum_sorted_ascending(self):
@@ -109,6 +133,16 @@ class TestHermitianObservable:
     def test_projector_detection(self):
         assert HermitianObservable(np.diag([1.0, 0.0, 1.0])).is_projector()
         assert not HermitianObservable(np.diag([1.0, -1.0])).is_projector()
+
+    def test_huge_observable_is_no_projector(self):
+        """A^2 would overflow for diag(1e300, 0); the test answers False
+        without a warning, so the callers that ask it raise none either."""
+        obs = HermitianObservable(np.diag([1e300, 0.0]))
+        assert not obs.is_projector()
+        pre = StateVector.normalized([1.0, 1.0])
+        setup = MeasurementSetup(obs, pre.density(), pre.projector(), 1e-3, GaussianPointer(1.0))
+        assert np.isnan(check_weak_bounds(setup).k_value)
+        assert np.isnan(optimize_pps(obs, 1.0, GaussianPointer(1.0)).q_max)
 
     def test_from_projector(self):
         p = ProjectionOperator(np.diag([0.0, 1.0]))
