@@ -30,17 +30,17 @@ from .errors import (
     InternalConsistencyError,
     OrthogonalSelectionError,
     RegimeError,
-    UndefinedExtremeError,
     ValidationError,
 )
 from .exactengine import (
+    ORTHOGONALITY_FLOOR,
     GaussianPointer,
     MeasurementSetup,
     _check_coupling,
-    _overlaps,
     _pointer_sums,
     _pointer_terms,
     _ratio,
+    _told_apart,
     exact_shifts,
 )
 from .qcore import HermitianObservable, StateVector
@@ -131,11 +131,11 @@ def check_weak_bounds(setup: MeasurementSetup) -> BoundReport:
     """Evaluate the exact shifts of a weak-regime setup against the bounds.
 
     Requires g * Delta_p <= 0.01 (RegimeError otherwise).  The K factor is
-    filled in when the observable is a projector and :func:`weak_moments`
-    accepts the selection; otherwise it is NaN.  The position ceiling is
-    Delta, which holds for two-level observables; one with K > 2 distinct
-    eigenvalues can reach z_K * Delta on selections tuned to it (see the
-    module notes), so `satisfied` may be False there.
+    filled in when the observable's levels are a projector's (`is_projector`)
+    and :func:`weak_moments` accepts the selection; otherwise it is NaN.
+    The position ceiling is Delta, which holds for two-level observables;
+    one with K > 2 distinct eigenvalues can reach z_K * Delta on selections
+    tuned to it (see the module notes), so `satisfied` may be False there.
     """
     u = setup.g * setup.pointer.delta_p
     if u > WEAK_REGIME_LIMIT * (1.0 + 1e-12):
@@ -167,39 +167,26 @@ def extreme_shifts_projector(g: float, delta: float) -> tuple[float, float]:
 
         q_max/min = (g/2) (1 +/- 1/sqrt(1 - exp(-g^2/(4 delta^2)))).
 
-    The pair is symmetric about g/2; for g << delta it approaches
-    +/- delta, for g >> delta it approaches (g, 0).
+    The pair is symmetric about g/2; it approaches +/- delta for g << delta,
+    and reaches (g, 0) once g / delta is clipped at 1e150.  One-point read of
+    :func:`_envelope_curve`; :func:`optimize_pps` takes its own scalar branch.
 
     Raises
     ------
     UndefinedExtremeError
-        At g = 0, where both extremes collapse to zero shift and the
-        envelope is undefined as a selection limit, and when g / delta
-        underflows so that the envelope cannot be told from that limit.
+        Where the displaced pointers cannot be told apart: g / delta below
+        about 4.2e-154, g = 0 included.  There both extremes collapse to
+        zero shift and the envelope is undefined as a selection limit.
     """
-    delta = GaussianPointer(delta).delta  # validates delta
-    g = _check_coupling(g)
-    if g == 0.0:
-        raise UndefinedExtremeError("extreme shifts are undefined at g = 0")
-    ratio = g / delta
-    x = 0.25 * ratio * ratio  # saturates to inf, where G = 0 and the pair is (g, 0)
-    if x == 0.0:
-        raise _unresolvable(ratio)
-    q_max, q_min = (_envelope_far if x > _LN2 else _envelope_near)(g, x)
-    return float(q_max), float(q_min)
+    return tuple(_envelope_curve(np.array([_check_coupling(g)]), delta)[:, 0].tolist())
 
 
 def _envelope_curve(gs: np.ndarray, delta: float) -> np.ndarray:
-    """Rows (q_max, q_min) of :func:`extreme_shifts_projector` at couplings gs > 0.
-
-    The same closed form, element by element, each point on its own branch.
-    Raises UndefinedExtremeError at the first g whose g / delta underflows.
-    """
-    ratio = _ratio(gs, delta)
+    """Rows (q_max, q_min) of :func:`extreme_shifts_projector` at couplings gs,
+    each point on its own branch; UndefinedExtremeError at the first g whose
+    pointers cannot be told apart."""
+    ratio = _told_apart(_ratio(gs, delta), np.ones(1), 1.0)[0]  # the levels 0 and 1, one spread
     x = 0.25 * ratio * ratio
-    under = np.flatnonzero(x == 0.0)
-    if under.size:
-        raise _unresolvable(float(ratio[under[0]]))
     with np.errstate(divide="ignore"):  # each branch is kept only where it is exact
         return np.where(x > _LN2, _envelope_far(gs, x), _envelope_near(gs, x))
 
@@ -217,12 +204,6 @@ def _envelope_near(g, x):
     # 1 - exp(-x) via expm1 keeps full relative precision for g << delta
     spread = 1.0 / np.sqrt(-np.expm1(-x))
     return (g / 2.0) * (1.0 + spread), (g / 2.0) * (1.0 - spread)
-
-
-def _unresolvable(ratio: float) -> UndefinedExtremeError:
-    return UndefinedExtremeError(
-        f"g / delta = {ratio!r} underflows: the envelope is unresolvable, as at g = 0"
-    )
 
 
 def _phase_canonical(v: np.ndarray) -> np.ndarray:
@@ -352,13 +333,19 @@ def optimize_pps(
     units of N, so the engine's N of the returned states may differ from
     the solver's by about that much.
 
+    The solve takes g / Delta clipped as the engine's overlap step clips
+    it, at 1e150 over the level span, where every G of distinct levels is 0:
+    past that the extremes saturate at g a_max and g a_min.  The envelope is
+    NaN unless the levels are a projector's (:meth:`.HermitianObservable.is_projector`).
+
     Raises
     ------
     UndefinedExtremeError
-        At g = 0, or when g / Delta is too small to tell the displaced
-        pointers apart in double precision.
+        Where the displaced pointers cannot be told apart: g / Delta times
+        the gap of some two levels below about 4.2e-154, g = 0 included.
     ValidationError
-        When g / Delta overflows.
+        When g / Delta overflows, or a constructed shift lies beyond the
+        double range.
     InternalConsistencyError
         If no selection clears the floor, or, for projector observables, if
         either shift escapes the closed-form envelope by more than 1e-9
@@ -375,21 +362,17 @@ def optimize_pps(
     ratio = g / delta
     if not np.isfinite(ratio):
         raise ValidationError(f"g / delta = {g!r} / {delta!r} overflows")
-    if min_postselect < 1e-14:
-        raise ValidationError("min_postselect must be >= the 1e-14 orthogonality floor")
+    if min_postselect < ORTHOGONALITY_FLOOR:
+        raise ValidationError(f"min_postselect must be >= the {ORTHOGONALITY_FLOOR!r} orthogonality floor")
 
     eigs, pstack = observable.eigenvalues, observable.projectors
-    h = -_overlaps(ratio, np.abs(eigs[:, None] - eigs[None, :]), float(eigs[-1] - eigs[0]))
-    # 1 - G below the normal range has no precision left: the displaced
-    # pointers cannot be told apart, as at g = 0 (the identity masks the
-    # zero diagonal)
-    if ratio == 0.0 or np.any(h + np.eye(len(eigs)) < np.finfo(float).tiny):
-        raise UndefinedExtremeError(f"extremal search is undefined at g / delta = {ratio!r}")
+    ratio, h = _told_apart(ratio, np.abs(eigs[:, None] - eigs[None, :]), float(eigs[-1] - eigs[0]))
 
     # closed-form envelope where one exists
     if observable.is_projector():
-        if len(eigs) == 2:
-            env_max, env_min = extreme_shifts_projector(g, delta)
+        if len(eigs) == 2:  # levels 0 and 1 within 1e-10, told apart above at this ratio
+            x = 0.25 * ratio * ratio
+            env_max, env_min = map(float, (_envelope_far if x > _LN2 else _envelope_near)(g, x))
         else:
             env_max = env_min = g * float(eigs[0])
     else:
@@ -409,6 +392,8 @@ def optimize_pps(
     c_max, c_min = _pencil_extremes(eigs, ratio, h, (eigs[:, None] + eigs[None, :]) / 2.0 * h, min_postselect)
     best_max, *top = selection(c_max)
     best_min, *bottom = selection(c_min)
+    if not (math.isfinite(best_max) and math.isfinite(best_min)):
+        raise ValidationError(f"constructed shifts [{best_min!r}, {best_max!r}] lie beyond the double range")
     tol = 1e-9 * max(1.0, delta, g * float(np.max(np.abs(eigs))))
     if np.isfinite(env_max) and (best_max > env_max + tol or best_min < env_min - tol):
         raise InternalConsistencyError(

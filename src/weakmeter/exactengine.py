@@ -21,12 +21,13 @@ decomposed once by its own class, is contracted into pure-state amplitudes
 with the kernel coefficients folded into the selection weights, are
 formed once per selection (:func:`_pointer_terms`), so a coupling costs
 only the overlaps, as G - 1 in pointer units, where only g / Delta enters
-(:func:`_overlaps`, the one such step), and one contraction
-(:func:`_pointer_sums`), for one coupling or a batch of them.  The
-extremal search in :mod:`.bounds` and the which-path sweep in :mod:`.hardy`
-call the same contraction, and :mod:`.weakvalue` reads the weak moments
-and the Schwarz gap off the same amplitudes.  The closed forms elsewhere
-take g / Delta, validated and saturated, from :func:`_ratio`.
+(:func:`_overlaps`, the one such step, or :func:`_told_apart` where the
+pointers must be told apart), and one contraction (:func:`_pointer_sums`),
+for one coupling or a batch of them.  The extremal search in :mod:`.bounds`
+and the which-path sweep in :mod:`.hardy` call the same contraction, and
+:mod:`.weakvalue` reads the weak moments and the Schwarz gap off the same
+amplitudes.  The closed forms elsewhere take g / Delta, validated and
+saturated, from :func:`_ratio`.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import InternalConsistencyError, OrthogonalSelectionError, ValidationError
+from .errors import InternalConsistencyError, OrthogonalSelectionError, UndefinedExtremeError, ValidationError
 from .qcore import DensityOperator, HermitianObservable, ProjectionOperator
 
 # Selection probabilities at or below this are treated as orthogonal:
@@ -246,6 +247,20 @@ def _overlaps(ratio, spread: np.ndarray, span: float):
     cap = _RATIO_CAP / (span or 1.0)
     r = min(ratio, cap) if isinstance(ratio, float) else np.minimum(ratio, cap)[..., None]
     return np.expm1(np.square(r * spread) / -8.0)
+
+
+def _told_apart(ratio, spread: np.ndarray, span: float):
+    """(r, h): `ratio` = g / delta clipped as :func:`_overlaps` clips it, and
+    h = 1 - G there, where every off-diagonal h (spread > 0) is a normal
+    double, about r * spread >= 4.2e-154; below that the displaced pointers
+    cannot be told apart, as at g = 0, and UndefinedExtremeError names the r."""
+    r = np.minimum(ratio, _RATIO_CAP / (span or 1.0))
+    h = -_overlaps(r, spread, span)
+    blurred = (h < np.finfo(float).tiny) & (spread > 0.0)
+    if blurred.any():
+        r_bad = float(np.ravel(r)[blurred.reshape(-1, spread.size).any(axis=1).argmax()])
+        raise UndefinedExtremeError(f"g / delta = {r_bad!r} cannot tell the displaced pointers apart")
+    return r, h
 
 
 class _PointerTerms(NamedTuple):

@@ -58,20 +58,6 @@ def _check_hermitian(m: np.ndarray, what: str, atol: float = _ATOL_HERMITIAN) ->
         raise ValidationError(f"{what}: not Hermitian (max asymmetry {asym:.3e} > {atol:.1e})")
 
 
-def _not_idempotent(m: np.ndarray) -> str:
-    """Why a Hermitian m is not idempotent within 1e-10, or "" if it is.
-
-    A Hermitian idempotent has |m_ij| <= 1, and a Hermitian m with an entry
-    beyond 2 has an eigenvalue beyond 2, so max |m^2 - m| > 2 / d: such an m
-    is refused without forming m @ m, which could overflow.
-    """
-    big = float(np.abs(m).max())
-    if not big <= 2.0:
-        return f"entry of modulus {big:.3e} > 2"
-    drift = float(np.abs(m @ m - m).max())
-    return "" if drift <= _ATOL_IDEMPOTENT else f"max |P^2 - P| = {drift:.3e} > 1e-10"  # NaN fails too
-
-
 def _freeze(a: np.ndarray) -> np.ndarray:
     a = a.copy()
     a.flags.writeable = False
@@ -170,9 +156,15 @@ class ProjectionOperator:
     def __post_init__(self) -> None:
         m = _as_complex_matrix(self.matrix, "projector")
         _check_hermitian(m, "projector")
-        reason = _not_idempotent(m)
-        if reason:
-            raise ValidationError(f"projector: not idempotent ({reason})")
+        # A Hermitian idempotent has |m_ij| <= 1, and a Hermitian m with an
+        # entry beyond 2 has an eigenvalue beyond 2, so max |m^2 - m| > 2 / d:
+        # such an m is refused without forming m @ m, which could overflow.
+        big = float(np.abs(m).max())
+        if not big <= 2.0:
+            raise ValidationError(f"projector: not idempotent (entry of modulus {big:.3e} > 2)")
+        drift = float(np.abs(m @ m - m).max())
+        if not drift <= _ATOL_IDEMPOTENT:  # NaN fails too
+            raise ValidationError(f"projector: not idempotent (max |P^2 - P| = {drift:.3e} > 1e-10)")
         object.__setattr__(self, "matrix", _freeze(m))
 
     @property
@@ -297,8 +289,14 @@ class HermitianObservable:
         return float(np.max(np.abs(self.eigenvalues)))
 
     def is_projector(self) -> bool:
-        """True when A^2 = A within 1e-10 (max-abs entrywise)."""
-        return not _not_idempotent(self.matrix)
+        """True when the levels are a projector's, 0 and 1 or one of them,
+        each within 1e-10: read off `eigenvalues`, the spectrum every solver
+        uses, so diag(0, 1e-11) is none.  Unless a level merges spread
+        eigenvalues, this is never looser than max |A^2 - A| <= 1e-10."""
+        levels = self.eigenvalues.tolist()
+        nearest = [round(a) for a in levels]
+        drift = max(abs(a - n) for a, n in zip(levels, nearest))
+        return nearest in ([0], [1], [0, 1]) and drift <= _ATOL_IDEMPOTENT
 
     @classmethod
     def from_projector(cls, projector: ProjectionOperator) -> "HermitianObservable":

@@ -38,6 +38,9 @@ from weakmeter.sampling import random_hermitian, random_state
 
 PATH = HermitianObservable(np.diag([1.0, 0.0]))
 POINTER = GaussianPointer(1.0)
+EPS = np.finfo(float).eps
+# g / Delta where 1 - G = (g / Delta)^2 / 8 of levels 1 apart is the smallest normal double
+TOLD_APART = float(np.sqrt(8.0 * np.finfo(float).tiny))
 
 
 def _which_path(dim):
@@ -84,6 +87,26 @@ class TestExtremeEnvelope:
     def test_undefined_at_zero_coupling(self):
         with pytest.raises(UndefinedExtremeError):
             extreme_shifts_projector(0.0, 1.0)
+
+    @pytest.mark.parametrize("g", [TOLD_APART * (1.0 - 4.0 * EPS), 1e-155, 1e-161])
+    def test_undefined_where_the_pointers_cannot_be_told_apart(self, g):
+        """Wherever 1 - G of the levels 0 and 1 is no normal double, for the
+        closed form and the search alike (at 1e-161 a subnormal 1 - G would
+        put q_min at -1.006 Delta, past the ceiling)."""
+        with pytest.raises(UndefinedExtremeError):
+            extreme_shifts_projector(g, 1.0)
+        with pytest.raises(UndefinedExtremeError):
+            optimize_pps(_which_path(2), g, POINTER)
+
+    @pytest.mark.parametrize("delta", [1e-140, 0.3, 1.0, 7.0, 1e200])
+    def test_weak_tail_is_delta_down_to_the_threshold(self, delta):
+        """From the one threshold where the pointers are told apart up to
+        g / Delta = 1e-100 the envelope is +/- Delta within 4 ulp, and the
+        extremal search accepts every such coupling too."""
+        for ratio in np.geomspace(TOLD_APART * (1.0 + 4.0 * EPS), 1e-100, 40):
+            q_max, q_min = extreme_shifts_projector(ratio * delta, delta)
+            assert abs(q_max - delta) <= 4 * np.spacing(delta) and abs(q_min + delta) <= 4 * np.spacing(delta)
+        optimize_pps(_which_path(2), TOLD_APART * (1.0 + 4.0 * EPS) * delta, GaussianPointer(delta))
 
     def test_bad_width(self):
         with pytest.raises(ValidationError):
@@ -240,6 +263,33 @@ class TestOptimizer:
     def test_zero_coupling_rejected(self):
         with pytest.raises(UndefinedExtremeError):
             optimize_pps(_which_path(2), 0.0, POINTER)
+
+    @pytest.mark.parametrize("levels,g", [([0.0, 1e-11], 1e11), ([0.0, 1e-20, 2e-20], 1e20)])
+    def test_tiny_levels_are_no_projector(self, levels, g):
+        """A^2 - A is far below 1e-10 here, but the levels are not 0 and 1:
+        no envelope, and no K factor."""
+        obs = HermitianObservable(np.diag(levels))
+        result = optimize_pps(obs, g, POINTER)
+        assert np.isnan(result.q_max) and np.isnan(result.q_min)
+        assert result.optimizer_best_min < 0.0 < 1.0 < result.optimizer_best_max
+        pre = StateVector.normalized(np.ones(len(levels))).density()
+        post = StateVector.normalized([0.6, -0.8, 0.0][: len(levels)]).projector()
+        setup = MeasurementSetup(obs, pre, post, 1e-3, POINTER)
+        assert np.isnan(check_weak_bounds(setup).k_value)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("levels,g", [([0.0, 1.0, 2.0], 1.7e308), ([0.0, 1e10], 1e300)])
+    def test_shifts_beyond_the_double_range_are_refused(self, levels, g):
+        with pytest.raises(ValidationError, match="beyond the double range"):
+            optimize_pps(HermitianObservable(np.diag(levels)), g, POINTER)
+
+    @pytest.mark.filterwarnings("error")
+    def test_extremes_saturate_past_the_clip(self):
+        """Past g / Delta = 1e150 / span every G of distinct levels is 0:
+        the extremes are g a_max and g a_min."""
+        result = optimize_pps(HermitianObservable(np.diag([0.0, 1.0, 2.0])), 1e160, POINTER)
+        assert result.optimizer_best_max == approx(2e160, rel=1e-12)
+        assert abs(result.optimizer_best_min) <= 1e-12 * 1e160
 
     def test_bad_objective(self):
         with pytest.raises(ValidationError):

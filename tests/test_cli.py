@@ -170,6 +170,13 @@ class TestSweepCSV:
         assert code == 2
         assert "g-min" in err
 
+    def test_info_sweep_refuses_couplings_below_the_threshold(self, capsys):
+        """1 - G is subnormal at g = 1e-161 Delta: the q_min column cannot be
+        told from its g = 0 limit, so info-sweep refuses as bounds-optimize does."""
+        code, out, err = _run(capsys, "info-sweep", "--g-min", "1e-161", "--g-max", "2e-161", "--points", "2")
+        assert (code, out) == (2, "")
+        assert err.startswith("error:") and err.count("\n") == 1, err
+
 
 class TestBoundsOptimize:
     def test_report_and_determinism(self, capsys, tmp_path):

@@ -132,7 +132,41 @@ class TestHermitianObservable:
 
     def test_projector_detection(self):
         assert HermitianObservable(np.diag([1.0, 0.0, 1.0])).is_projector()
+        assert HermitianObservable(np.diag([1e-11, 1.0 - 1e-11])).is_projector()
         assert not HermitianObservable(np.diag([1.0, -1.0])).is_projector()
+
+    @pytest.mark.parametrize("levels", [[0.0, 1e-11], [0.0, 1e-20, 2e-20], [0.0, 2.0]])
+    def test_levels_decide_projector_at_any_scale(self, levels):
+        """Levels near 0 alone, or 0 and 2, are no projector's, though
+        max |A^2 - A| of the first two is far below 1e-10."""
+        assert not HermitianObservable(np.diag(levels)).is_projector()
+
+    def test_near_projectors_pass_no_looser_than_the_product(self):
+        """Rotated qubit projectors plus a Hermitian drift of 3e-11..3e-10.
+        Each level is one eigenvalue, so where the levels pass, so does
+        max |A^2 - A| <= 1e-10, and some pass the entrywise test but not
+        the level test."""
+        rng = np.random.default_rng(1729)
+        stricter = 0
+        for _ in range(300):
+            noise = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+            drift_scale = 10.0 ** rng.uniform(-10.5, -9.5)
+            m = random_projector(rng, 2, 1).matrix + drift_scale * (noise + noise.conj().T) / 4.0
+            drift = float(np.abs(m @ m - m).max())
+            if HermitianObservable(m).is_projector():
+                assert drift <= 1e-10 + 4 * np.finfo(float).eps, drift
+            else:
+                stricter += drift <= 1e-10
+        assert stricter > 0
+
+    def test_a_merged_level_passes_by_its_mean(self):
+        """Eigenvalues 1 + 5e-12 and 1 + 1.9e-10 merge into one level within
+        1e-10 of 1, so the levels pass where max |A^2 - A| = 1.9e-10 does
+        not: the excess is at most the merged spread, which the rebuild
+        check of spectral_decompose holds to 1e-10."""
+        m = np.diag([0.0, 1.0 + 5e-12, 1.0 + 1.9e-10])
+        assert HermitianObservable(m).is_projector()
+        assert float(np.abs(m @ m - m).max()) == approx(1.9e-10, rel=1e-6)
 
     def test_huge_observable_is_no_projector(self):
         """A^2 would overflow for diag(1e300, 0); the test answers False
@@ -164,6 +198,7 @@ class TestHermitianObservable:
             assert fast.eigenvalues.shape == full.eigenvalues.shape, rank
             np.testing.assert_allclose(fast.eigenvalues, full.eigenvalues, rtol=0.0, atol=1e-15)
             np.testing.assert_allclose(fast.projectors, full.projectors, rtol=0.0, atol=1e-12)
+            assert fast.is_projector() and full.is_projector(), rank
 
     def test_from_projector_keeps_the_dimension_limit(self):
         with pytest.raises(ValidationError, match="d <= 8"):
