@@ -25,9 +25,10 @@ only the overlaps, as G - 1 in pointer units, where only g / Delta enters
 pointers must be told apart), and one contraction (:func:`_pointer_sums`),
 for one coupling or a batch of them.  The extremal search in :mod:`.bounds`
 and the which-path sweep in :mod:`.hardy` call the same contraction, and
-:mod:`.weakvalue` reads the weak moments and the Schwarz gap off the same
-amplitudes.  The closed forms elsewhere take g / Delta, validated and
-saturated, from :func:`_ratio`.
+:mod:`.weakvalue` reads the weak moments and the Schwarz gap off the column
+sums of the same amplitudes, cached with them (`_Selection.sums`).  The
+closed forms elsewhere take g / Delta, validated and saturated, from
+:func:`_ratio`.
 """
 
 from __future__ import annotations
@@ -333,8 +334,9 @@ class _Selection:
     """One selection (rho, Pi, A) factored for every coupling; arrays read-only.
 
     `amplitudes` are the c[k, r] of :func:`_selection_amplitudes`.  The
-    pointer-sum terms (:func:`_pointer_terms`) are formed on first use, so
-    callers that need only the amplitudes do not pay for them.
+    pointer-sum terms (:func:`_pointer_terms`) and the column sums of the
+    weak moments (`sums`) are each formed on first use, so a caller pays
+    only for what it reads.
     """
 
     amplitudes: np.ndarray
@@ -343,6 +345,13 @@ class _Selection:
     @cached_property
     def terms(self) -> _PointerTerms:
         return _pointer_terms(self.amplitudes, self.eigenvalues)
+
+    @cached_property
+    def sums(self) -> tuple[np.ndarray, float]:
+        """Rows S_n = sum_k a_k^n c[k, r], n = 0, 1, 2, and p = |S0|^2 = tr(Pi rho)."""
+        sums = (self.eigenvalues ** np.arange(3)[:, None]) @ self.amplitudes
+        sums.flags.writeable = False
+        return sums, float(np.vdot(sums[0], sums[0]).real)
 
 
 # Selections kept factored at once.  The operators are frozen and hash by

@@ -13,13 +13,14 @@ only re-check what is cheap.  Each operator is decomposed once, too.
 from __future__ import annotations
 
 import sys
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import cached_property
 from math import isfinite
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import InternalConsistencyError, ValidationError
 
 # Construction-time tolerances.  Hermiticity/trace/norm checks are at the
 # rounding floor; idempotency and PSD checks are looser because they square
@@ -46,7 +47,7 @@ def _as_complex_matrix(matrix: object, what: str) -> np.ndarray:
         raise ValidationError(f"{what}: expected a square matrix, got shape {m.shape}")
     if m.shape[0] < 2:
         raise ValidationError(f"{what}: dimension must be >= 2, got {m.shape[0]}")
-    if not np.all(np.isfinite(m.view(float))):
+    if not np.isfinite(m).all():
         raise ValidationError(f"{what}: matrix contains non-finite entries")
     return m
 
@@ -62,6 +63,23 @@ def _freeze(a: np.ndarray) -> np.ndarray:
     a = a.copy()
     a.flags.writeable = False
     return a
+
+
+def _pairwise_sum(z: list[complex]) -> complex:
+    """The sum numpy's add.reduce gives for these values, bit for bit: four
+    running sums in blocks of up to 64, halved recursively beyond that.
+    Python arithmetic, so a sum past the double range is inf or NaN, with no
+    warning."""
+    n = len(z)
+    if n < 4:
+        return sum(z, 0j)
+    if n > 64:
+        half = n // 8 * 4
+        return _pairwise_sum(z[:half]) + _pairwise_sum(z[half:])
+    acc = z[:4]
+    for i in range(4, n - n % 4, 4):
+        acc = [a + b for a, b in zip(acc, z[i:i + 4])]
+    return sum(z[n - n % 4:], 0j + ((acc[0] + acc[1]) + (acc[2] + acc[3])))
 
 
 @dataclass(frozen=True, eq=False)
@@ -129,18 +147,20 @@ class DensityOperator:
     def __post_init__(self) -> None:
         m = _as_complex_matrix(self.matrix, "density operator")
         _check_hermitian(m, "density operator")
-        with np.errstate(over="ignore", invalid="ignore"):  # past the double range: inf or NaN
-            tr = m.trace()
+        tr = _pairwise_sum(m.diagonal().tolist())  # m.trace(), bit for bit
         if not abs(tr - 1.0) <= _ATOL_TRACE:  # NaN fails too
-            raise ValidationError(f"density operator: trace {tr!r} differs from 1 by more than 1e-12")
+            raise ValidationError(
+                f"density operator: trace {np.complex128(tr)!r} differs from 1 by more than 1e-12"
+            )
         vals, vecs = np.linalg.eigh(m)
-        if vals[0] < _MIN_EIGENVALUE:
-            raise ValidationError(f"density operator: negative eigenvalue {vals[0]:.3e} < -1e-10")
-        order = np.argsort(vals)[::-1]
-        keep = order[vals[order] > 1e-15]
+        v = vals.tolist()
+        if v[0] < _MIN_EIGENVALUE:
+            raise ValidationError(f"density operator: negative eigenvalue {v[0]:.3e} < -1e-10")
+        # eigh's eigenvalues ascend, so those above 1e-15, descending, are the last ones reversed
+        kept = bisect_right(v, 1e-15)
         object.__setattr__(self, "matrix", _freeze(m))
-        object.__setattr__(self, "weights", _freeze(vals[keep]))
-        object.__setattr__(self, "kets", _freeze(vecs[:, keep].T))
+        object.__setattr__(self, "weights", _freeze(vals[kept:][::-1]))
+        object.__setattr__(self, "kets", _freeze(vecs[:, kept:][:, ::-1].T))
 
     @property
     def dimension(self) -> int:
@@ -175,7 +195,8 @@ class ProjectionOperator:
     def bras(self) -> np.ndarray:
         """Orthonormal basis of the range, conjugated, one vector per row; shape (rank, d)."""
         vals, vecs = np.linalg.eigh(self.matrix)
-        return _freeze(vecs[:, vals > 0.5].conj().T)  # a projector's eigenvalues are 0 or 1
+        # a projector's eigenvalues are 0 or 1, and eigh's ascend: the range is the last columns
+        return _freeze(vecs[:, bisect_right(vals.tolist(), 0.5):].conj().T)
 
     @property
     def rank(self) -> int:
@@ -202,6 +223,8 @@ def spectral_decompose(matrix: object) -> tuple[np.ndarray, np.ndarray]:
     order, shape (K,), and their projectors P_k, shape (K, d, d).
     Eigenvalues within 1e-9 * ||H|| of each other (chained through adjacent
     gaps) are treated as one degenerate level with a single rank-r projector.
+    The decomposition is checked to rebuild H: P_k^2 = P_k and sum_k P_k = I
+    within 1e-10, and sum_k a_k P_k = H within 1e-10 * max(1, ||H||).
 
     Parameters
     ----------
@@ -213,12 +236,22 @@ def spectral_decompose(matrix: object) -> tuple[np.ndarray, np.ndarray]:
     ValidationError
         If the matrix is not square, not Hermitian within tolerance, or
         d > 8, or if its symmetrized entries, its level span or the sum
-        over a degenerate level overflow the double range.
+        over a degenerate level overflow the double range; or if a merged
+        level's mean rebuilds H only beyond 1e-10 * max(1, ||H||), which
+        happens when the eigenvalues chained into it spread wider than that
+        (diag(0, 1, 1 + 5e-10) is refused).
+    InternalConsistencyError
+        If the projectors are not idempotent or complete within 1e-10,
+        which eigh's orthonormal eigenvectors rule out.
     """
-    m = _as_complex_matrix(matrix, "observable")
+    return _decompose(_as_complex_matrix(matrix, "observable"))
+
+
+def _decompose(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`spectral_decompose` of a matrix that passed :func:`_as_complex_matrix`."""
     d = m.shape[0]
     _check_spectral_dimension(d)
-    scale = max(1.0, float(np.max(np.abs(m))))
+    scale = max(1.0, float(np.abs(m).max()))
     _check_hermitian(m, "observable", atol=1e-10 * scale)
     if scale > _HALF_DOUBLE_MAX:  # below this, m + m^H cannot overflow
         with np.errstate(over="ignore"):
@@ -227,28 +260,60 @@ def spectral_decompose(matrix: object) -> tuple[np.ndarray, np.ndarray]:
             raise ValidationError("observable: symmetrized entries overflow the double range")
 
     vals, vecs = np.linalg.eigh((m + m.conj().T) / 2.0)
-    span = float(vals[-1]) - float(vals[0])  # Python floats: an overflow gives inf, no warning
+    v = vals.tolist()  # ascending Python floats: an overflow gives inf, no warning
+    span = v[-1] - v[0]
     if not isfinite(span):
         raise ValidationError(f"observable: level span {span!r} is not finite")
-    norm = float(np.max(np.abs(vals)))
-    # a new level starts after every gap wider than the degeneracy tolerance
-    level = np.concatenate(([0], np.cumsum(np.diff(vals) > _DEGENERACY_GAP * norm)))
-    member = level == np.arange(level[-1] + 1)[:, None]  # (K, d): eigenvector j in level k
-    size = member.sum(axis=1)
+    norm = max(abs(v[0]), abs(v[-1]))
+    size = _level_sizes(v, norm)
     # a level's sum is at most its size times norm, which can overflow only past d * norm
-    if not isfinite(d * norm) and not isfinite(float(size.max()) * norm):
+    if not isfinite(d * norm) and not isfinite(max(size) * norm):
         raise ValidationError("observable: a degenerate level sums beyond the double range")
+    member = np.eye(len(size), dtype=bool).repeat(size, axis=1)  # (K, d): eigenvector j in level k
     eigenvalues = (member @ vals) / size
     projectors = (vecs * member[:, None, :]) @ vecs.conj().T
     projectors = (projectors + projectors.conj().transpose(0, 2, 1)) / 2.0
+    _check_decomposition(m, eigenvalues, projectors, norm)
+    eigenvalues.flags.writeable = projectors.flags.writeable = False
+    return eigenvalues, projectors
 
-    # eigh guarantees all three identities to rounding; recheck because
-    # callers lean on them for completeness sums.
-    assert float(np.max(np.abs(projectors @ projectors - projectors))) <= _ATOL_IDEMPOTENT
-    assert float(np.max(np.abs(projectors.sum(axis=0) - np.eye(d)))) <= 1e-10
-    rebuilt = np.tensordot(eigenvalues, projectors, axes=1)
-    assert float(np.max(np.abs(rebuilt - m))) <= 1e-10 * max(1.0, norm)
-    return _freeze(eigenvalues), _freeze(projectors)
+
+def _level_sizes(vals: list[float], norm: float) -> list[int]:
+    """How many of the ascending eigenvalues `vals` each level holds: a new
+    level starts after every gap wider than 1e-9 * norm."""
+    tol = _DEGENERACY_GAP * norm
+    starts = [0, *(j for j in range(1, len(vals)) if vals[j] - vals[j - 1] > tol), len(vals)]
+    return [b - a for a, b in zip(starts, starts[1:])]
+
+
+def _check_decomposition(
+    m: np.ndarray, eigenvalues: np.ndarray, projectors: np.ndarray, norm: float
+) -> None:
+    """The identities callers lean on, as raises that `python -O` keeps.
+
+    P_k^2 = P_k and sum_k P_k = I within 1e-10 hold to rounding for eigh's
+    orthonormal eigenvectors (InternalConsistencyError if not); sum_k a_k P_k
+    = m within 1e-10 * max(1, norm) fails when a level merges eigenvalues
+    spread wider than that (ValidationError).  The sums run over the
+    projectors flattened to one row per level.
+    """
+    d = m.shape[0]
+    flat = projectors.reshape(len(eigenvalues), d * d)
+    drift = float(np.abs(projectors @ projectors - projectors).max())
+    if not drift <= _ATOL_IDEMPOTENT:
+        raise InternalConsistencyError(f"observable: eigenprojectors drift by max |P^2 - P| = {drift:.3e}")
+    total = flat.sum(axis=0)
+    total[:: d + 1] -= 1.0  # the diagonal of I
+    gap = float(np.abs(total).max())
+    if not gap <= 1e-10:
+        raise InternalConsistencyError(f"observable: eigenprojectors sum to I only within {gap:.3e}")
+    tol = 1e-10 * max(1.0, norm)
+    miss = float(np.abs(eigenvalues @ flat - m.reshape(d * d)).max())
+    if not miss <= tol:
+        raise ValidationError(
+            "observable: eigenvalues merged within the 1e-9 degeneracy gap rebuild the "
+            f"matrix only to {miss:.3e} > {tol:.3e}"
+        )
 
 
 @dataclass(frozen=True, eq=False)
@@ -275,7 +340,7 @@ class HermitianObservable:
 
     def __post_init__(self) -> None:
         m = _as_complex_matrix(self.matrix, "observable")
-        eigenvalues, projectors = spectral_decompose(m)
+        eigenvalues, projectors = _decompose(m)
         object.__setattr__(self, "matrix", _freeze(m))
         object.__setattr__(self, "eigenvalues", eigenvalues)
         object.__setattr__(self, "projectors", projectors)

@@ -12,12 +12,15 @@ D = 1 + u^2 (two_sided - square_real), where the two extra moments are
 defined on :class:`WeakMoments`.
 
 The moments and the Schwarz gap are read off the column sums of the exact
-engine's factored selection amplitudes (:func:`_selection_sums`).
+engine's factored selection amplitudes (:func:`_selection_sums`).  The sums
+are cached with the amplitudes, so the calls on one selection form them
+once; each call still runs its own dimension, level and floor checks.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import isfinite
 
 import numpy as np
 
@@ -39,7 +42,7 @@ class WeakValue:
     def __post_init__(self) -> None:
         for name in ("real_part", "imag_part"):
             v = float(getattr(self, name))
-            if not np.isfinite(v):
+            if not isfinite(v):
                 raise ValidationError(f"weak value: {name} is not finite")
             object.__setattr__(self, name, v)
 
@@ -82,7 +85,7 @@ class WeakMoments:
     def __post_init__(self) -> None:
         for name in ("two_sided", "square_real", "postselect_prob"):
             v = float(getattr(self, name))
-            if not np.isfinite(v):
+            if not isfinite(v):
                 raise ValidationError(f"weak moments: {name} is not finite")
             object.__setattr__(self, name, v)
         if not 0.0 < self.postselect_prob <= 1.0 + 1e-12:
@@ -104,10 +107,11 @@ def _selection_sums(
     rho_s: DensityOperator, pi_f: ProjectionOperator, observable: HermitianObservable
 ) -> tuple[np.ndarray, float]:
     """Rows S_n = sum_k a_k^n c[k, r], n = 0, 1, 2, of the engine's factored
-    amplitudes c (:func:`_selection_amplitudes`), and p = |S0|^2 = tr(Pi_f rho_s).
+    amplitudes c (:func:`_selection_amplitudes`), and p = |S0|^2 = tr(Pi_f rho_s):
+    read-only, formed once per cached selection and shared by every caller.
 
-    Raises ValidationError on dimension mismatch or a level beyond 1e153,
-    OrthogonalSelectionError if p <= 1e-14.
+    The checks run on every call: ValidationError on dimension mismatch or a
+    level beyond 1e153, OrthogonalSelectionError if p <= 1e-14.
     """
     d = observable.dimension
     if rho_s.dimension != d or pi_f.dimension != d:
@@ -119,9 +123,7 @@ def _selection_sums(
     level = float(max(-eigs[0], eigs[-1]))
     if level > _MAX_MOMENT_LEVEL:
         raise ValidationError(f"weak moments: observable level magnitude {level!r} exceeds 1e153")
-    c = _selection_amplitudes(rho_s, pi_f, observable).amplitudes
-    sums = (eigs ** np.arange(3)[:, None]) @ c
-    prob = float(np.vdot(sums[0], sums[0]).real)
+    sums, prob = _selection_amplitudes(rho_s, pi_f, observable).sums
     if prob <= ORTHOGONALITY_FLOOR:
         raise OrthogonalSelectionError(
             f"selection probability {prob:.3e} at or below 1e-14; weak value undefined"
@@ -178,7 +180,7 @@ def _shifts(
     a, b = weak_value.real_part, weak_value.imag_part
     delta_q = (g / r) * a / scaled
     delta_p = b * (u / r) / scaled / pointer.delta if b else 0.0
-    if not (np.isfinite(delta_q) and np.isfinite(delta_p)):
+    if not (isfinite(delta_q) and isfinite(delta_p)):
         raise ValidationError(
             f"pointer shifts ({delta_q!r}, {delta_p!r}) lie beyond the double range"
         )
@@ -235,6 +237,6 @@ def schwarz_gap(
     where the plain difference would drown in rounding error.
     """
     (v, u, _), prob = _selection_sums(rho_s, pi_f, observable)
-    cross = np.outer(u, v)
+    cross = u[:, None] * v  # the outer product u v^T
     cross -= cross.T
-    return 0.5 * float(np.sum(np.abs(cross) ** 2)) / prob**2
+    return 0.5 * float((np.abs(cross) ** 2).sum()) / prob**2

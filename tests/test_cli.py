@@ -413,3 +413,27 @@ def test_console_entry_point():
     )
     assert proc.returncode == 0
     assert "delta_q_exact" in proc.stdout
+
+
+def test_a_near_degenerate_observable_exits_2_under_python_O(tmp_path):
+    """spectral_decompose checks its identities with raises that `python -O`
+    keeps: eigenvalues 1 and 1 + 5e-10 merge into a level whose mean
+    rebuilds the observable only to 2.5e-10, and `run` refuses it."""
+    levels = [0.0, 1.0, 1.0 + 5e-10]
+    scenario = {
+        "dimension": 3,
+        "observable": [[[levels[i] if i == j else 0.0, 0.0] for j in range(3)] for i in range(3)],
+        "preselect": [[0.6, 0.0], [0.8, 0.0], [0.0, 0.0]],
+        "postselect": [[1.0, 0.0], [0.0, 0.0], [0.0, 0.0]],
+        "g": 0.05,
+        "delta": 1.0,
+    }
+    path = tmp_path / "near_degenerate.json"
+    path.write_text(json.dumps(scenario))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-m", "weakmeter.cli", "run", str(path)],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 2, proc.stdout
+    assert proc.stderr.startswith("error: observable:") and "rebuild" in proc.stderr, proc.stderr

@@ -83,6 +83,8 @@ def _kept(call, *args, **kwargs):
 @example(matrix=np.diag([0.0, 1e10]), g=1e300, delta=1.0, seed=0)
 # couplings whose 1 - G is subnormal: no envelope beyond -Delta
 @example(matrix=np.diag([0.0, 1.0]), g=1e-161, delta=1.0, seed=0)
+# eigenvalues within the degeneracy gap whose mean does not rebuild the matrix
+@example(matrix=np.diag([0.0, 1.0, 1.0 + 5e-10]), g=1.0, delta=1.0, seed=0)
 @given(matrix=OBSERVABLES, g=SCALES, delta=SCALES, seed=st.integers(0, 2**32 - 1))
 def test_every_library_call_keeps_the_contract(matrix, g, delta, seed):
     rng = np.random.default_rng(seed)

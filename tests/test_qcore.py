@@ -15,8 +15,8 @@ from weakmeter import (
     check_weak_bounds,
     optimize_pps,
 )
-from weakmeter.qcore import spectral_decompose, von_neumann_entropy
-from weakmeter.sampling import random_projector
+from weakmeter.qcore import _level_sizes, _pairwise_sum, spectral_decompose, von_neumann_entropy
+from weakmeter.sampling import random_density, random_hermitian, random_projector
 
 RNG = np.random.default_rng(231119)
 
@@ -87,8 +87,53 @@ class TestDensityOperator:
         weights = DensityOperator(np.eye(2) / 2).weights
         assert weights == approx([0.5, 0.5], abs=1e-15)
 
+    def test_trace_has_the_bits_of_numpy(self):
+        """The trace is summed in Python in numpy's pairwise order, so it is
+        m.trace() bit for bit, across the block sizes of that order."""
+        rng = np.random.default_rng(2301)
+        for dim in [*range(2, 10), 63, 64, 65, 67, 130, 200]:
+            for _ in range(40):
+                diag = (rng.normal(size=dim) + 1j * rng.normal(size=dim)) * 10.0 ** rng.uniform(-8, 8, dim)
+                assert _pairwise_sum(diag.tolist()) == complex(np.diag(diag).trace()), dim
+
+    @pytest.mark.parametrize("entries", [[1e308, 1e308], [1e308, 1e308, -1e308, -1e308], [1e308] * 8])
+    def test_trace_past_the_double_range_is_refused(self, entries):
+        """The Python sum reads inf or NaN where numpy's overflows, with no
+        warning (warnings are errors here)."""
+        with pytest.raises(ValidationError, match="trace"):
+            DensityOperator(np.diag(entries))
+
+    def test_ensemble_keeps_the_argsort_order(self):
+        """Weights descend and ties keep the order argsort gives eigh's
+        ascending eigenvalues, reversed: the maximally mixed state, a
+        diagonal with ties and random densities of every rank."""
+        rng = np.random.default_rng(2302)
+        cases = [np.eye(d) / d for d in range(2, 9)] + [np.diag([0.25, 0.0, 0.25, 0.5, 0.0])]
+        cases += [random_density(rng, d, r).matrix for d in range(2, 7) for r in range(1, d + 1)]
+        for m in cases:
+            rho = DensityOperator(m)
+            vals, vecs = np.linalg.eigh(rho.matrix)
+            order = np.argsort(vals)[::-1]
+            keep = order[vals[order] > 1e-15]
+            assert rho.weights.tobytes() == vals[keep].tobytes()
+            assert rho.kets.tobytes() == np.ascontiguousarray(vecs[:, keep].T).tobytes()
+            assert rho.kets.flags.c_contiguous and not rho.kets.flags.writeable
+
 
 class TestProjectionOperator:
+    def test_range_basis_is_the_unit_eigenvectors(self):
+        """`bras` are the conjugated eigenvectors of eigenvalue above 1/2."""
+        rng = np.random.default_rng(2303)
+        for dim in range(2, 9):
+            for rank in range(dim + 1):
+                if 0 < rank < dim:
+                    p = random_projector(rng, dim, rank)
+                else:
+                    p = ProjectionOperator(np.eye(dim) * (rank > 0))
+                vals, vecs = np.linalg.eigh(p.matrix)
+                assert p.bras.tobytes() == np.ascontiguousarray(vecs[:, vals > 0.5].conj().T).tobytes()
+                assert p.rank == rank
+
     def test_identity_and_complement(self):
         p = ProjectionOperator.identity(3)
         assert p.rank == 3
@@ -247,6 +292,14 @@ class TestSpectralDecompose:
         with pytest.raises(ValidationError, match=message):
             HermitianObservable(matrix)
 
+    @pytest.mark.parametrize("call", [spectral_decompose, HermitianObservable])
+    def test_a_level_merged_beyond_the_rebuild_tolerance_is_refused(self, call):
+        """1 and 1 + 5e-10 fall within the 1e-9 degeneracy gap, but their
+        mean rebuilds the matrix only to 2.5e-10 > 1e-10: bad input, refused
+        as such."""
+        with pytest.raises(ValidationError, match="rebuild the matrix only to 2.500e-10 > 1.000e-10"):
+            call(np.diag([0.0, 1.0, 1.0 + 5e-10]))
+
     def test_projectors_orthogonal(self):
         h = np.diag([0.0, 1.0, 2.0, 2.0])
         _, projs = spectral_decompose(h)
@@ -254,6 +307,84 @@ class TestSpectralDecompose:
             for j, q in enumerate(projs):
                 expected = p if i == j else np.zeros((4, 4))
                 np.testing.assert_allclose(p @ q, expected, atol=1e-12)
+
+
+def _array_rule_decompose(h):
+    """An independent form of the level rule, on arrays: a level starts
+    after every np.diff gap beyond 1e-9 * max |a|, numbered by cumsum, and
+    the levels and projectors are formed as spectral_decompose forms them.
+    Returns the eigenvalues, the projectors and how far they rebuild h."""
+    m = np.asarray(h, dtype=complex)
+    vals, vecs = np.linalg.eigh((m + m.conj().T) / 2.0)
+    norm = float(np.max(np.abs(vals)))
+    level = np.concatenate(([0], np.cumsum(np.diff(vals) > 1e-9 * norm)))
+    member = level == np.arange(level[-1] + 1)[:, None]
+    eigenvalues = (member @ vals) / member.sum(axis=1)
+    projectors = (vecs * member[:, None, :]) @ vecs.conj().T
+    projectors = (projectors + projectors.conj().transpose(0, 2, 1)) / 2.0
+    miss = float(np.max(np.abs(np.tensordot(eigenvalues, projectors, axes=1) - m)))
+    return eigenvalues, projectors, miss / max(1.0, norm)
+
+
+def _gap_chain(rng, dim, factor):
+    """Levels -2 and 2 (so max |a| = 2) around a chain of dim - 2 levels
+    whose gaps are `factor` times the degeneracy tolerance 2e-9."""
+    chain = np.cumsum(np.full(dim - 2, 2e-9 * factor)) + rng.uniform(-1.0, 1.0)
+    return np.concatenate(([-2.0], chain, [2.0]))
+
+
+class TestLevelGrouping:
+    """The Python level grouping is the np.diff / cumsum rule, bit for bit."""
+
+    def test_sizes_match_the_array_rule(self):
+        rng = np.random.default_rng(2304)
+        for dim in range(2, 9):
+            for factor in (1.0 - 1e-12, 1.0, 1.0 + 1e-12, 0.5, 1.5, 1e-3, 1e3):
+                for _ in range(20):
+                    vals = np.sort(_gap_chain(rng, dim, factor) * rng.choice([1.0, 1e-150, 1e150]))
+                    norm = float(np.max(np.abs(vals)))
+                    level = np.concatenate(([0], np.cumsum(np.diff(vals) > 1e-9 * norm)))
+                    assert _level_sizes(vals.tolist(), norm) == np.bincount(level).tolist()
+
+    def _assert_same_decomposition(self, h):
+        eigenvalues, projectors, miss = _array_rule_decompose(h)
+        if miss > 1e-10:  # the merged level cannot rebuild h
+            with pytest.raises(ValidationError, match="rebuild"):
+                spectral_decompose(h)
+            return False
+        got_values, got_projectors = spectral_decompose(h)
+        assert got_values.tobytes() == eigenvalues.tobytes()
+        assert got_projectors.tobytes() == projectors.tobytes()
+        return True
+
+    @pytest.mark.parametrize("dim", range(2, 9))
+    def test_exact_degeneracies(self, dim):
+        """Haar projectors of every rank, and the identity, a single level."""
+        rng = np.random.default_rng(2305 + dim)
+        for rank in range(1, dim):
+            for _ in range(5):
+                assert self._assert_same_decomposition(random_projector(rng, dim, rank).matrix)
+        assert self._assert_same_decomposition(np.eye(dim))
+        assert len(spectral_decompose(np.eye(dim))[0]) == 1
+
+    @pytest.mark.parametrize("dim", range(4, 9))
+    def test_chained_gaps_at_the_tolerance(self, dim):
+        """Rotated chains of gaps just under 1e-9 * max |a| merge, and are
+        refused, since their spread exceeds the rebuild tolerance; just over
+        it every eigenvalue is its own level."""
+        rng = np.random.default_rng(2306 + dim)
+        for factor, merged in ((1.0 - 1e-3, True), (1.0 + 1e-3, False)):
+            for _ in range(10):
+                u = np.linalg.qr(rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))[0]
+                h = (u * _gap_chain(rng, dim, factor)) @ u.conj().T
+                h = (h + h.conj().T) / 2.0
+                assert self._assert_same_decomposition(h) is not merged
+
+    @pytest.mark.parametrize("dim", range(2, 9))
+    def test_distinct_spectra(self, dim):
+        rng = np.random.default_rng(2307 + dim)
+        for _ in range(20):
+            assert self._assert_same_decomposition(random_hermitian(rng, dim).matrix)
 
 
 class TestEntropy:

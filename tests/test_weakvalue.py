@@ -14,18 +14,27 @@ from weakmeter import (
     DensityOperator,
     GaussianPointer,
     HermitianObservable,
+    MeasurementSetup,
     OrthogonalSelectionError,
     ProjectionOperator,
     StateVector,
     ValidationError,
     WeakMoments,
     WeakValue,
+    check_weak_bounds,
     jozsa_shifts,
     schwarz_gap,
     second_order_shifts,
     weak_moments,
 )
-from weakmeter.sampling import random_hermitian, random_state
+from weakmeter.exactengine import _selection_amplitudes
+from weakmeter.sampling import (
+    random_density,
+    random_hermitian,
+    random_projector,
+    random_projector_observable,
+    random_state,
+)
 
 SIGMA_X = HermitianObservable(np.array([[0.0, 1.0], [1.0, 0.0]]))
 PATH = HermitianObservable(np.diag([1.0, 0.0]))
@@ -186,3 +195,46 @@ class TestNearOrthogonalSelections:
             m = weak_moments(rho, pi, obs)
             assert m.postselect_prob == approx(prob, rel=1e-2)
             assert schwarz_gap(rho, pi, obs) == 0.0
+
+
+def _selection_readings(rho, pi, obs, order):
+    """repr of weak_moments, schwarz_gap and check_weak_bounds, called in
+    `order`: repr round-trips every float, so equal text is equal bits."""
+    setup = MeasurementSetup(obs, rho, pi, 1e-3, GaussianPointer(1.0))  # g * Delta_p = 5e-4
+    calls = {
+        "moments": lambda: weak_moments(rho, pi, obs),
+        "gap": lambda: schwarz_gap(rho, pi, obs),
+        "report": lambda: check_weak_bounds(setup),
+    }
+    return {name: repr(calls[name]()) for name in order}
+
+
+@pytest.mark.parametrize("dim", range(2, 7))
+def test_cached_sums_change_no_bit(dim):
+    """The column sums are formed once per cached selection and read by
+    weak_moments, schwarz_gap and check_weak_bounds: every call order, and
+    a cleared cache, give the same bits, and the cached sums are the ones
+    the amplitudes give, read-only.  Near-orthogonal selections
+    (p ~ 1e-10) are among the draws."""
+    rng = np.random.default_rng(2310 + dim)
+    orders = [("moments", "gap", "report"), ("report", "gap", "moments"), ("gap", "report", "moments")]
+    for case in range(30):
+        obs = random_projector_observable(rng, dim) if case % 2 else random_hermitian(rng, dim)
+        if case % 3 == 0:
+            rho, pi = _tilted_selection(rng, dim, 1e-10)
+        else:
+            rho = random_density(rng, dim, int(rng.integers(1, dim + 1)))
+            pi = random_projector(rng, dim, int(rng.integers(1, dim)))
+        readings = []
+        for order in orders:
+            _selection_amplitudes.cache_clear()
+            readings.append(_selection_readings(rho, pi, obs, order))
+            readings.append(_selection_readings(rho, pi, obs, order[::-1]))  # warm
+        assert all(r == readings[0] for r in readings), case
+        selection = _selection_amplitudes(rho, pi, obs)
+        sums, prob = selection.sums
+        fresh = (obs.eigenvalues ** np.arange(3)[:, None]) @ selection.amplitudes
+        assert sums.tobytes() == fresh.tobytes() and not sums.flags.writeable
+        assert prob == float(np.vdot(fresh[0], fresh[0]).real)
+        if case % 3 == 0:
+            assert prob == approx(1e-10, rel=1e-2)
