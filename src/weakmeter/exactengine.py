@@ -146,9 +146,10 @@ class MeasurementOutcome:
             raise ValidationError(f"measurement outcome: postselect_prob {prob!r} outside (0, 1]")
 
 
-# Grid points in one oracle call at most: grid_shifts holds about 2.85 kB
-# per point at d = 8 (full-rank rho, rank-7 Pi), so its peak stays near
-# 0.37 GB; more is refused before allocating.
+# Grid points in one oracle call at most: grid_shifts holds about 72 B per
+# point beside 0.75 MB of per-pass arrays at d = 8 (full-rank rho, rank-7 Pi;
+# 3.2 MB at 2^15 points), so its peak stays near 10 MB; more is refused
+# before allocating.
 MAX_GRID_POINTS = 2**17
 
 
@@ -439,20 +440,32 @@ def exact_shifts(setup: MeasurementSetup) -> MeasurementOutcome:
     return MeasurementOutcome(g * (q_num / n_val), ratio * (p_num / n_val) / delta, min(n_val, 1.0))
 
 
-def _pointer_position_profile(qs: np.ndarray, centers: np.ndarray, delta: float) -> np.ndarray:
-    """Rows of Phi(q - center) for each center; shape (K, n)."""
-    x = (qs[None, :] - centers[:, None]) / delta
-    return (2.0 * pi) ** -0.25 / np.sqrt(delta) * np.exp(-(x**2) / 4.0)
+# grid_shifts walks the grid in passes of this many points and reuses one set
+# of pass arrays, the largest 8 kB per wavefunction row, rather than holding
+# every row over the whole grid: fresh large arrays are mapped pages that
+# fault in again on every call.  A multiple of _PHASE_TABLE.
+_GRID_PASS = 512
+
+# grid_shifts tables the momentum phases exp(-i g a p): one exp per level at
+# every _PHASE_TABLE-th grid point and one at each of the _PHASE_TABLE offsets
+# from it, multiplied together.  Every grid has a multiple of 64 points.
+_PHASE_TABLE = 64
 
 
 def grid_shifts(setup: MeasurementSetup, grid: GridSpec) -> MeasurementOutcome:
     """Brute-force oracle: the same conditional shifts by trapezoid quadrature.
 
-    Expands the preselection into its spectral ensemble, builds the
-    postselected d-component pointer wavefunction on a position grid and its
-    Fourier partner psi_tilde(p) ~ exp(-delta^2 p^2 - i g a p) on a momentum
-    grid, and integrates the first moments directly.  No overlap formula
-    from :func:`exact_shifts` is reused.
+    Expands the preselection into its spectral ensemble and forms the
+    postselected branch amplitudes xi[(m, i), k] = sqrt(w_m) (Pi_f P_k
+    |chi_m>)_i, one row per ensemble member m and detector component i.  Row
+    r's pointer wavefunction is sum_k xi[r, k] Phi(q - g a_k) on a position
+    grid and, as its Fourier partner, sum_k xi[r, k] exp(-i g a_k p) times
+    the envelope ~ exp(-delta^2 p^2) on a momentum grid; the densities sum
+    |psi_r|^2 over the rows, and the first moments are integrated directly.
+    Each route is one real matrix product of the rows with the sampled
+    profiles, pass by pass over the grid, and the momentum phases are the
+    product of a coarse and a fine table of exponentials.  No amplitude or
+    overlap formula from :func:`exact_shifts` is reused.
 
     The grid must satisfy half_width >= 10 * delta + g * max|a| and resolve
     the pointer with a step of at most delta / 2; the momentum grid spans 10
@@ -472,27 +485,54 @@ def grid_shifts(setup: MeasurementSetup, grid: GridSpec) -> MeasurementOutcome:
         raise ValidationError(f"grid step {step!r} does not resolve the pointer width {delta!r}")
 
     eigs = setup.observable.eigenvalues
-    pstack = setup.observable.projectors
-    weights, chis = setup.preselection.weights, setup.preselection.kets
-    pi_f = setup.postselection.matrix
-
-    # xi[m, k, :] = Pi_f P_k |chi_m>, the postselected branch amplitudes
-    branches = np.einsum("kij,mj->mki", pstack, chis)
-    xi = np.einsum("ij,mkj->mki", pi_f, branches)
+    levels = eigs.size
+    kets = setup.preselection.kets * np.sqrt(setup.preselection.weights)[:, None]
+    # (Pi_f P_k) @ kets^T holds xi[(m, i), k] at [k, i, m]
+    xi = (setup.postselection.matrix @ setup.observable.projectors @ kets.T).transpose(2, 1, 0)
+    xi = xi.reshape(-1, levels)
+    # |psi|^2 is the sum of squares of Re psi and Im psi, so each product
+    # yields them as 2R real rows: [Re xi; Im xi] meets the real position
+    # profile, and [Re xi, Re(i xi); Im xi, Im(i xi)] the cosines and sines of
+    # the momentum phases.
+    position_rows = np.concatenate((xi.real, xi.imag))
+    momentum_rows = np.hstack((position_rows, np.concatenate((-xi.imag, xi.real))))
 
     n = grid.num_points
     qs = np.linspace(-grid.half_width, grid.half_width, n)
-    phi_q = _pointer_position_profile(qs, g * eigs, delta)
-    psi_q = np.einsum("mkd,kn->mdn", xi, phi_q.astype(complex))
-    dens_q = weights @ np.sum(np.abs(psi_q) ** 2, axis=1)
+    ps = np.linspace(-10.0 * setup.pointer.delta_p, 10.0 * setup.pointer.delta_p, n)
+    # Phi(q - g a) is exp(-x^2) at x = (q - g a) / (2 delta), up to its constant
+    xs, centers = qs / (2.0 * delta), (g / (2.0 * delta)) * eigs
+    theta = g * eigs[:, None]
+    coarse = np.exp(-1j * theta * ps[::_PHASE_TABLE])[:, :, None]
+    fine = np.exp(-1j * theta * ((ps[-1] - ps[0]) / (n - 1) * np.arange(_PHASE_TABLE)))
+
+    dens_q, dens_p = np.empty(n), np.empty(n)
+    profile = np.empty((levels, _GRID_PASS))
+    phases = np.empty((levels, _GRID_PASS // _PHASE_TABLE, _PHASE_TABLE), dtype=complex)
+    trig = np.empty((2, levels, _GRID_PASS))  # Re and Im of the phases
+    waves = np.empty((position_rows.shape[0], _GRID_PASS))  # Re and Im of every row's psi
+    for start in range(0, n, _GRID_PASS):
+        part = slice(start, start + _GRID_PASS)
+        np.subtract.outer(centers, xs[part], out=profile)
+        np.square(profile, out=profile)
+        np.negative(profile, out=profile)
+        np.exp(profile, out=profile)
+        np.matmul(position_rows, profile, out=waves)
+        np.einsum("rb,rb->b", waves, waves, out=dens_q[part])
+        first = start // _PHASE_TABLE
+        np.multiply(coarse[:, first:first + phases.shape[1]], fine[:, None, :], out=phases)
+        flat = phases.reshape(levels, _GRID_PASS)
+        np.copyto(trig[0], flat.real)
+        np.copyto(trig[1], flat.imag)
+        np.matmul(momentum_rows, trig.reshape(2 * levels, _GRID_PASS), out=waves)
+        np.einsum("rb,rb->b", waves, waves, out=dens_p[part])
+    # the profiles' constants, squared: (2 pi)^(-1/4) / sqrt(delta) in position,
+    # the envelope (2 / pi)^(1/4) sqrt(delta) exp(-delta^2 p^2) in momentum
+    dens_q *= (2.0 * pi) ** -0.5 / delta
+    dens_p *= np.square((2.0 / pi) ** 0.25 * np.sqrt(delta) * np.exp(-np.square(delta * ps)))
+
     norm_q = float(np.trapezoid(dens_q, qs))
     mom_q = float(np.trapezoid(qs * dens_q, qs))
-
-    ps = np.linspace(-10.0 * setup.pointer.delta_p, 10.0 * setup.pointer.delta_p, n)
-    envelope = (2.0 / pi) ** 0.25 * np.sqrt(delta) * np.exp(-np.square(delta * ps))
-    phi_p = envelope[None, :] * np.exp(-1j * g * np.outer(eigs, ps))
-    psi_p = np.einsum("mkd,kn->mdn", xi, phi_p)
-    dens_p = weights @ np.sum(np.abs(psi_p) ** 2, axis=1)
     norm_p = float(np.trapezoid(dens_p, ps))
     mom_p = float(np.trapezoid(ps * dens_p, ps))
 

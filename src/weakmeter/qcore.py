@@ -149,8 +149,9 @@ class DensityOperator:
         _check_hermitian(m, "density operator")
         tr = _pairwise_sum(m.diagonal().tolist())  # m.trace(), bit for bit
         if not abs(tr - 1.0) <= _ATOL_TRACE:  # NaN fails too
+            shown = tr.real if tr.imag == 0.0 else tr  # a plain number: 1.2, or (1+4e-12j)
             raise ValidationError(
-                f"density operator: trace {np.complex128(tr)!r} differs from 1 by more than 1e-12"
+                f"density operator: trace {shown!r} differs from 1 by more than 1e-12"
             )
         vals, vecs = np.linalg.eigh(m)
         v = vals.tolist()

@@ -304,6 +304,17 @@ class TestExtremeScales:
         assert code == 2 and out == ""
         assert err.startswith(message) and err.count("\n") == 1, err
 
+    def test_run_with_a_preselection_of_trace_above_one_exits_2(self, capsys, tmp_path):
+        """The trace is printed as a plain number, not as a numpy repr."""
+        text = resources.files("weakmeter").joinpath("scenarios", "anomalous_qubit.json").read_text()
+        path = tmp_path / "case.json"
+        preselect = [[[0.7, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.5, 0.0]]]
+        path.write_text(json.dumps({**json.loads(text), "preselect": preselect}))
+        code, out, err = _run(capsys, "run", str(path))
+        assert code == 2 and out == ""
+        assert err == "error: preselect: density operator: trace 1.2 differs from 1 by more than 1e-12\n"
+        assert "np." not in err
+
     @pytest.mark.parametrize("dim", ["-1", "0"])
     def test_bounds_optimize_rejects_dimensions_below_two(self, capsys, dim):
         code, _, err = _run(capsys, "bounds-optimize", f"--dim={dim}")

@@ -8,6 +8,7 @@ no code beyond the setup container, so agreement is a real check.
 
 import gc
 import json
+import tracemalloc
 import warnings
 import weakref
 from importlib import resources
@@ -49,7 +50,12 @@ from weakmeter.bounds import _envelope_curve
 from weakmeter.hardy import build_hardy, closed_form_shifts, hardy_probabilities, probability_curve
 from weakmeter.infogain import information_gain, reduced_device_states
 from weakmeter.qcore import von_neumann_entropy
-from weakmeter.sampling import random_density, random_projector, random_projector_observable
+from weakmeter.sampling import (
+    random_density,
+    random_hermitian,
+    random_projector,
+    random_projector_observable,
+)
 
 PATH = HermitianObservable(np.diag([1.0, 0.0]))
 EPS = np.finfo(float).eps
@@ -594,6 +600,89 @@ class TestGridOracle:
         oracle = grid_shifts(setup, GridSpec.for_setup(setup))
         assert exact.delta_p != 0.0
         assert oracle.delta_p == approx(exact.delta_p, abs=1e-8)
+
+    def test_matches_the_einsum_reference(self):
+        """The BLAS products and the tabled phases re-order the sums, not the
+        quadrature: on seeded setups (d = 2..8, rho from pure to full rank, Pi
+        of rank 1..d-1, g / delta in [1e-3, 30], 1024, 4096 and 2^15 points)
+        each output meets the einsum route to 1e-13 relative or 1e-14 in
+        pointer units (delta for delta_q, 1 / (2 delta) for delta_p)."""
+        rng = np.random.default_rng(24)
+        for case in range(28):
+            d = 2 + case % 7
+            obs = random_hermitian(rng, d) if case % 2 else random_projector_observable(rng, d)
+            rho = random_density(rng, d, 1 + case // 7 * (d - 1) // 3)
+            pi = random_projector(rng, d, int(rng.integers(1, d)))
+            delta = float(rng.choice([0.5, 1.0, 2.0]))
+            g = delta * 10.0 ** rng.uniform(-3.0, np.log10(30.0))
+            setup = MeasurementSetup(obs, rho, pi, g, GaussianPointer(delta))
+            grid = GridSpec(GridSpec.for_setup(setup).half_width, (1024, 4096, 2**15)[case % 3])
+            out = grid_shifts(setup, grid)
+            ref_q, ref_p, ref_prob = _einsum_grid_moments(setup, grid)
+            assert abs(out.delta_q - ref_q) <= max(1e-13 * abs(ref_q), 1e-14 * delta), case
+            assert abs(out.delta_p - ref_p) <= max(1e-13 * abs(ref_p), 1e-14 / (2.0 * delta)), case
+            assert abs(out.postselect_prob - ref_prob) <= 1e-13 * ref_prob, case
+
+    def test_interference_scenario_has_no_momentum_shift_on_the_grid(self):
+        """Real amplitudes and levels {0, 1}: the momentum density is even
+        on the symmetric grid, and its first moment is 0 exactly."""
+        text = resources.files("weakmeter").joinpath("scenarios", "hardy_nono.json").read_text()
+        setup, grid = parse_scenario(json.loads(text))
+        assert grid_shifts(setup, grid).delta_p == 0.0
+
+    def test_peak_memory_at_the_largest_dimension(self):
+        """tracemalloc peak of one call at d = 8 (full-rank rho, rank-7 Pi,
+        R = 64 rows) on 2^15 points.  The einsum route held every row over
+        the whole grid: psi as (8, 8, n) complex in each route (1 kB per
+        point), |psi|^2 beside it, the complex copy of the profile and the
+        phases; it peaked at 93,342,024 B, 2,849 B per point.  The passes
+        hold one 2R x 512 real block of wavefunction parts (0.52 MB) and the
+        pass's profile, phases and their real parts (0.16 MB), beside the
+        grid-length float arrays (the grids, xs, the densities and the
+        trapezoid's temporaries): about 72 B per point, 3.16 MB in all."""
+        rng = np.random.default_rng(8)
+        setup = MeasurementSetup(
+            random_hermitian(rng, 8), random_density(rng, 8), random_projector(rng, 8, 7),
+            0.7, GaussianPointer(1.0),
+        )
+        n = 2**15
+        grid = GridSpec(GridSpec.for_setup(setup).half_width, n)
+        grid_shifts(setup, grid)
+        tracemalloc.start()
+        try:
+            grid_shifts(setup, grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 93_342_024
+        assert peak <= 1_000_000 + 128 * n, peak
+
+
+def _einsum_grid_moments(setup, grid):
+    """The oracle's earlier route, kept as its reference: einsum contractions
+    over the whole grid, the complex copy of the position profile and one
+    complex exp per level and momentum point.  (delta_q, delta_p,
+    postselect_prob), without the oracle's checks."""
+    g, delta = setup.g, setup.pointer.delta
+    eigs = setup.observable.eigenvalues
+    weights, chis = setup.preselection.weights, setup.preselection.kets
+    branches = np.einsum("kij,mj->mki", setup.observable.projectors, chis)
+    xi = np.einsum("ij,mkj->mki", setup.postselection.matrix, branches)
+    n = grid.num_points
+    qs = np.linspace(-grid.half_width, grid.half_width, n)
+    x = (qs[None, :] - g * eigs[:, None]) / delta
+    phi_q = (2.0 * np.pi) ** -0.25 / np.sqrt(delta) * np.exp(-(x**2) / 4.0)
+    psi_q = np.einsum("mkd,kn->mdn", xi, phi_q.astype(complex))
+    dens_q = weights @ np.sum(np.abs(psi_q) ** 2, axis=1)
+    ps = np.linspace(-10.0 * setup.pointer.delta_p, 10.0 * setup.pointer.delta_p, n)
+    envelope = (2.0 / np.pi) ** 0.25 * np.sqrt(delta) * np.exp(-np.square(delta * ps))
+    phi_p = envelope[None, :] * np.exp(-1j * g * np.outer(eigs, ps))
+    psi_p = np.einsum("mkd,kn->mdn", xi, phi_p)
+    dens_p = weights @ np.sum(np.abs(psi_p) ** 2, axis=1)
+    norm_q = float(np.trapezoid(dens_q, qs))
+    delta_q = float(np.trapezoid(qs * dens_q, qs)) / norm_q
+    delta_p = float(np.trapezoid(ps * dens_p, ps)) / float(np.trapezoid(dens_p, ps))
+    return delta_q, delta_p, min(norm_q, 1.0)
 
 
 class TestGridSpec:

@@ -5,16 +5,19 @@
 Runs the benchmark command of BENCHMARK.json (perfbench/run.py, unchanged)
 untraced, for every registered workload at each seed of SEEDS, and reads
 each run's result.json.  It then times the Tier-1 test suite and
-`weakmeter verify` once each, and writes:
+`weakmeter verify` WALL_RUNS times each, interleaved, so that a slow stretch
+of the machine lands on both rather than on one, and writes:
 
 - per workload and end-to-end metric, the median and quartiles over the
   seeds, of the scaled figure and of the unscaled one, with every run's value;
 - per run, the speed-gauge readings that scaled it;
 - the python and numpy versions and the source digest the runs reported;
-- the Tier-1 and `verify` walls, with their exit codes.
+- the Tier-1 and `verify` walls of every run, with their exit codes, and
+  the median wall of each.
 
 Standard library only, so it runs wherever the benchmark does.  It takes
-about 20 s per run, some 4 to 5 minutes in all; run nothing else meanwhile.
+about 20 s per benchmark run and 3 to 4 minutes for the walls, some 8 to 9
+minutes in all; run nothing else meanwhile.
 """
 
 from __future__ import annotations
@@ -30,6 +33,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 SEEDS = (1, 2, 3)
+WALL_RUNS = 3
 TIER1 = [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors", "-p", "no:cacheprovider"]
 VERIFY = [sys.executable, "-m", "weakmeter.cli", "verify"]
 
@@ -48,6 +52,16 @@ def _timed(cmd: list[str]) -> dict:
     lines = proc.stdout.strip().splitlines()
     return {"wall_s": time.perf_counter() - start, "exit": proc.returncode,
             "last_line": lines[-1] if lines else proc.stderr.strip()[-200:]}
+
+
+def _walls(commands: dict[str, list[str]]) -> dict:
+    """Every command WALL_RUNS times, interleaved: each run and the median wall."""
+    runs = {name: [] for name in commands}
+    for _ in range(WALL_RUNS):
+        for name, cmd in commands.items():
+            runs[name].append(_timed(cmd))
+    return {name: {"median_wall_s": statistics.median(r["wall_s"] for r in done), "runs": done}
+            for name, done in runs.items()}
 
 
 def _spread(values: list[float]) -> dict:
@@ -101,8 +115,7 @@ def main() -> int:
         "seeds": list(SEEDS),
         "run_seconds": bench["run_seconds"],
         "workloads": {w["name"]: _record_workload(bench, w["name"]) for w in bench["workloads"]},
-        "tier1": _timed(TIER1),
-        "verify": _timed(VERIFY),
+        **_walls({"tier1": TIER1, "verify": VERIFY}),
     }
     Path(args.out).write_text(json.dumps(record, indent=1) + "\n")
     return 0
