@@ -22,6 +22,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
+from numbers import Real
 
 import numpy as np
 
@@ -36,14 +38,17 @@ from .exactengine import (
     ORTHOGONALITY_FLOOR,
     GaussianPointer,
     MeasurementSetup,
+    _TINY,
     _check_coupling,
+    _levels,
+    _Levels,
     _pointer_sums,
     _pointer_terms,
     _ratio,
     _told_apart,
     exact_shifts,
 )
-from .qcore import HermitianObservable, StateVector
+from .qcore import _MAX_SPECTRAL_DIM, HermitianObservable, StateVector
 from .weakvalue import WeakMoments, weak_moments
 
 # Weak-regime cutoff for the shift bounds (dimensionless g * Delta_p).
@@ -212,6 +217,8 @@ def _phase_canonical(v: np.ndarray) -> np.ndarray:
     return v * np.conj(phase)
 
 
+# The unit roundoff of a double.
+_EPS = np.finfo(float).eps
 # N-form eigenvalues below this fraction of the largest are rounding noise.
 _RANGE_TOL = 1e-15
 # Units of N's rounding, eps (|1 . c| + |c|^T h |c|) at ||c||_1 = 1, that a
@@ -222,8 +229,17 @@ _KAPPA_SPAN = 16.0 * np.log(10.0)
 _FLOOR_BISECTIONS = 44
 
 
+@lru_cache(maxsize=_MAX_SPECTRAL_DIM)  # an observable has K <= d <= 8 levels
+def _ones_frame(k: int) -> tuple[np.ndarray, float]:
+    """An orthogonal K x K frame whose first axis is the all-ones direction
+    (Householder, read-only), and the sum of that first column."""
+    rot = np.linalg.qr(np.ones((k, 1)), mode="complete")[0]
+    rot.flags.writeable = False
+    return rot, rot[:, 0].sum()
+
+
 def _pencil_extremes(
-    eigs: np.ndarray, ratio: float, h: np.ndarray, qker: np.ndarray, floor: float
+    levels: _Levels, ratio: float, h: np.ndarray, floor: float
 ) -> tuple[np.ndarray, np.ndarray]:
     """Real amplitudes c_k = <f|P_k|i>, ||c||_1 = 1, of the largest and smallest delta_q.
 
@@ -234,10 +250,12 @@ def _pencil_extremes(
         q_num = g [(1 . c)(a . c) - c^T qker c],
 
     so delta_q = q_num / N is the Rayleigh quotient of the K x K pencil
-    (Q, G).  In a frame whose first axis is 1, only that axis carries the
-    g-independent terms; eliminating it (a Schur complement) before
-    whitening N keeps them exact at any coupling, though the whitening loses
-    digits as G nears singular (K >= 6, g ~ Delta).  One eigendecomposition
+    (Q, G).  In a frame whose first axis is 1 (:func:`_ones_frame`, formed
+    once per K), only that axis carries the g-independent terms;
+    eliminating it (a Schur complement) before whitening N keeps them exact
+    at any coupling, though the whitening loses digits as G nears singular
+    (K >= 6, g ~ Delta).  The levels and the means (a + a')/2 of qker are
+    read from `levels`, formed once per observable.  One eigendecomposition
     of the whitened q-form M serves both directions: its top eigenvector is
     the maximizer over all selections and its bottom one the minimizer.
 
@@ -248,10 +266,10 @@ def _pencil_extremes(
     N / ||c||_1^2 meets the floor.  If none clears it, the penalty is
     ||c||_2^2 >= ||c||_1^2 / K, which reaches N / ||c||_1^2 >= 1 / K.
     """
-    rot = np.linalg.qr(np.ones((len(eigs), 1)), mode="complete")[0]
-    head = rot[:, 0].sum()
+    eigs = levels.eigenvalues
+    rot, head = _ones_frame(len(eigs))
     n_small = rot.T @ h @ rot
-    q_form = -(rot.T @ qker @ rot)
+    q_form = -(rot.T @ (levels.means * h) @ rot)
     cross = (rot.T @ eigs) * (head / 2.0)
     q_form[0] += cross
     q_form[:, 0] += cross
@@ -264,14 +282,14 @@ def _pencil_extremes(
     white[1:, 1:] = v[:, keep] / np.sqrt(w[keep])
     white[0, 1:] = -elim @ white[1:, 1:]
     m = white.T @ (ratio * q_form) @ white
-    m /= max(float(np.max(np.abs(m))), np.finfo(float).tiny)  # unit scale, same eigenvectors
+    m /= max(float(np.max(np.abs(m))), _TINY)  # unit scale, same eigenvectors
     frame = rot @ white
 
     def amplitudes(z: np.ndarray) -> tuple[np.ndarray, float]:
         c = frame @ z
         c /= np.abs(c).sum()
         s0 = c.sum()
-        slack = _N_SLACK * np.finfo(float).eps * (abs(s0) + np.abs(c) @ h @ np.abs(c))
+        slack = _N_SLACK * _EPS * (abs(s0) + np.abs(c) @ h @ np.abs(c))
         return c, float(s0**2 - c @ h @ c - slack)
 
     def above_floor(form: np.ndarray, z: np.ndarray) -> np.ndarray:
@@ -319,7 +337,10 @@ def optimize_pps(
 
     has exactly those amplitudes.  Each direction's selection is scored
     once with the exact engine's cancellation-free sums; `objective` only
-    selects which pair is returned.  `restarts` (>= 1) and `seed` change
+    selects which pair is returned.  What does not depend on g, the level
+    geometry with e_k and the all-ones frame, is formed once per observable
+    and once per K; every call solves the pencil and scores both
+    selections afresh.  `restarts` (>= 1) and `seed` change
     nothing; they remain only because the perfbench extremal workload
     passes them.
 
@@ -344,8 +365,8 @@ def optimize_pps(
         Where the displaced pointers cannot be told apart: g / Delta times
         the gap of some two levels below about 4.2e-154, g = 0 included.
     ValidationError
-        When g / Delta overflows, or a constructed shift lies beyond the
-        double range.
+        When g / Delta overflows, `min_postselect` is not a real number in
+        [1e-14, 1), or a constructed shift lies beyond the double range.
     InternalConsistencyError
         If no selection clears the floor, or, for projector observables, if
         either shift escapes the closed-form envelope by more than 1e-9
@@ -362,11 +383,15 @@ def optimize_pps(
     ratio = g / delta
     if not np.isfinite(ratio):
         raise ValidationError(f"g / delta = {g!r} / {delta!r} overflows")
-    if min_postselect < ORTHOGONALITY_FLOOR:
-        raise ValidationError(f"min_postselect must be >= the {ORTHOGONALITY_FLOOR!r} orthogonality floor")
+    # N <= 1, so no selection clears a floor at or above 1; NaN fails too
+    if not (isinstance(min_postselect, Real) and ORTHOGONALITY_FLOOR <= min_postselect < 1.0):
+        raise ValidationError(
+            f"min_postselect must be a real number in [{ORTHOGONALITY_FLOOR!r}, 1), got {min_postselect!r}"
+        )
 
-    eigs, pstack = observable.eigenvalues, observable.projectors
-    ratio, h = _told_apart(ratio, np.abs(eigs[:, None] - eigs[None, :]), float(eigs[-1] - eigs[0]))
+    levels = _levels(observable)
+    eigs, pstack = levels.eigenvalues, levels.projectors
+    ratio, h = _told_apart(ratio, levels.spread, levels.span)
 
     # closed-form envelope where one exists
     if observable.is_projector():
@@ -378,18 +403,14 @@ def optimize_pps(
     else:
         env_max = env_min = float("nan")
 
-    cols = np.argmax(np.einsum("kii->ki", pstack).real, axis=1)  # e_k: P_k's largest column
-    units = pstack[np.arange(len(eigs)), :, cols]
-    units /= np.linalg.norm(units, axis=1, keepdims=True)
-
     def selection(c: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
         root = np.sqrt(np.abs(c))
-        pre, post = (np.sign(c) * root) @ units, root @ units
-        terms = _pointer_terms(((pstack @ pre) @ post.conj())[:, None], eigs)
+        pre, post = (np.sign(c) * root) @ levels.units, root @ levels.units
+        terms = _pointer_terms(((pstack @ pre) @ post.conj())[:, None], levels)
         n_val, q_num, _, _ = _pointer_sums(terms, ratio)
         return g * (q_num / n_val), pre, post
 
-    c_max, c_min = _pencil_extremes(eigs, ratio, h, (eigs[:, None] + eigs[None, :]) / 2.0 * h, min_postselect)
+    c_max, c_min = _pencil_extremes(levels, ratio, h, float(min_postselect))
     best_max, *top = selection(c_max)
     best_min, *bottom = selection(c_min)
     if not (math.isfinite(best_max) and math.isfinite(best_min)):

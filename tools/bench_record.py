@@ -12,6 +12,11 @@ of the machine lands on both rather than on one, and writes:
   seeds, of the scaled figure and of the unscaled one, with every run's value;
 - per run, the speed-gauge readings that scaled it;
 - the python and numpy versions and the source digest the runs reported;
+- whether the runs' interpreters write bytecode (`sys.flags.dont_write_bytecode`
+  of a child started as the runs are, and the `PYTHONDONTWRITEBYTECODE` they
+  inherit): without it every fresh interpreter compiles weakmeter from
+  source, which `cli` ops and set-up pay, so `cli` walls from machines that
+  differ in it do not compare;
 - the Tier-1 and `verify` walls of every run, with their exit codes, and
   the median wall of each.
 
@@ -52,6 +57,13 @@ def _timed(cmd: list[str]) -> dict:
     lines = proc.stdout.strip().splitlines()
     return {"wall_s": time.perf_counter() - start, "exit": proc.returncode,
             "last_line": lines[-1] if lines else proc.stderr.strip()[-200:]}
+
+
+def _bytecode() -> dict:
+    """Whether an interpreter started as the runs are writes bytecode."""
+    probe = [sys.executable, "-c", "import sys; print(sys.flags.dont_write_bytecode)"]
+    flag = subprocess.run(probe, cwd=ROOT, env=_env(), capture_output=True, text=True, check=True).stdout
+    return {"dont_write_bytecode": int(flag), "PYTHONDONTWRITEBYTECODE": os.environ.get("PYTHONDONTWRITEBYTECODE")}
 
 
 def _walls(commands: dict[str, list[str]]) -> dict:
@@ -114,6 +126,7 @@ def main() -> int:
         "src_differs_from_commit": bool(git[1]),
         "seeds": list(SEEDS),
         "run_seconds": bench["run_seconds"],
+        "bytecode": _bytecode(),
         "workloads": {w["name"]: _record_workload(bench, w["name"]) for w in bench["workloads"]},
         **_walls({"tier1": TIER1, "verify": VERIFY}),
     }
