@@ -40,8 +40,6 @@ from .exactengine import (
     MeasurementSetup,
     _TINY,
     _check_coupling,
-    _levels,
-    _Levels,
     _pointer_sums,
     _pointer_terms,
     _ratio,
@@ -239,7 +237,7 @@ def _ones_frame(k: int) -> tuple[np.ndarray, float]:
 
 
 def _pencil_extremes(
-    levels: _Levels, ratio: float, h: np.ndarray, floor: float
+    eigs: np.ndarray, ratio: float, h: np.ndarray, qker: np.ndarray, floor: float
 ) -> tuple[np.ndarray, np.ndarray]:
     """Real amplitudes c_k = <f|P_k|i>, ||c||_1 = 1, of the largest and smallest delta_q.
 
@@ -254,8 +252,7 @@ def _pencil_extremes(
     once per K), only that axis carries the g-independent terms;
     eliminating it (a Schur complement) before whitening N keeps them exact
     at any coupling, though the whitening loses digits as G nears singular
-    (K >= 6, g ~ Delta).  The levels and the means (a + a')/2 of qker are
-    read from `levels`, formed once per observable.  One eigendecomposition
+    (K >= 6, g ~ Delta).  One eigendecomposition
     of the whitened q-form M serves both directions: its top eigenvector is
     the maximizer over all selections and its bottom one the minimizer.
 
@@ -266,10 +263,9 @@ def _pencil_extremes(
     N / ||c||_1^2 meets the floor.  If none clears it, the penalty is
     ||c||_2^2 >= ||c||_1^2 / K, which reaches N / ||c||_1^2 >= 1 / K.
     """
-    eigs = levels.eigenvalues
     rot, head = _ones_frame(len(eigs))
     n_small = rot.T @ h @ rot
-    q_form = -(rot.T @ (levels.means * h) @ rot)
+    q_form = -(rot.T @ qker @ rot)
     cross = (rot.T @ eigs) * (head / 2.0)
     q_form[0] += cross
     q_form[:, 0] += cross
@@ -337,12 +333,10 @@ def optimize_pps(
 
     has exactly those amplitudes.  Each direction's selection is scored
     once with the exact engine's cancellation-free sums; `objective` only
-    selects which pair is returned.  What does not depend on g, the level
-    geometry with e_k and the all-ones frame, is formed once per observable
-    and once per K; every call solves the pencil and scores both
-    selections afresh.  `restarts` (>= 1) and `seed` change
-    nothing; they remain only because the perfbench extremal workload
-    passes them.
+    selects which pair is returned.  Only the all-ones frame, which
+    depends on K alone, is kept between calls; every call forms the rest
+    afresh.  `restarts` (>= 1) and `seed` change nothing; they remain only
+    because the perfbench extremal workload passes them.
 
     Selections with postselection probability <= `min_postselect` are
     excluded: below that, double precision cannot certify shifts against
@@ -389,9 +383,8 @@ def optimize_pps(
             f"min_postselect must be a real number in [{ORTHOGONALITY_FLOOR!r}, 1), got {min_postselect!r}"
         )
 
-    levels = _levels(observable)
-    eigs, pstack = levels.eigenvalues, levels.projectors
-    ratio, h = _told_apart(ratio, levels.spread, levels.span)
+    eigs, pstack = observable.eigenvalues, observable.projectors
+    ratio, h = _told_apart(ratio, np.abs(eigs[:, None] - eigs[None, :]), float(eigs[-1] - eigs[0]))
 
     # closed-form envelope where one exists
     if observable.is_projector():
@@ -403,14 +396,18 @@ def optimize_pps(
     else:
         env_max = env_min = float("nan")
 
+    cols = np.argmax(np.einsum("kii->ki", pstack).real, axis=1)  # e_k: P_k's largest column
+    units = pstack[np.arange(len(eigs)), :, cols]
+    units /= np.linalg.norm(units, axis=1, keepdims=True)
+
     def selection(c: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
         root = np.sqrt(np.abs(c))
-        pre, post = (np.sign(c) * root) @ levels.units, root @ levels.units
-        terms = _pointer_terms(((pstack @ pre) @ post.conj())[:, None], levels)
+        pre, post = (np.sign(c) * root) @ units, root @ units
+        terms = _pointer_terms(((pstack @ pre) @ post.conj())[:, None], eigs)
         n_val, q_num, _, _ = _pointer_sums(terms, ratio)
         return g * (q_num / n_val), pre, post
 
-    c_max, c_min = _pencil_extremes(levels, ratio, h, float(min_postselect))
+    c_max, c_min = _pencil_extremes(eigs, ratio, h, (eigs[:, None] + eigs[None, :]) / 2.0 * h, float(min_postselect))
     best_max, *top = selection(c_max)
     best_min, *bottom = selection(c_min)
     if not (math.isfinite(best_max) and math.isfinite(best_min)):

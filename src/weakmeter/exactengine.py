@@ -19,9 +19,7 @@ The closed form has one path for every selection.  (rho, Pi), each
 decomposed once by its own class, is contracted into pure-state amplitudes
 (:func:`_selection_amplitudes`, cached).  Their g-independent terms,
 with the kernel coefficients folded into the selection weights, are
-formed once per selection (:func:`_pointer_terms`) from the observable's
-level geometry, itself formed once per observable (:func:`_levels`,
-cached), so a coupling costs
+formed once per selection (:func:`_pointer_terms`), so a coupling costs
 only the overlaps, as G - 1 in pointer units, where only g / Delta enters
 (:func:`_overlaps`, the one such step, or :func:`_told_apart` where the
 pointers must be told apart), and one contraction (:func:`_pointer_sums`),
@@ -270,56 +268,6 @@ def _told_apart(ratio, spread: np.ndarray, span: float):
     return r, h
 
 
-@dataclass(frozen=True, eq=False)
-class _Levels:
-    """The g-independent level geometry of one observable, formed once per
-    observable (:func:`_levels`) and shared by every selection and coupling;
-    arrays read-only, scalars Python floats."""
-
-    eigenvalues: np.ndarray  # (K,): the levels a, ascending
-    projectors: np.ndarray  # (K, d, d): the P_k
-    spread: np.ndarray  # (K, K): |a - a'|
-    flat_spread: np.ndarray  # (K^2,): the same, over the level pairs (k, l) flattened
-    span: float  # the largest spread, a_max - a_min
-    means: np.ndarray  # (K, K): (a + a') / 2
-    coefficients: np.ndarray  # (K^2, 3, 1): the kernel coefficients [1, (a + a')/2, (a - a')/4] per pair
-    bound: float  # max(1, |a|), which bounds every kernel entry
-
-    @cached_property
-    def units(self) -> np.ndarray:
-        """e_k, a fixed unit vector in the range of each P_k (its largest
-        column), one per row; formed on first use, as only the extremal
-        search reads it."""
-        cols = np.argmax(np.einsum("kii->ki", self.projectors).real, axis=1)
-        units = self.projectors[np.arange(len(cols)), :, cols]
-        units /= np.linalg.norm(units, axis=1, keepdims=True)
-        units.flags.writeable = False
-        return units
-
-
-# Selections, and observables, kept factored at once.  The operators are
-# frozen and hash by identity; the cache's references keep a key's ids from
-# being reused.
-_SELECTION_CACHE_SIZE = 16
-
-
-@lru_cache(maxsize=_SELECTION_CACHE_SIZE)
-def _levels(observable: HermitianObservable) -> _Levels:
-    """The :class:`_Levels` of an observable; cached, keyed on the object,
-    since e_k depends on its projectors and not on its levels alone."""
-    eigs = observable.eigenvalues
-    k = len(eigs)
-    da = eigs[:, None] - eigs[None, :]
-    coef = np.array([np.ones_like(da), (eigs[:, None] + eigs[None, :]) / 2.0, da / 4.0])
-    spread = np.abs(da)
-    coef.flags.writeable = spread.flags.writeable = False
-    # eigenvalues ascending: max |a| is the larger of -a_min and a_max
-    return _Levels(
-        eigs, observable.projectors, spread, spread.reshape(k * k), float(eigs[-1] - eigs[0]), coef[1],
-        coef.reshape(3, k * k).T[:, :, None], float(max(1.0, -eigs[0], eigs[-1])),
-    )
-
-
 class _PointerTerms(NamedTuple):
     """The g-independent terms of one selection's pointer sums, over the level
     pairs (k, l) flattened; arrays read-only, scalars Python floats.  With
@@ -336,21 +284,23 @@ class _PointerTerms(NamedTuple):
     span: float  # the largest spread, a_max - a_min
 
 
-def _pointer_terms(c: np.ndarray, levels: _Levels) -> _PointerTerms:
+def _pointer_terms(c: np.ndarray, eigenvalues: np.ndarray) -> _PointerTerms:
     """The :class:`_PointerTerms` of amplitudes c[k, r] (a pure pair is one
-    column) at the observable's levels; the spreads and the kernel
-    coefficients are read from `levels`, formed once per observable, so a
-    call forms only the products with the selection weights."""
-    k = len(levels.eigenvalues)
+    column) at the observable's ascending levels."""
+    k = len(eigenvalues)
+    da = eigenvalues[:, None] - eigenvalues[None, :]
+    coef = np.array([np.ones_like(da), (eigenvalues[:, None] + eigenvalues[None, :]) / 2.0, da / 4.0])
     s0 = c.sum(axis=0)
     w_pairs = (c.conj() @ c.T).view(float).reshape(k * k, 1, 2)
-    weights = (levels.coefficients * w_pairs).reshape(k * k, 6)
-    weights.flags.writeable = False
-    # kernel entries are at most max(1, |a|) (h <= 1, |qker| <= |a|, |pker| <= |a| / 2),
-    # so this bounds the absolute mass of every sum
-    scale = float(np.vdot(c, c).real * levels.bound + 1e-300)
-    anchor, norm_sq = complex(np.vdot(s0, levels.eigenvalues @ c)), float(np.vdot(s0, s0).real)
-    return _PointerTerms(weights, levels.flat_spread, norm_sq, anchor.real, anchor.imag, scale, levels.span)
+    weights = (coef.reshape(3, k * k).T[:, :, None] * w_pairs).reshape(k * k, 6)
+    spread = np.abs(da).reshape(k * k)
+    weights.flags.writeable = spread.flags.writeable = False
+    # kernel entries are at most max(1, |a|) (h <= 1, |qker| <= |a|, |pker| <= |a| / 2;
+    # eigenvalues ascending), so this bounds the absolute mass of every sum
+    scale = float(np.vdot(c, c).real * max(1.0, -eigenvalues[0], eigenvalues[-1]) + 1e-300)
+    anchor, norm_sq = complex(np.vdot(s0, eigenvalues @ c)), float(np.vdot(s0, s0).real)
+    span = float(eigenvalues[-1] - eigenvalues[0])
+    return _PointerTerms(weights, spread, norm_sq, anchor.real, anchor.imag, scale, span)
 
 
 def _pointer_sums(terms: _PointerTerms, ratio):
@@ -388,25 +338,29 @@ class _Selection:
     """One selection (rho, Pi, A) factored for every coupling; arrays read-only.
 
     `amplitudes` are the c[k, r] of :func:`_selection_amplitudes`.  The
-    pointer-sum terms (:func:`_pointer_terms`, from the observable's level
-    geometry, :func:`_levels`, shared with its other selections) and the
-    column sums of the weak moments (`sums`) are each formed on first use,
-    so a caller pays only for what it reads.
+    pointer-sum terms (:func:`_pointer_terms`) and the column sums of the
+    weak moments (`sums`) are each formed on first use, so a caller pays
+    only for what it reads.
     """
 
     amplitudes: np.ndarray
-    observable: HermitianObservable
+    eigenvalues: np.ndarray
 
     @cached_property
     def terms(self) -> _PointerTerms:
-        return _pointer_terms(self.amplitudes, _levels(self.observable))
+        return _pointer_terms(self.amplitudes, self.eigenvalues)
 
     @cached_property
     def sums(self) -> tuple[np.ndarray, float]:
         """Rows S_n = sum_k a_k^n c[k, r], n = 0, 1, 2, and p = |S0|^2 = tr(Pi rho)."""
-        sums = (self.observable.eigenvalues ** np.arange(3)[:, None]) @ self.amplitudes
+        sums = (self.eigenvalues ** np.arange(3)[:, None]) @ self.amplitudes
         sums.flags.writeable = False
         return sums, float(np.vdot(sums[0], sums[0]).real)
+
+
+# Selections kept factored at once.  The operators are frozen and hash by
+# identity; the cache's references keep a key's ids from being reused.
+_SELECTION_CACHE_SIZE = 16
 
 
 @lru_cache(maxsize=_SELECTION_CACHE_SIZE)
@@ -429,10 +383,11 @@ def _selection_amplitudes(
     cached, keyed on the three operator objects; every array in the record
     is read-only, since callers share it.
     """
+    eigs = observable.eigenvalues
     amplitudes = pi.bras @ observable.projectors @ (rho.kets.T * np.sqrt(rho.weights))
-    c = amplitudes.reshape(len(observable.eigenvalues), -1)
+    c = amplitudes.reshape(len(eigs), -1)
     c.flags.writeable = False
-    return _Selection(c, observable)
+    return _Selection(c, eigs)
 
 
 def exact_shifts(setup: MeasurementSetup) -> MeasurementOutcome:

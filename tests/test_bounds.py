@@ -34,9 +34,9 @@ from weakmeter import (
     weak_moments,
 )
 from weakmeter import bounds
-from weakmeter.bounds import ExtremePair, _ones_frame, extreme_shifts_projector, k_value
+from weakmeter.bounds import _ones_frame, extreme_shifts_projector, k_value
 from weakmeter.cli import main
-from weakmeter.exactengine import _overlaps, _pointer_sums, _PointerTerms, _told_apart
+from weakmeter.exactengine import _overlaps
 from weakmeter.sampling import random_hermitian, random_projector, random_state
 
 PATH = HermitianObservable(np.diag([1.0, 0.0]))
@@ -477,107 +477,10 @@ class TestPencilSolve:
         assert float(report["best_delta_q_max"]) == approx(0.484123418276, rel=1e-9)
 
 
-# The extremal search with its g-independent geometry formed on every call:
-# the frame (one qr), the spreads, the means, e_k and the kernel-coefficient
-# stack.  The reference for TestObservableRecord; every other step calls the
-# package.
-def _reference_pointer_terms(c, eigenvalues):
-    k = len(eigenvalues)
-    da = eigenvalues[:, None] - eigenvalues[None, :]
-    coef = np.array([np.ones_like(da), (eigenvalues[:, None] + eigenvalues[None, :]) / 2.0, da / 4.0])
-    s0 = c.sum(axis=0)
-    w_pairs = (c.conj() @ c.T).view(float).reshape(k * k, 1, 2)
-    weights = (coef.reshape(3, k * k).T[:, :, None] * w_pairs).reshape(k * k, 6)
-    spread = np.abs(da).reshape(k * k)
-    scale = float(np.vdot(c, c).real * max(1.0, -eigenvalues[0], eigenvalues[-1]) + 1e-300)
-    anchor, norm_sq = complex(np.vdot(s0, eigenvalues @ c)), float(np.vdot(s0, s0).real)
-    span = float(eigenvalues[-1] - eigenvalues[0])
-    return _PointerTerms(weights, spread, norm_sq, anchor.real, anchor.imag, scale, span)
-
-
-def _reference_pencil_extremes(eigs, ratio, h, qker, floor, bound_by_floor):
-    rot = np.linalg.qr(np.ones((len(eigs), 1)), mode="complete")[0]
-    head = rot[:, 0].sum()
-    n_small = rot.T @ h @ rot
-    q_form = -(rot.T @ qker @ rot)
-    cross = (rot.T @ eigs) * (head / 2.0)
-    q_form[0] += cross
-    q_form[:, 0] += cross
-    pivot = head**2 - n_small[0, 0]
-    elim = -n_small[1:, 0] / pivot
-    w, v = np.linalg.eigh(-n_small[1:, 1:] - pivot * np.outer(elim, elim))
-    keep = w > bounds._RANGE_TOL * w.max(initial=0.0)
-    white = np.zeros((len(eigs), 1 + int(keep.sum())))
-    white[0, 0] = 1.0 / np.sqrt(pivot)
-    white[1:, 1:] = v[:, keep] / np.sqrt(w[keep])
-    white[0, 1:] = -elim @ white[1:, 1:]
-    m = white.T @ (ratio * q_form) @ white
-    m /= max(float(np.max(np.abs(m))), np.finfo(float).tiny)
-    frame = rot @ white
-
-    def amplitudes(z):
-        c = frame @ z
-        c /= np.abs(c).sum()
-        s0 = c.sum()
-        slack = bounds._N_SLACK * np.finfo(float).eps * (abs(s0) + np.abs(c) @ h @ np.abs(c))
-        return c, float(s0**2 - c @ h @ c - slack)
-
-    def above_floor(form, z):
-        c, n_val = amplitudes(z)
-        if n_val > floor:
-            return c
-        bound_by_floor.append(True)
-        b = frame.T @ np.sign(c)
-        for penalty in (np.outer(b, b), frame.T @ frame):
-            mid = 0.5 * np.log(floor / np.trace(penalty))
-            lo, hi, best = mid - bounds._KAPPA_SPAN, mid + bounds._KAPPA_SPAN, None
-            for _ in range(bounds._FLOOR_BISECTIONS):
-                t = 0.5 * (lo + hi)
-                trial, n_val = amplitudes(np.linalg.eigh(form - np.exp(t) * penalty)[1][:, -1])
-                if n_val > floor:
-                    best, hi = trial, t
-                else:
-                    lo = t
-            if best is not None:
-                return best
-        raise InternalConsistencyError("no selection clears the postselection-probability floor")
-
-    z = np.linalg.eigh(m)[1]
-    return above_floor(m, z[:, -1]), above_floor(-m, z[:, 0])
-
-
-def _reference_search(observable, g, pointer, objective, min_postselect, bound_by_floor):
-    """optimize_pps on valid arguments, with the per-call geometry above."""
-    delta = pointer.delta
-    ratio = g / delta
-    eigs, pstack = observable.eigenvalues, observable.projectors
-    ratio, h = _told_apart(ratio, np.abs(eigs[:, None] - eigs[None, :]), float(eigs[-1] - eigs[0]))
-    if observable.is_projector():
-        if len(eigs) == 2:
-            x = 0.25 * ratio * ratio
-            env_max, env_min = map(float, (bounds._envelope_far if x > bounds._LN2 else bounds._envelope_near)(g, x))
-        else:
-            env_max = env_min = g * float(eigs[0])
-    else:
-        env_max = env_min = float("nan")
-    cols = np.argmax(np.einsum("kii->ki", pstack).real, axis=1)
-    units = pstack[np.arange(len(eigs)), :, cols]
-    units /= np.linalg.norm(units, axis=1, keepdims=True)
-
-    def selection(c):
-        root = np.sqrt(np.abs(c))
-        pre, post = (np.sign(c) * root) @ units, root @ units
-        terms = _reference_pointer_terms(((pstack @ pre) @ post.conj())[:, None], eigs)
-        n_val, q_num, _, _ = _pointer_sums(terms, ratio)
-        return g * (q_num / n_val), pre, post
-
-    qker = (eigs[:, None] + eigs[None, :]) / 2.0 * h
-    c_max, c_min = _reference_pencil_extremes(eigs, ratio, h, qker, min_postselect, bound_by_floor)
-    best_max, *top = selection(c_max)
-    best_min, *bottom = selection(c_min)
-    pre, post = top if objective == "max" else bottom
-    states = (StateVector(bounds._phase_canonical(pre)), StateVector(bounds._phase_canonical(post)))
-    return ExtremePair(env_max, env_min, best_max, best_min, states)
+def _per_call_frame(k):
+    """The all-ones frame formed afresh, as before it was cached per K."""
+    rot = np.linalg.qr(np.ones((k, 1)), mode="complete")[0]
+    return rot, rot[:, 0].sum()
 
 
 def _pair_bits(pair):
@@ -586,19 +489,18 @@ def _pair_bits(pair):
     return (floats.tobytes(), *(state.amplitudes.tobytes() for state in pair.argmax_states))
 
 
-class TestObservableRecord:
-    """The level geometry is formed once per observable and the frame once
-    per K; every call still solves the pencil and scores both selections,
-    with the arithmetic of a per-call solve, bit for bit."""
+class TestFrameCache:
+    """The all-ones frame is formed once per K and shared by every search
+    with K levels; every call still solves the pencil and scores both
+    selections, bit for bit as with a frame formed per call."""
 
-    def test_searches_match_the_per_call_geometry_bit_for_bit(self):
+    def test_searches_match_the_per_call_frame_bit_for_bit(self, monkeypatch):
         """600 seeded searches: d = 2..8, Hermitian and projector
         observables, g / Delta log-uniform in [1e-8, 1e3], both objectives
-        and three floors.  Each observable is searched at two couplings, so
-        the second search reads a cached record."""
+        and three floors, with many bound by the floor."""
         rng = np.random.default_rng(25)
-        searches = floor_bound = 0
-        while searches < 600:
+        cases = []
+        while len(cases) < 600:
             dim = int(rng.integers(2, 9))
             kind = int(rng.integers(3))
             if kind == 0:
@@ -607,22 +509,31 @@ class TestObservableRecord:
                 pi = random_projector(rng, dim, int(rng.integers(1, dim)))
                 obs = HermitianObservable.from_projector(pi) if kind == 1 else HermitianObservable(pi.matrix)
             pointer = GaussianPointer(float(rng.choice([0.5, 1.0, 2.0])))
-            for _ in range(2):
-                g = pointer.delta * float(10.0 ** rng.uniform(-8.0, 3.0))
-                objective = str(rng.choice(["max", "min"]))
-                floor = float(rng.choice([1e-14, 1e-12, 1e-8]))
-                bound_by_floor = []
+            g = pointer.delta * float(10.0 ** rng.uniform(-8.0, 3.0))
+            kwargs = {"objective": str(rng.choice(["max", "min"])), "min_postselect": float(rng.choice([1e-14, 1e-12, 1e-8]))}
+            cases.append((obs, g, pointer, kwargs))
+
+        def searches():
+            out = []
+            for obs, g, pointer, kwargs in cases:
                 try:
-                    expected = _reference_search(obs, g, pointer, objective, floor, bound_by_floor)
-                except UndefinedExtremeError:
-                    with pytest.raises(UndefinedExtremeError):
-                        optimize_pps(obs, g, pointer, objective=objective, min_postselect=floor)
-                else:
-                    got = optimize_pps(obs, g, pointer, objective=objective, min_postselect=floor)
-                    assert _pair_bits(got) == _pair_bits(expected), (dim, kind, g, objective, floor)
-                searches += 1
-                floor_bound += bool(bound_by_floor)
-        assert floor_bound >= 100, floor_bound
+                    out.append(_pair_bits(optimize_pps(obs, g, pointer, **kwargs)))
+                except UndefinedExtremeError as exc:
+                    out.append(str(exc))
+            return out
+
+        cached = searches()
+        bound_by_floor = Mock(wraps=np.linalg.eigh)
+        monkeypatch.setattr(bounds, "_ones_frame", _per_call_frame)
+        monkeypatch.setattr(np.linalg, "eigh", bound_by_floor)
+        assert searches() == cached
+        # a search whose floor does not bind makes 2 eigh calls, one bound by it 2 + 44 or more
+        assert bound_by_floor.call_count >= 2 * len(cases) + 100 * bounds._FLOOR_BISECTIONS
+
+    def test_the_frame_refuses_writes(self):
+        rot, _ = _ones_frame(4)
+        with pytest.raises(ValueError, match="read-only"):
+            rot[...] = 0.0
 
     def test_observables_with_the_same_levels_keep_their_own_states(self):
         """Two observables with equal eigenvalue arrays but different

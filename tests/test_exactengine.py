@@ -41,13 +41,12 @@ from weakmeter import (
 )
 from weakmeter.exactengine import (
     MAX_GRID_POINTS,
-    _levels,
     _overlaps,
     _pointer_sums,
     _pointer_terms,
     _selection_amplitudes,
 )
-from weakmeter.bounds import _envelope_curve, _ones_frame
+from weakmeter.bounds import _envelope_curve
 from weakmeter.hardy import build_hardy, closed_form_shifts, hardy_probabilities, probability_curve
 from weakmeter.infogain import information_gain, reduced_device_states
 from weakmeter.qcore import von_neumann_entropy
@@ -247,8 +246,9 @@ class TestSelectionFamilies:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             for obs, rho, pi in cases:
+                eigs = obs.eigenvalues
                 c = _selection_amplitudes(rho, pi, obs).amplitudes
-                terms = _pointer_terms(c, _levels(obs))
+                terms = _pointer_terms(c, eigs)
                 *batch, batch_resid = _pointer_sums(terms, ratios)
                 assert batch_resid.shape == ratios.shape and np.all(batch_resid < 1e-13)
                 for i, r in enumerate(ratios.tolist()):
@@ -310,7 +310,7 @@ class TestSelectionCache:
         assert _selection_amplitudes.cache_info().misses == misses + 1 + len(gs)
         assert cached == fresh
         # and equal to the uncached contraction that hardy and the optimizer use
-        terms = _pointer_terms(_selection_amplitudes(rho, pi, obs).amplitudes, _levels(obs))
+        terms = _pointer_terms(_selection_amplitudes(rho, pi, obs).amplitudes, obs.eigenvalues)
         n_val, q_num, p_num, _ = _pointer_sums(terms, gs / 0.7)
         assert [out.delta_q for out in cached] == (gs * (q_num / n_val)).tolist()
         assert [out.delta_p for out in cached] == ((gs / 0.7) * (p_num / n_val) / 0.7).tolist()
@@ -331,34 +331,24 @@ class TestSelectionCache:
         assert exact_shifts(MeasurementSetup(obs, rho, pi, 0.7, pointer)) == before
 
     def test_cached_arrays_refuse_writes(self):
-        """The selection's arrays, the observable's level geometry and the
-        extremal search's frame are shared by every later call."""
         obs, rho, pi = self._selection(32)
         sel = _selection_amplitudes(rho, pi, obs)
-        levels = _levels(obs)
-        cached = (sel.amplitudes, sel.terms.weights, sel.terms.spread, levels.eigenvalues, levels.spread,
-                  levels.flat_spread, levels.means, levels.coefficients, levels.units, _ones_frame(4)[0])
-        for array in cached:
+        for array in (sel.amplitudes, sel.terms.weights, sel.terms.spread):
             with pytest.raises(ValueError, match="read-only"):
                 array[...] = 0.0
 
     def test_cache_is_bounded_and_releases_operators(self):
-        """Both caches, of selections and of observables' level geometry."""
         obs, rho, pi = self._selection(33)
-        first, first_obs = DensityOperator(rho.matrix), HermitianObservable(obs.matrix)
+        first = DensityOperator(rho.matrix)
         exact_shifts(MeasurementSetup(obs, first, pi, 0.5, GaussianPointer(1.0)))
-        exact_shifts(MeasurementSetup(first_obs, rho, pi, 0.5, GaussianPointer(1.0)))
-        alive = weakref.ref(first), weakref.ref(first_obs)
-        del first, first_obs
+        alive = weakref.ref(first)
+        del first
         for _ in range(10_000):
             _selection_amplitudes(DensityOperator(rho.matrix), pi, obs)
-        for _ in range(100):
-            exact_shifts(MeasurementSetup(HermitianObservable(obs.matrix), rho, pi, 0.5, GaussianPointer(1.0)))
         gc.collect()
-        for cache in (_selection_amplitudes, _levels):
-            info = cache.cache_info()
-            assert info.currsize <= info.maxsize
-        assert [ref() for ref in alive] == [None, None]
+        info = _selection_amplitudes.cache_info()
+        assert info.currsize <= info.maxsize
+        assert alive() is None
 
 
 def _dimensionless(g, delta):

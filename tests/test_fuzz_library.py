@@ -147,7 +147,8 @@ def test_optimize_pps_keeps_the_contract_at_every_floor(matrix, g, floor):
         try:
             optimize_pps(obs, g, GaussianPointer(1.0), min_postselect=floor)
         except ValidationError as exc:
-            assert valid or "min_postselect" in str(exc), exc
+            # a valid floor must get past the floor check, an invalid one must not
+            assert ("min_postselect" in str(exc)) != valid, exc
         except InternalConsistencyError as exc:
             if not (valid and floor >= 1.0 / len(obs.eigenvalues) and "clears" in str(exc)):
                 raise
