@@ -40,6 +40,7 @@ from .exactengine import (
     MeasurementSetup,
     _TINY,
     _check_coupling,
+    _column_sums,
     _pointer_sums,
     _pointer_terms,
     _ratio,
@@ -163,31 +164,11 @@ def check_weak_bounds(setup: MeasurementSetup) -> BoundReport:
     return BoundReport(k, bound_q, bound_p, outcome.delta_q, outcome.delta_p, ok)
 
 
-def extreme_shifts_projector(g: float, delta: float) -> tuple[float, float]:
-    """Closed-form extreme position shifts for a projector observable.
-
-    Over all pure pre/postselections at coupling g > 0,
-
-        q_max/min = (g/2) (1 +/- 1/sqrt(1 - exp(-g^2/(4 delta^2)))).
-
-    The pair is symmetric about g/2; it approaches +/- delta for g << delta,
-    and reaches (g, 0) once g / delta is clipped at 1e150.  One-point read of
-    :func:`_envelope_curve`; :func:`optimize_pps` takes its own scalar branch.
-
-    Raises
-    ------
-    UndefinedExtremeError
-        Where the displaced pointers cannot be told apart: g / delta below
-        about 4.2e-154, g = 0 included.  There both extremes collapse to
-        zero shift and the envelope is undefined as a selection limit.
-    """
-    return tuple(_envelope_curve(np.array([_check_coupling(g)]), delta)[:, 0].tolist())
-
-
 def _envelope_curve(gs: np.ndarray, delta: float) -> np.ndarray:
-    """Rows (q_max, q_min) of :func:`extreme_shifts_projector` at couplings gs,
-    each point on its own branch; UndefinedExtremeError at the first g whose
-    pointers cannot be told apart."""
+    """Rows (q_max, q_min) of the projector envelope (module notes) at
+    couplings gs, each point on its own branch; UndefinedExtremeError at the
+    first g whose pointers cannot be told apart.  :func:`optimize_pps` takes
+    its own scalar branch."""
     ratio = _told_apart(_ratio(gs, delta), np.ones(1), 1.0)[0]  # the levels 0 and 1, one spread
     x = 0.25 * ratio * ratio
     with np.errstate(divide="ignore"):  # each branch is kept only where it is exact
@@ -335,8 +316,8 @@ def optimize_pps(
     once with the exact engine's cancellation-free sums; `objective` only
     selects which pair is returned.  Only the all-ones frame, which
     depends on K alone, is kept between calls; every call forms the rest
-    afresh.  `restarts` (>= 1) and `seed` change nothing; they remain only
-    because the perfbench extremal workload passes them.
+    afresh.  `restarts` (an integer >= 1) and `seed` change nothing; they
+    remain only because the perfbench extremal workload passes them.
 
     Selections with postselection probability <= `min_postselect` are
     excluded: below that, double precision cannot certify shifts against
@@ -359,8 +340,9 @@ def optimize_pps(
         Where the displaced pointers cannot be told apart: g / Delta times
         the gap of some two levels below about 4.2e-154, g = 0 included.
     ValidationError
-        When g / Delta overflows, `min_postselect` is not a real number in
-        [1e-14, 1), or a constructed shift lies beyond the double range.
+        When g / Delta overflows, `restarts` is not an integer >= 1 or
+        `min_postselect` a real number in [1e-14, 1), or a constructed shift
+        lies beyond the double range.
     InternalConsistencyError
         If no selection clears the floor, or, for projector observables, if
         either shift escapes the closed-form envelope by more than 1e-9
@@ -368,8 +350,8 @@ def optimize_pps(
     """
     if objective not in ("max", "min"):
         raise ValidationError(f"objective must be 'max' or 'min', got {objective!r}")
-    if restarts < 1:
-        raise ValidationError(f"restarts must be >= 1, got {restarts!r}")
+    if isinstance(restarts, bool) or not isinstance(restarts, (int, np.integer)) or restarts < 1:
+        raise ValidationError(f"restarts must be an integer >= 1, got {restarts!r}")
     g = _check_coupling(g)
     delta = pointer.delta
     # delta_q / Delta depends on g only through g / Delta, so the solve runs
@@ -403,7 +385,8 @@ def optimize_pps(
     def selection(c: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
         root = np.sqrt(np.abs(c))
         pre, post = (np.sign(c) * root) @ units, root @ units
-        terms = _pointer_terms(((pstack @ pre) @ post.conj())[:, None], eigs)
+        amplitudes = ((pstack @ pre) @ post.conj())[:, None]
+        terms = _pointer_terms(amplitudes, eigs, _column_sums(amplitudes, eigs))
         n_val, q_num, _, _ = _pointer_sums(terms, ratio)
         return g * (q_num / n_val), pre, post
 

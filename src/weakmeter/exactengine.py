@@ -17,16 +17,17 @@ first.
 
 The closed form has one path for every selection.  (rho, Pi), each
 decomposed once by its own class, is contracted into pure-state amplitudes
-(:func:`_selection_amplitudes`, cached).  Their g-independent terms,
-with the kernel coefficients folded into the selection weights, are
-formed once per selection (:func:`_pointer_terms`), so a coupling costs
-only the overlaps, as G - 1 in pointer units, where only g / Delta enters
+(:func:`_selection_amplitudes`, cached).  Their column sums S0, S1 and
+p = |S0|^2 are formed once (:func:`_column_sums`) for the pointer sums and
+the weak moments of :mod:`.weakvalue` alike, so as g -> 0 the exact shifts
+are the first-order ones bit for bit.  The g-independent terms, with the
+kernel coefficients folded into the selection weights, are formed once
+per selection (:func:`_pointer_terms`), so a coupling costs only the
+overlaps, as G - 1 in pointer units, where only g / Delta enters
 (:func:`_overlaps`, the one such step, or :func:`_told_apart` where the
 pointers must be told apart), and one contraction (:func:`_pointer_sums`),
 for one coupling or a batch of them.  The extremal search in :mod:`.bounds`
-and the which-path sweep in :mod:`.hardy` call the same contraction, and
-:mod:`.weakvalue` reads the weak moments and the Schwarz gap off the column
-sums of the same amplitudes, cached with them (`_Selection.sums`).  The
+and the which-path sweep in :mod:`.hardy` call the same contraction.  The
 closed forms elsewhere take g / Delta, validated and saturated, from
 :func:`_ratio`.
 """
@@ -268,29 +269,36 @@ def _told_apart(ratio, spread: np.ndarray, span: float):
     return r, h
 
 
+def _column_sums(c: np.ndarray, eigenvalues: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
+    """Read-only rows S0 = sum_k c[k, r] and S1 = sum_k a_k c[k, r] of the
+    amplitudes c at the levels a, and p = |S0|^2 = tr(Pi rho)."""
+    s0, s1 = c.sum(axis=0), eigenvalues @ c
+    s0.flags.writeable = s1.flags.writeable = False
+    return s0, s1, float(np.vdot(s0, s0).real)
+
+
 class _PointerTerms(NamedTuple):
     """The g-independent terms of one selection's pointer sums, over the level
     pairs (k, l) flattened; arrays read-only, scalars Python floats.  With
-    S0 = sum_k c_k and S1 = sum_k a_k c_k per column of the amplitudes,
-    W = c^* c^T and the kernel coefficients coef = [1, (a + a')/2, (a - a')/4]:
+    the column sums S0, S1 of :func:`_column_sums`, W = c^* c^T and the
+    kernel coefficients coef = [1, (a + a')/2, (a - a')/4]:
     """
 
     weights: np.ndarray  # (K^2, 6): coef_j * W as (re, im) pairs, j = 0, 1, 2
     spread: np.ndarray  # (K^2,): |a - a'|
-    norm_sq: float  # sum |S0|^2
+    norm_sq: float  # p = sum |S0|^2
     anchor_re: float  # Re sum S0^* S1
     anchor_im: float  # Im sum S0^* S1
     scale: float  # a bound on the absolute mass of every kernel sum
     span: float  # the largest spread, a_max - a_min
 
 
-def _pointer_terms(c: np.ndarray, eigenvalues: np.ndarray) -> _PointerTerms:
+def _pointer_terms(c: np.ndarray, eigenvalues: np.ndarray, sums: tuple) -> _PointerTerms:
     """The :class:`_PointerTerms` of amplitudes c[k, r] (a pure pair is one
-    column) at the observable's ascending levels."""
+    column) at the observable's ascending levels and their column sums."""
     k = len(eigenvalues)
     da = eigenvalues[:, None] - eigenvalues[None, :]
     coef = np.array([np.ones_like(da), (eigenvalues[:, None] + eigenvalues[None, :]) / 2.0, da / 4.0])
-    s0 = c.sum(axis=0)
     w_pairs = (c.conj() @ c.T).view(float).reshape(k * k, 1, 2)
     weights = (coef.reshape(3, k * k).T[:, :, None] * w_pairs).reshape(k * k, 6)
     spread = np.abs(da).reshape(k * k)
@@ -298,7 +306,8 @@ def _pointer_terms(c: np.ndarray, eigenvalues: np.ndarray) -> _PointerTerms:
     # kernel entries are at most max(1, |a|) (h <= 1, |qker| <= |a|, |pker| <= |a| / 2;
     # eigenvalues ascending), so this bounds the absolute mass of every sum
     scale = float(np.vdot(c, c).real * max(1.0, -eigenvalues[0], eigenvalues[-1]) + 1e-300)
-    anchor, norm_sq = complex(np.vdot(s0, eigenvalues @ c)), float(np.vdot(s0, s0).real)
+    s0, s1, norm_sq = sums
+    anchor = complex(np.vdot(s0, s1))
     span = float(eigenvalues[-1] - eigenvalues[0])
     return _PointerTerms(weights, spread, norm_sq, anchor.real, anchor.imag, scale, span)
 
@@ -337,25 +346,31 @@ def _pointer_sums(terms: _PointerTerms, ratio):
 class _Selection:
     """One selection (rho, Pi, A) factored for every coupling; arrays read-only.
 
-    `amplitudes` are the c[k, r] of :func:`_selection_amplitudes`.  The
-    pointer-sum terms (:func:`_pointer_terms`) and the column sums of the
-    weak moments (`sums`) are each formed on first use, so a caller pays
-    only for what it reads.
+    `amplitudes` are the c[k, r] of :func:`_selection_amplitudes`.  Their
+    column sums (:func:`_column_sums`), the pointer-sum terms built on them
+    (:func:`_pointer_terms`) and the weak moments' rows (`sums`) are each
+    formed on first use, so a caller pays only for what it reads.
     """
 
     amplitudes: np.ndarray
     eigenvalues: np.ndarray
 
     @cached_property
-    def terms(self) -> _PointerTerms:
-        return _pointer_terms(self.amplitudes, self.eigenvalues)
+    def column_sums(self) -> tuple[np.ndarray, np.ndarray, float]:
+        return _column_sums(self.amplitudes, self.eigenvalues)
 
     @cached_property
-    def sums(self) -> tuple[np.ndarray, float]:
-        """Rows S_n = sum_k a_k^n c[k, r], n = 0, 1, 2, and p = |S0|^2 = tr(Pi rho)."""
-        sums = (self.eigenvalues ** np.arange(3)[:, None]) @ self.amplitudes
-        sums.flags.writeable = False
-        return sums, float(np.vdot(sums[0], sums[0]).real)
+    def terms(self) -> _PointerTerms:
+        return _pointer_terms(self.amplitudes, self.eigenvalues, self.column_sums)
+
+    @cached_property
+    def sums(self) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], float]:
+        """Rows (S0, S1, S2), S_n = sum_k a_k^n c[k, r], and p = |S0|^2; S2 is formed
+        only here, and overflows past levels 1e153, so readers check levels first."""
+        s0, s1, prob = self.column_sums
+        s2 = (self.eigenvalues * self.eigenvalues) @ self.amplitudes
+        s2.flags.writeable = False
+        return (s0, s1, s2), prob
 
 
 # Selections kept factored at once.  The operators are frozen and hash by

@@ -20,18 +20,16 @@ precision where the meter learns almost nothing (G -> 1).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .bounds import _envelope_curve
+from .bounds import _LN2, _envelope_curve
 from .errors import InternalConsistencyError, ValidationError
 from .exactengine import _check_coupling, _coupling_grid, _nondecreasing, _one_minus_overlap, _ratio
 from .qcore import _MIN_EIGENVALUE, DensityOperator
 
 _ROUTE_TOL = 1e-12
-_LN2 = math.log(2.0)
 
 
 @dataclass(frozen=True)

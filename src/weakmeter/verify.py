@@ -9,25 +9,14 @@ is serialized (scenario schema) so it can be replayed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial.hermite_e import hermeroots
 
 from . import hardy, infogain
 from .bounds import check_weak_bounds, k_value, optimize_pps
-from .errors import (
-    InternalConsistencyError,
-    OrthogonalSelectionError,
-    ValidationError,
-)
-from .exactengine import (
-    GaussianPointer,
-    GridSpec,
-    MeasurementSetup,
-    exact_shifts,
-    grid_shifts,
-)
+from .errors import InternalConsistencyError, OrthogonalSelectionError, ValidationError
+from .exactengine import GaussianPointer, GridSpec, MeasurementSetup, exact_shifts, grid_shifts
 from .qcore import DensityOperator, von_neumann_entropy
 from .sampling import (
     random_density,
@@ -122,14 +111,21 @@ def schwarz_suite() -> SuiteResult:
     return worst.result("schwarz", n_general + n_rank_one)
 
 
+# q / Delta = b + b^+ on the first 32 Fock states
+_POSITION = np.diag(np.sqrt(np.arange(1, 32)), 1)
+_POSITION += _POSITION.T
+_POSITION.flags.writeable = False
+
+
 def _weak_ceiling(levels: int) -> float:
     """z_K, the largest zero of the probabilists' Hermite polynomial He_K.
 
     As g -> 0 the displaced pointers Phi(q - g a_k) of K distinct levels span
     the first K Hermite functions, on which <q> is at most z_K * Delta:
-    z_2 = 1, z_3 = sqrt(3), z_4 = sqrt(3 + sqrt(6)).
+    z_2 = 1, z_3 = sqrt(3), z_4 = sqrt(3 + sqrt(6)).  It is the top
+    eigenvalue of He_K's Jacobi matrix, the K x K block of b + b^+.
     """
-    return float(np.max(hermeroots([0.0] * levels + [1.0])))
+    return float(np.linalg.eigvalsh(_POSITION[:levels, :levels])[-1])
 
 
 def _fock_frame(eigenvalues: np.ndarray, ratio: float):
@@ -152,7 +148,7 @@ def _fock_frame(eigenvalues: np.ndarray, ratio: float):
         newton[j:, j] = h[: n.size - j]
     span = np.linalg.qr(newton / root_factorial[:, None])[0]
     states = np.exp(-0.5 * alpha**2)[:, None] * alpha[:, None] ** n / root_factorial
-    return states, span, np.diag(np.sqrt(n[1:]), 1) + np.diag(np.sqrt(n[1:]), -1)
+    return states, span, _POSITION
 
 
 def bounds_suite() -> SuiteResult:

@@ -11,10 +11,10 @@ g / (2 Delta); the second-order correction divides both by
 D = 1 + u^2 (two_sided - square_real), where the two extra moments are
 defined on :class:`WeakMoments`.
 
-The moments and the Schwarz gap are read off the column sums of the exact
-engine's factored selection amplitudes (:func:`_selection_sums`).  The sums
-are cached with the amplitudes, so the calls on one selection form them
-once; each call still runs its own dimension, level and floor checks.
+The moments and the Schwarz gap are read off the column sums that the exact
+engine's pointer sums read too (:func:`_selection_sums`), cached with the
+selection, so as g -> 0 the exact shifts are :func:`jozsa_shifts` bit for
+bit; each call still runs its own dimension, level and floor checks.
 """
 
 from __future__ import annotations
@@ -105,13 +105,13 @@ class WeakMoments:
 
 def _selection_sums(
     rho_s: DensityOperator, pi_f: ProjectionOperator, observable: HermitianObservable
-) -> tuple[np.ndarray, float]:
-    """Rows S_n = sum_k a_k^n c[k, r], n = 0, 1, 2, of the engine's factored
+) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], float]:
+    """Rows (S0, S1, S2), S_n = sum_k a_k^n c[k, r], of the engine's factored
     amplitudes c (:func:`_selection_amplitudes`), and p = |S0|^2 = tr(Pi_f rho_s):
     read-only, formed once per cached selection and shared by every caller.
 
-    The checks run on every call: ValidationError on dimension mismatch or a
-    level beyond 1e153, OrthogonalSelectionError if p <= 1e-14.
+    The checks run on every call, the level check before S2 is formed: ValidationError
+    on dimension mismatch or a level beyond 1e153, OrthogonalSelectionError if p <= 1e-14.
     """
     d = observable.dimension
     if rho_s.dimension != d or pi_f.dimension != d:

@@ -34,7 +34,7 @@ from weakmeter import (
     weak_moments,
 )
 from weakmeter import bounds
-from weakmeter.bounds import _ones_frame, extreme_shifts_projector, k_value
+from weakmeter.bounds import _envelope_curve, _ones_frame, k_value
 from weakmeter.cli import main
 from weakmeter.exactengine import _overlaps
 from weakmeter.sampling import random_hermitian, random_projector, random_state
@@ -52,6 +52,15 @@ def _which_path(dim):
     return HermitianObservable.from_projector(ProjectionOperator(m))
 
 
+def _envelope_reads(g, delta):
+    """(q_max, q_min) from both production dispatches of the projector
+    envelope: the array path that info_curve reads, and optimize_pps's
+    scalar path on the which-path projector."""
+    curve = tuple(_envelope_curve(np.array([g]), delta)[:, 0].tolist())
+    search = optimize_pps(_which_path(2), g, GaussianPointer(delta))
+    return [curve, (search.q_max, search.q_min)]
+
+
 class TestExtremeEnvelope:
     # 40-digit evaluations of (g/2)(1 +/- 1/sqrt(1 - exp(-g^2/4))) at Delta = 1
     @pytest.mark.parametrize(
@@ -63,33 +72,35 @@ class TestExtremeEnvelope:
         ],
     )
     def test_reference_values(self, g, q_max, q_min):
-        got_max, got_min = extreme_shifts_projector(g, 1.0)
-        assert got_max == approx(q_max, rel=1e-12)
-        assert got_min == approx(q_min, rel=1e-12)
+        for got_max, got_min in _envelope_reads(g, 1.0):
+            assert got_max == approx(q_max, rel=1e-12)
+            assert got_min == approx(q_min, rel=1e-12)
 
     @pytest.mark.parametrize("g", [0.003, 0.7, 1.6651, 4.0, 25.0])
     @pytest.mark.parametrize("delta", [0.5, 1.0, 3.0])
     def test_pair_sums_to_g(self, g, delta):
         """The two extremes always sit symmetrically about g/2."""
-        q_max, q_min = extreme_shifts_projector(g, delta)
-        assert q_max + q_min == approx(g, rel=1e-12)
+        for q_max, q_min in _envelope_reads(g, delta):
+            assert q_max + q_min == approx(g, rel=1e-12)
 
     @pytest.mark.parametrize("u", [0.005, 0.02])
     def test_weak_coupling_expansion(self, u):
         # q_max -> Delta (1 + u + u^2/4) with a u^4/96 relative remainder
         delta = 2.0
         g = 2.0 * delta * u
-        q_max, _ = extreme_shifts_projector(g, delta)
-        assert q_max == approx(delta * (1.0 + u + u**2 / 4.0), rel=1e-6)
+        for q_max, _ in _envelope_reads(g, delta):
+            assert q_max == approx(delta * (1.0 + u + u**2 / 4.0), rel=1e-6)
 
     def test_strong_coupling_pins_to_eigenvalues(self):
-        q_max, q_min = extreme_shifts_projector(30.0, 1.0)
-        assert q_max == approx(30.0, rel=1e-12)
-        assert abs(q_min) < 1e-90
+        for q_max, q_min in _envelope_reads(30.0, 1.0):
+            assert q_max == approx(30.0, rel=1e-12)
+            assert abs(q_min) < 1e-90
 
     def test_undefined_at_zero_coupling(self):
         with pytest.raises(UndefinedExtremeError):
-            extreme_shifts_projector(0.0, 1.0)
+            _envelope_curve(np.array([0.0]), 1.0)
+        with pytest.raises(UndefinedExtremeError):
+            optimize_pps(_which_path(2), 0.0, POINTER)
 
     @pytest.mark.parametrize("g", [TOLD_APART * (1.0 - 4.0 * EPS), 1e-155, 1e-161])
     def test_undefined_where_the_pointers_cannot_be_told_apart(self, g):
@@ -97,7 +108,7 @@ class TestExtremeEnvelope:
         closed form and the search alike (at 1e-161 a subnormal 1 - G would
         put q_min at -1.006 Delta, past the ceiling)."""
         with pytest.raises(UndefinedExtremeError):
-            extreme_shifts_projector(g, 1.0)
+            _envelope_curve(np.array([g]), 1.0)
         with pytest.raises(UndefinedExtremeError):
             optimize_pps(_which_path(2), g, POINTER)
 
@@ -107,13 +118,14 @@ class TestExtremeEnvelope:
         g / Delta = 1e-100 the envelope is +/- Delta within 4 ulp, and the
         extremal search accepts every such coupling too."""
         for ratio in np.geomspace(TOLD_APART * (1.0 + 4.0 * EPS), 1e-100, 40):
-            q_max, q_min = extreme_shifts_projector(ratio * delta, delta)
-            assert abs(q_max - delta) <= 4 * np.spacing(delta) and abs(q_min + delta) <= 4 * np.spacing(delta)
-        optimize_pps(_which_path(2), TOLD_APART * (1.0 + 4.0 * EPS) * delta, GaussianPointer(delta))
+            for q_max, q_min in _envelope_reads(ratio * delta, delta):
+                assert abs(q_max - delta) <= 4 * np.spacing(delta) and abs(q_min + delta) <= 4 * np.spacing(delta)
 
     def test_bad_width(self):
         with pytest.raises(ValidationError):
-            extreme_shifts_projector(1.0, -1.0)
+            _envelope_curve(np.array([1.0]), -1.0)
+        with pytest.raises(ValidationError):
+            optimize_pps(_which_path(2), 1.0, GaussianPointer(-1.0))
 
 
 class TestKValue:
@@ -377,7 +389,7 @@ class TestPencilSolve:
     @pytest.mark.parametrize("ratio", np.geomspace(1e-5, 1e3, 17))
     def test_which_path_meets_the_closed_form_at_every_coupling(self, ratio):
         result = optimize_pps(_which_path(2), ratio, POINTER, min_postselect=1e-14)
-        q_max, q_min = extreme_shifts_projector(ratio, 1.0)
+        q_max, q_min = _envelope_curve(np.array([ratio]), 1.0)[:, 0].tolist()
         eps = np.finfo(float).eps
         assert abs(result.optimizer_best_max - q_max) <= 8 * eps * max(abs(q_max), 1.0)
         assert abs(result.optimizer_best_min - q_min) <= 8 * eps * max(abs(q_min), 1.0)
@@ -464,8 +476,11 @@ class TestPencilSolve:
         b = optimize_pps(obs, 0.7, POINTER, restarts=64, seed=12345)
         assert (a.optimizer_best_max, a.optimizer_best_min) == (b.optimizer_best_max, b.optimizer_best_min)
         np.testing.assert_array_equal(a.argmax_states[1].amplitudes, b.argmax_states[1].amplitudes)
-        with pytest.raises(ValidationError):
-            optimize_pps(obs, 0.7, POINTER, restarts=0)
+        c = optimize_pps(obs, 0.7, POINTER, restarts=np.int64(3))
+        assert (c.optimizer_best_max, c.optimizer_best_min) == (a.optimizer_best_max, a.optimizer_best_min)
+        for bad in (0, -1, "4", None, float("nan"), True, 2.5, np.float64(3.0)):
+            with pytest.raises(ValidationError, match="restarts"):
+                optimize_pps(obs, 0.7, POINTER, restarts=bad)
 
     def test_floor_bound_qubit_reaches_the_constrained_optimum(self, capsys):
         """At g = 1e-6 Delta the extreme needs N < 1e-12; the best selection
@@ -578,6 +593,20 @@ def test_import_does_not_load_scipy():
     src = str(Path(weakmeter.__file__).resolve().parents[1])
     proc = subprocess.run(
         [sys.executable, "-c", "import sys, weakmeter, weakmeter.cli; print('scipy' in sys.modules)"],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
+def test_cli_import_does_not_load_numpy_polynomial():
+    """The K-level ceiling of `verify` is an eigenvalue of a Jacobi matrix,
+    so no subcommand pays for importing numpy.polynomial."""
+    src = str(Path(weakmeter.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, weakmeter.cli; print('numpy.polynomial' in sys.modules)"],
         capture_output=True,
         text=True,
         env={**os.environ, "PYTHONPATH": src},

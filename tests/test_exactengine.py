@@ -41,6 +41,7 @@ from weakmeter import (
 )
 from weakmeter.exactengine import (
     MAX_GRID_POINTS,
+    _column_sums,
     _overlaps,
     _pointer_sums,
     _pointer_terms,
@@ -246,9 +247,7 @@ class TestSelectionFamilies:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             for obs, rho, pi in cases:
-                eigs = obs.eigenvalues
-                c = _selection_amplitudes(rho, pi, obs).amplitudes
-                terms = _pointer_terms(c, eigs)
+                terms = _selection_amplitudes(rho, pi, obs).terms
                 *batch, batch_resid = _pointer_sums(terms, ratios)
                 assert batch_resid.shape == ratios.shape and np.all(batch_resid < 1e-13)
                 for i, r in enumerate(ratios.tolist()):
@@ -310,7 +309,8 @@ class TestSelectionCache:
         assert _selection_amplitudes.cache_info().misses == misses + 1 + len(gs)
         assert cached == fresh
         # and equal to the uncached contraction that hardy and the optimizer use
-        terms = _pointer_terms(_selection_amplitudes(rho, pi, obs).amplitudes, obs.eigenvalues)
+        c, eigs = _selection_amplitudes(rho, pi, obs).amplitudes, obs.eigenvalues
+        terms = _pointer_terms(c, eigs, _column_sums(c, eigs))
         n_val, q_num, p_num, _ = _pointer_sums(terms, gs / 0.7)
         assert [out.delta_q for out in cached] == (gs * (q_num / n_val)).tolist()
         assert [out.delta_p for out in cached] == ((gs / 0.7) * (p_num / n_val) / 0.7).tolist()

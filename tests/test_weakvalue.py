@@ -22,6 +22,7 @@ from weakmeter import (
     WeakMoments,
     WeakValue,
     check_weak_bounds,
+    exact_shifts,
     jozsa_shifts,
     schwarz_gap,
     second_order_shifts,
@@ -214,8 +215,8 @@ def test_cached_sums_change_no_bit(dim):
     """The column sums are formed once per cached selection and read by
     weak_moments, schwarz_gap and check_weak_bounds: every call order, and
     a cleared cache, give the same bits, and the cached sums are the ones
-    the amplitudes give, read-only.  Near-orthogonal selections
-    (p ~ 1e-10) are among the draws."""
+    the amplitudes give, read-only, and the ones the pointer sums read.
+    Near-orthogonal selections (p ~ 1e-10) are among the draws."""
     rng = np.random.default_rng(2310 + dim)
     orders = [("moments", "gap", "report"), ("report", "gap", "moments"), ("gap", "report", "moments")]
     for case in range(30):
@@ -233,8 +234,35 @@ def test_cached_sums_change_no_bit(dim):
         assert all(r == readings[0] for r in readings), case
         selection = _selection_amplitudes(rho, pi, obs)
         sums, prob = selection.sums
-        fresh = (obs.eigenvalues ** np.arange(3)[:, None]) @ selection.amplitudes
-        assert sums.tobytes() == fresh.tobytes() and not sums.flags.writeable
+        c, eigs = selection.amplitudes, obs.eigenvalues
+        fresh = (c.sum(axis=0), eigs @ c, (eigs * eigs) @ c)
+        assert all(s.tobytes() == f.tobytes() and not s.flags.writeable for s, f in zip(sums, fresh))
         assert prob == float(np.vdot(fresh[0], fresh[0]).real)
+        terms = selection.terms  # the pointer sums read the same S0, S1 and p
+        assert (terms.norm_sq, complex(terms.anchor_re, terms.anchor_im)) == (prob, complex(np.vdot(sums[0], sums[1])))
         if case % 3 == 0:
             assert prob == approx(1e-10, rel=1e-2)
+
+
+def test_exact_shifts_are_first_order_bit_for_bit_as_g_vanishes():
+    """At g = 1e-160 Delta every pointer overlap rounds to 1, so the exact
+    N and shifts reduce to p and the first-order shifts of the weak value;
+    both routes read one set of column sums, so they agree bit for bit.
+    1,200 seeded selections: d = 2..8, mixed ranks, Hermitian and projector
+    observables, a third near-orthogonal (p ~ 1e-10)."""
+    rng = np.random.default_rng(2027)
+    for case in range(1200):
+        dim = 2 + case % 7
+        obs = random_projector_observable(rng, dim) if case % 2 else random_hermitian(rng, dim)
+        if case % 3 == 0:
+            rho, pi = _tilted_selection(rng, dim, 1e-10)
+        else:
+            rho = random_density(rng, dim, int(rng.integers(1, dim + 1)))
+            pi = random_projector(rng, dim, int(rng.integers(1, dim)))
+        pointer = GaussianPointer(float(rng.choice([0.5, 1.0, 3.0])))
+        g = 1e-160 * pointer.delta
+        exact = exact_shifts(MeasurementSetup(obs, rho, pi, g, pointer))
+        moments = weak_moments(rho, pi, obs)
+        first = jozsa_shifts(moments.weak_value, g, pointer)
+        got = np.array([exact.delta_q, exact.delta_p, exact.postselect_prob])
+        assert got.tobytes() == np.array([*first, moments.postselect_prob]).tobytes(), case
