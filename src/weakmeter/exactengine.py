@@ -293,7 +293,7 @@ class _PointerTerms(NamedTuple):
     span: float  # the largest spread, a_max - a_min
 
 
-def _pointer_terms(c: np.ndarray, eigenvalues: np.ndarray, sums: tuple) -> _PointerTerms:
+def _pointer_terms(c: np.ndarray, eigenvalues: np.ndarray, column_sums: tuple) -> _PointerTerms:
     """The :class:`_PointerTerms` of amplitudes c[k, r] (a pure pair is one
     column) at the observable's ascending levels and their column sums."""
     k = len(eigenvalues)
@@ -306,7 +306,7 @@ def _pointer_terms(c: np.ndarray, eigenvalues: np.ndarray, sums: tuple) -> _Poin
     # kernel entries are at most max(1, |a|) (h <= 1, |qker| <= |a|, |pker| <= |a| / 2;
     # eigenvalues ascending), so this bounds the absolute mass of every sum
     scale = float(np.vdot(c, c).real * max(1.0, -eigenvalues[0], eigenvalues[-1]) + 1e-300)
-    s0, s1, norm_sq = sums
+    s0, s1, norm_sq = column_sums
     anchor = complex(np.vdot(s0, s1))
     span = float(eigenvalues[-1] - eigenvalues[0])
     return _PointerTerms(weights, spread, norm_sq, anchor.real, anchor.imag, scale, span)
