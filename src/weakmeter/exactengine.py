@@ -270,10 +270,9 @@ def _told_apart(ratio, spread: np.ndarray, span: float):
 
 
 def _column_sums(c: np.ndarray, eigenvalues: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
-    """Read-only rows S0 = sum_k c[k, r] and S1 = sum_k a_k c[k, r] of the
-    amplitudes c at the levels a, and p = |S0|^2 = tr(Pi rho)."""
+    """Rows S0 = sum_k c[k, r] and S1 = sum_k a_k c[k, r] of the amplitudes c
+    at the levels a, and p = |S0|^2 = tr(Pi rho)."""
     s0, s1 = c.sum(axis=0), eigenvalues @ c
-    s0.flags.writeable = s1.flags.writeable = False
     return s0, s1, float(np.vdot(s0, s0).real)
 
 
@@ -357,7 +356,10 @@ class _Selection:
 
     @cached_property
     def column_sums(self) -> tuple[np.ndarray, np.ndarray, float]:
-        return _column_sums(self.amplitudes, self.eigenvalues)
+        # read-only here, where every reader shares them; the optimizer's are scratch
+        s0, s1, _ = sums = _column_sums(self.amplitudes, self.eigenvalues)
+        s0.flags.writeable = s1.flags.writeable = False
+        return sums
 
     @cached_property
     def terms(self) -> _PointerTerms:
