@@ -41,6 +41,7 @@ from .exactengine import (
     _TINY,
     _check_coupling,
     _column_sums,
+    _level_geometry,
     _pointer_sums,
     _pointer_terms,
     _ratio,
@@ -313,11 +314,11 @@ def optimize_pps(
         f = sum_k sqrt|c_k| e_k,    i = sum_k sign(c_k) sqrt|c_k| e_k
 
     has exactly those amplitudes.  Each direction's selection is scored
-    once with the exact engine's cancellation-free sums; `objective` only
-    selects which pair is returned.  Only the all-ones frame, which
-    depends on K alone, is kept between calls; every call forms the rest
-    afresh.  `restarts` (an integer >= 1) and `seed` change nothing; they
-    remain only because the perfbench extremal workload passes them.
+    once with the exact engine's cancellation-free sums, on the call's one
+    level geometry and set of overlaps G - 1; `objective` only selects which
+    pair is returned.  Only the all-ones frame, which depends on K alone, is
+    kept between calls.  `restarts` (an integer >= 1) and `seed` change
+    nothing; they remain only because the perfbench extremal workload passes them.
 
     Selections with postselection probability <= `min_postselect` are
     excluded: below that, double precision cannot certify shifts against
@@ -357,7 +358,7 @@ def optimize_pps(
     # delta_q / Delta depends on g only through g / Delta, so the solve runs
     # in pointer units; no kernel then scales with a power of Delta.
     ratio = g / delta
-    if not np.isfinite(ratio):
+    if not math.isfinite(ratio):
         raise ValidationError(f"g / delta = {g!r} / {delta!r} overflows")
     # N <= 1, so no selection clears a floor at or above 1; NaN fails too
     if not (isinstance(min_postselect, Real) and ORTHOGONALITY_FLOOR <= min_postselect < 1.0):
@@ -366,11 +367,12 @@ def optimize_pps(
         )
 
     eigs, pstack = observable.eigenvalues, observable.projectors
-    ratio, h = _told_apart(ratio, np.abs(eigs[:, None] - eigs[None, :]), float(eigs[-1] - eigs[0]))
+    k, geometry = len(eigs), _level_geometry(eigs)
+    ratio, h = _told_apart(ratio, geometry.spread, geometry.span)  # h = 1 - G, -h the scorings' overlaps
 
     # closed-form envelope where one exists
     if observable.is_projector():
-        if len(eigs) == 2:  # levels 0 and 1 within 1e-10, told apart above at this ratio
+        if k == 2:  # levels 0 and 1 within 1e-10, told apart above at this ratio
             x = 0.25 * ratio * ratio
             env_max, env_min = map(float, (_envelope_far if x > _LN2 else _envelope_near)(g, x))
         else:
@@ -378,24 +380,25 @@ def optimize_pps(
     else:
         env_max = env_min = float("nan")
 
-    cols = np.argmax(np.einsum("kii->ki", pstack).real, axis=1)  # e_k: P_k's largest column
-    units = pstack[np.arange(len(eigs)), :, cols]
+    cols = np.argmax(pstack.diagonal(axis1=1, axis2=2).real, axis=1)  # e_k: P_k's largest column
+    units = pstack[np.arange(k), :, cols]
     units /= np.linalg.norm(units, axis=1, keepdims=True)
 
     def selection(c: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
         root = np.sqrt(np.abs(c))
         pre, post = (np.sign(c) * root) @ units, root @ units
         amplitudes = ((pstack @ pre) @ post.conj())[:, None]
-        terms = _pointer_terms(amplitudes, eigs, _column_sums(amplitudes, eigs))
-        n_val, q_num, _, _ = _pointer_sums(terms, ratio)
+        terms = _pointer_terms(amplitudes, geometry, _column_sums(amplitudes, eigs))
+        n_val, q_num, _, _ = _pointer_sums(terms, overlaps)
         return g * (q_num / n_val), pre, post
 
-    c_max, c_min = _pencil_extremes(eigs, ratio, h, (eigs[:, None] + eigs[None, :]) / 2.0 * h, float(min_postselect))
+    qker, overlaps = (geometry.coef[:, 1, 0] * h).reshape(k, k), -h  # (a + a')/2 h and G - 1
+    c_max, c_min = _pencil_extremes(eigs, ratio, h.reshape(k, k), qker, float(min_postselect))
     best_max, *top = selection(c_max)
     best_min, *bottom = selection(c_min)
     if not (math.isfinite(best_max) and math.isfinite(best_min)):
         raise ValidationError(f"constructed shifts [{best_min!r}, {best_max!r}] lie beyond the double range")
-    tol = 1e-9 * max(1.0, delta, g * float(np.max(np.abs(eigs))))
+    tol = 1e-9 * max(1.0, delta, g * max(-float(eigs[0]), float(eigs[-1])))  # levels ascend
     if np.isfinite(env_max) and (best_max > env_max + tol or best_min < env_min - tol):
         raise InternalConsistencyError(
             f"constructed shifts [{best_min!r}, {best_max!r}] escape the envelope "

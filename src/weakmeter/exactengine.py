@@ -20,16 +20,17 @@ decomposed once by its own class, is contracted into pure-state amplitudes
 (:func:`_selection_amplitudes`, cached).  Their column sums S0, S1 and
 p = |S0|^2 are formed once (:func:`_column_sums`) for the pointer sums and
 the weak moments of :mod:`.weakvalue` alike, so as g -> 0 the exact shifts
-are the first-order ones bit for bit.  The g-independent terms, with the
-kernel coefficients folded into the selection weights, are formed once
-per selection (:func:`_pointer_terms`), so a coupling costs only the
-overlaps, as G - 1 in pointer units, where only g / Delta enters
-(:func:`_overlaps`, the one such step, or :func:`_told_apart` where the
-pointers must be told apart), and one contraction (:func:`_pointer_sums`),
-for one coupling or a batch of them.  The extremal search in :mod:`.bounds`
-and the which-path sweep in :mod:`.hardy` call the same contraction.  The
-closed forms elsewhere take g / Delta, validated and saturated, from
-:func:`_ratio`.
+are the first-order ones bit for bit.  The g-independent terms are the
+observable's level geometry (:func:`_level_geometry`) and each selection's
+fold of its weights on it (:func:`_pointer_terms`), formed once per
+selection, so a coupling costs only the overlaps, as G - 1 in pointer
+units, where only g / Delta enters (the caller's :func:`_overlaps`, the one
+such step, or :func:`_told_apart` where the pointers must be told apart),
+and one contraction (:func:`_pointer_sums`), for one coupling or a batch.
+The extremal search in :mod:`.bounds` scores both of its selections on one
+geometry and one set of overlaps; the which-path sweep in :mod:`.hardy`
+calls the same contraction.  The closed forms elsewhere take g / Delta,
+validated and saturated, from :func:`_ratio`.
 """
 
 from __future__ import annotations
@@ -276,47 +277,59 @@ def _column_sums(c: np.ndarray, eigenvalues: np.ndarray) -> tuple[np.ndarray, np
     return s0, s1, float(np.vdot(s0, s0).real)
 
 
+class _LevelGeometry(NamedTuple):
+    """An observable's level-pair geometry, over the pairs (k, l) flattened:
+    every selection of the observable folds on it.  None is kept between calls."""
+
+    coef: np.ndarray  # (K^2, 3, 1): the kernel coefficients [1, (a + a')/2, (a - a')/4]
+    spread: np.ndarray  # (K^2,): |a - a'|
+    span: float  # the largest spread, a_max - a_min
+    reach: float  # max(1, |a|), a bound on every kernel entry
+
+
+def _level_geometry(eigenvalues: np.ndarray) -> _LevelGeometry:
+    """The :class:`_LevelGeometry` of the observable's ascending levels."""
+    da = eigenvalues[:, None] - eigenvalues[None, :]
+    coef = np.array([np.ones_like(da), (eigenvalues[:, None] + eigenvalues[None, :]) / 2.0, da / 4.0])
+    lo, hi = eigenvalues[0].item(), eigenvalues[-1].item()
+    # kernel entries are at most max(1, |a|): h <= 1, |qker| <= |a|, |pker| <= |a| / 2
+    return _LevelGeometry(coef.reshape(3, -1).T[:, :, None], np.abs(da).ravel(), hi - lo, max(1.0, -lo, hi))
+
+
 class _PointerTerms(NamedTuple):
-    """The g-independent terms of one selection's pointer sums, over the level
-    pairs (k, l) flattened; arrays read-only, scalars Python floats.  With
-    the column sums S0, S1 of :func:`_column_sums`, W = c^* c^T and the
-    kernel coefficients coef = [1, (a + a')/2, (a - a')/4]:
+    """The g-independent terms of one selection's pointer sums, its fold on a
+    :class:`_LevelGeometry`, over the level pairs (k, l) flattened; scalars
+    Python floats.  With the column sums S0, S1 of :func:`_column_sums`,
+    W = c^* c^T and the geometry's coef = [1, (a + a')/2, (a - a')/4]:
     """
 
     weights: np.ndarray  # (K^2, 6): coef_j * W as (re, im) pairs, j = 0, 1, 2
-    spread: np.ndarray  # (K^2,): |a - a'|
+    spread: np.ndarray  # (K^2,): the geometry's |a - a'|
     norm_sq: float  # p = sum |S0|^2
     anchor_re: float  # Re sum S0^* S1
     anchor_im: float  # Im sum S0^* S1
     scale: float  # a bound on the absolute mass of every kernel sum
-    span: float  # the largest spread, a_max - a_min
+    span: float  # the geometry's largest spread, a_max - a_min
 
 
-def _pointer_terms(c: np.ndarray, eigenvalues: np.ndarray, column_sums: tuple) -> _PointerTerms:
+def _pointer_terms(c: np.ndarray, geometry: _LevelGeometry, column_sums: tuple) -> _PointerTerms:
     """The :class:`_PointerTerms` of amplitudes c[k, r] (a pure pair is one
-    column) at the observable's ascending levels and their column sums."""
-    k = len(eigenvalues)
-    da = eigenvalues[:, None] - eigenvalues[None, :]
-    coef = np.array([np.ones_like(da), (eigenvalues[:, None] + eigenvalues[None, :]) / 2.0, da / 4.0])
-    w_pairs = (c.conj() @ c.T).view(float).reshape(k * k, 1, 2)
-    weights = (coef.reshape(3, k * k).T[:, :, None] * w_pairs).reshape(k * k, 6)
-    spread = np.abs(da).reshape(k * k)
-    weights.flags.writeable = spread.flags.writeable = False
-    # kernel entries are at most max(1, |a|) (h <= 1, |qker| <= |a|, |pker| <= |a| / 2;
-    # eigenvalues ascending), so this bounds the absolute mass of every sum
-    scale = float(np.vdot(c, c).real * max(1.0, -eigenvalues[0], eigenvalues[-1]) + 1e-300)
+    column) and their column sums, folded on the observable's level geometry."""
+    w_pairs = (c.conj() @ c.T).view(float).reshape(-1, 1, 2)
+    weights = (geometry.coef * w_pairs).reshape(-1, 6)
+    # the geometry's reach bounds every kernel entry, so this bounds the absolute mass of every sum
+    scale = float(np.vdot(c, c).real * geometry.reach + 1e-300)
     s0, s1, norm_sq = column_sums
     anchor = complex(np.vdot(s0, s1))
-    span = float(eigenvalues[-1] - eigenvalues[0])
-    return _PointerTerms(weights, spread, norm_sq, anchor.real, anchor.imag, scale, span)
+    return _PointerTerms(weights, geometry.spread, norm_sq, anchor.real, anchor.imag, scale, geometry.span)
 
 
-def _pointer_sums(terms: _PointerTerms, ratio):
+def _pointer_sums(terms: _PointerTerms, e: np.ndarray):
     """Selection probability and shift numerators at each coupling.
 
-    `terms` come from :func:`_pointer_terms`, and `ratio` = g / delta is a
-    float or a 1-d array of n couplings; e = G - 1 comes from
-    :func:`_overlaps` at the terms' spreads.  With G = 1 + e,
+    `terms` come from :func:`_pointer_terms`, and e = G - 1 at their spreads
+    from :func:`_overlaps` (or -h of :func:`_told_apart`): 1-d for one
+    coupling, (n, K^2) for n couplings.  With G = 1 + e,
 
         N = sum |S0|^2            + sum_kl W_kl e_kl
         q = Re sum S0^* S1        + sum_kl W_kl (a + a')/2 e_kl,    delta_q = g q / N
@@ -326,10 +339,9 @@ def _pointer_sums(terms: _PointerTerms, ratio):
     product is formed, so N keeps its relative precision down to the
     orthogonality floor.  Returns (N, q, p, resid), resid being the worst
     imaginary residue of the (mathematically real) kernel sums relative to
-    a bound on their absolute mass: Python floats for a float ratio, else
-    arrays over its n couplings.
+    a bound on their absolute mass: Python floats for one coupling, else
+    arrays over the n couplings.
     """
-    e = _overlaps(ratio, terms.spread, terms.span)
     if e.ndim == 1:
         n_re, n_im, q_re, q_im, p_re, p_im = (e @ terms.weights).tolist()
         imag = max(abs(n_im), abs(q_im), abs(p_re))
@@ -346,9 +358,9 @@ class _Selection:
     """One selection (rho, Pi, A) factored for every coupling; arrays read-only.
 
     `amplitudes` are the c[k, r] of :func:`_selection_amplitudes`.  Their
-    column sums (:func:`_column_sums`), the pointer-sum terms built on them
-    (:func:`_pointer_terms`) and the weak moments' rows (`sums`) are each
-    formed on first use, so a caller pays only for what it reads.
+    column sums (:func:`_column_sums`), the pointer-sum terms folded on them
+    and a level geometry of the record's own (:func:`_pointer_terms`) and the
+    weak moments' rows (`sums`) are each formed on first use.
     """
 
     amplitudes: np.ndarray
@@ -363,7 +375,9 @@ class _Selection:
 
     @cached_property
     def terms(self) -> _PointerTerms:
-        return _pointer_terms(self.amplitudes, self.eigenvalues, self.column_sums)
+        terms = _pointer_terms(self.amplitudes, _level_geometry(self.eigenvalues), self.column_sums)
+        terms.weights.flags.writeable = terms.spread.flags.writeable = False  # shared, unlike the optimizer's
+        return terms
 
     @cached_property
     def sums(self) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], float]:
@@ -447,7 +461,7 @@ def exact_shifts(setup: MeasurementSetup) -> MeasurementOutcome:
     terms = _selection_amplitudes(setup.preselection, setup.postselection, setup.observable).terms
     # Python floats from here on: an out-of-range shift becomes inf, which
     # MeasurementOutcome rejects, rather than a numpy overflow warning
-    n_val, q_num, p_num, resid = _pointer_sums(terms, ratio)
+    n_val, q_num, p_num, resid = _pointer_sums(terms, _overlaps(ratio, terms.spread, terms.span))
     if n_val <= ORTHOGONALITY_FLOOR:
         raise OrthogonalSelectionError(
             f"postselection probability {n_val:.3e} at or below 1e-14; "

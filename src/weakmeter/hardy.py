@@ -33,6 +33,7 @@ from .exactengine import (
     _coupling_grid,
     _nondecreasing,
     _one_minus_overlap,
+    _overlaps,
     _pointer_sums,
     _ratio,
     _selection_amplitudes,
@@ -114,7 +115,7 @@ def _probability_rows(gs: np.ndarray, delta: float) -> np.ndarray:
     ratio = _ratio(gs, delta)
     probs = np.empty((len(PATH_LABELS), len(gs)))  # rows in PATH_LABELS order
     for row, terms in zip(probs, _cached_terms()):
-        n_val, q_num, _, _ = _pointer_sums(terms, ratio)
+        n_val, q_num, _, _ = _pointer_sums(terms, _overlaps(ratio, terms.spread, terms.span))
         row[:] = q_num / n_val
     closed = closed_form_shifts(gs, delta)
     expected = np.array([closed[label] for label in PATH_LABELS])

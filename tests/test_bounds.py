@@ -33,10 +33,10 @@ from weakmeter import (
     optimize_pps,
     weak_moments,
 )
-from weakmeter import bounds
+from weakmeter import bounds, exactengine
 from weakmeter.bounds import _envelope_curve, _ones_frame, k_value
 from weakmeter.cli import main
-from weakmeter.exactengine import _overlaps
+from weakmeter.exactengine import _level_geometry, _overlaps, _pointer_sums, _pointer_terms
 from weakmeter.sampling import random_hermitian, random_projector, random_state
 
 PATH = HermitianObservable(np.diag([1.0, 0.0]))
@@ -504,44 +504,51 @@ def _pair_bits(pair):
     return (floats.tobytes(), *(state.amplitudes.tobytes() for state in pair.argmax_states))
 
 
+def _search_cases(seed, count):
+    """`count` seeded optimize_pps inputs: d = 2..8, Hermitian, `from_projector`
+    and projector-matrix observables, g / Delta log-uniform in [1e-8, 1e3],
+    both objectives and three floors, with many bound by the floor."""
+    rng = np.random.default_rng(seed)
+    cases = []
+    while len(cases) < count:
+        dim = int(rng.integers(2, 9))
+        kind = int(rng.integers(3))
+        if kind == 0:
+            obs = random_hermitian(rng, dim)
+        else:
+            pi = random_projector(rng, dim, int(rng.integers(1, dim)))
+            obs = HermitianObservable.from_projector(pi) if kind == 1 else HermitianObservable(pi.matrix)
+        pointer = GaussianPointer(float(rng.choice([0.5, 1.0, 2.0])))
+        g = pointer.delta * float(10.0 ** rng.uniform(-8.0, 3.0))
+        kwargs = {"objective": str(rng.choice(["max", "min"])), "min_postselect": float(rng.choice([1e-14, 1e-12, 1e-8]))}
+        cases.append((obs, g, pointer, kwargs))
+    return cases
+
+
+def _search_bits(cases):
+    """Each search's ExtremePair fields as bytes, or its UndefinedExtremeError message."""
+    out = []
+    for obs, g, pointer, kwargs in cases:
+        try:
+            out.append(_pair_bits(optimize_pps(obs, g, pointer, **kwargs)))
+        except UndefinedExtremeError as exc:
+            out.append(str(exc))
+    return out
+
+
 class TestFrameCache:
     """The all-ones frame is formed once per K and shared by every search
     with K levels; every call still solves the pencil and scores both
     selections, bit for bit as with a frame formed per call."""
 
     def test_searches_match_the_per_call_frame_bit_for_bit(self, monkeypatch):
-        """600 seeded searches: d = 2..8, Hermitian and projector
-        observables, g / Delta log-uniform in [1e-8, 1e3], both objectives
-        and three floors, with many bound by the floor."""
-        rng = np.random.default_rng(25)
-        cases = []
-        while len(cases) < 600:
-            dim = int(rng.integers(2, 9))
-            kind = int(rng.integers(3))
-            if kind == 0:
-                obs = random_hermitian(rng, dim)
-            else:
-                pi = random_projector(rng, dim, int(rng.integers(1, dim)))
-                obs = HermitianObservable.from_projector(pi) if kind == 1 else HermitianObservable(pi.matrix)
-            pointer = GaussianPointer(float(rng.choice([0.5, 1.0, 2.0])))
-            g = pointer.delta * float(10.0 ** rng.uniform(-8.0, 3.0))
-            kwargs = {"objective": str(rng.choice(["max", "min"])), "min_postselect": float(rng.choice([1e-14, 1e-12, 1e-8]))}
-            cases.append((obs, g, pointer, kwargs))
-
-        def searches():
-            out = []
-            for obs, g, pointer, kwargs in cases:
-                try:
-                    out.append(_pair_bits(optimize_pps(obs, g, pointer, **kwargs)))
-                except UndefinedExtremeError as exc:
-                    out.append(str(exc))
-            return out
-
-        cached = searches()
+        """600 seeded searches (:func:`_search_cases`), many bound by the floor."""
+        cases = _search_cases(25, 600)
+        cached = _search_bits(cases)
         bound_by_floor = Mock(wraps=np.linalg.eigh)
         monkeypatch.setattr(bounds, "_ones_frame", _per_call_frame)
         monkeypatch.setattr(np.linalg, "eigh", bound_by_floor)
-        assert searches() == cached
+        assert _search_bits(cases) == cached
         # a search whose floor does not bind makes 2 eigh calls, one bound by it 2 + 44 or more
         assert bound_by_floor.call_count >= 2 * len(cases) + 100 * bounds._FLOOR_BISECTIONS
 
@@ -586,6 +593,68 @@ class TestFrameCache:
             assert proc.returncode == 0, proc.stderr
             assert proc.stdout.split() == here[name], name
         assert here["plain"] != here["reversed"]
+
+
+class TestSharedGeometry:
+    """One search forms the observable's level geometry and the overlaps
+    G - 1 once: the floor test, the pencil's kernels and both scorings read
+    them, bit for bit as when each scoring formed its own."""
+
+    def test_one_geometry_and_one_overlap_step_per_search(self, monkeypatch):
+        made, folded_on = [], []
+
+        def geometry(eigenvalues):
+            made.append(_level_geometry(eigenvalues))
+            return made[-1]
+
+        def fold(c, shared, sums):
+            folded_on.append(shared)
+            return _pointer_terms(c, shared, sums)
+
+        overlaps = Mock(wraps=exactengine._overlaps)
+        monkeypatch.setattr(bounds, "_level_geometry", geometry)
+        monkeypatch.setattr(bounds, "_pointer_terms", fold)
+        monkeypatch.setattr(exactengine, "_overlaps", overlaps)
+        # floor-free and floor-bound searches, Hermitian and projector observables
+        for obs in (random_hermitian(np.random.default_rng(6), 4), _which_path(3), PATH):
+            for g in (1e-6, 0.02, 1.0, 1e3):
+                made.clear()
+                folded_on.clear()
+                overlaps.reset_mock()
+                optimize_pps(obs, g, POINTER)
+                assert (len(made), overlaps.call_count) == (1, 1)
+                assert len(folded_on) == 2 and all(shared is made[0] for shared in folded_on)
+
+    def test_searches_match_a_geometry_per_scoring_bit_for_bit(self, monkeypatch):
+        """600 seeded searches (:func:`_search_cases`, another seed): every
+        ExtremePair field keeps its bytes when each scoring folds on a
+        geometry of its own and forms its overlaps from g / Delta."""
+        cases = _search_cases(28, 600)
+        assert sorted({obs.matrix.shape[0] for obs, *_ in cases}) == list(range(2, 9))
+        shared = _search_bits(cases)
+        now, scorings = {}, Mock()
+
+        def geometry(eigenvalues):
+            now["levels"] = eigenvalues
+            return _level_geometry(eigenvalues)
+
+        def told_apart(ratio, spread, span):
+            now["ratio"], h = exactengine._told_apart(ratio, spread, span)
+            return now["ratio"], h
+
+        def per_scoring_terms(c, _, sums):
+            return _pointer_terms(c, _level_geometry(now["levels"]), sums)
+
+        def per_scoring_sums(terms, _):
+            scorings()
+            return _pointer_sums(terms, _overlaps(now["ratio"], terms.spread, terms.span))
+
+        monkeypatch.setattr(bounds, "_level_geometry", geometry)
+        monkeypatch.setattr(bounds, "_told_apart", told_apart)
+        monkeypatch.setattr(bounds, "_pointer_terms", per_scoring_terms)
+        monkeypatch.setattr(bounds, "_pointer_sums", per_scoring_sums)
+        assert _search_bits(cases) == shared
+        assert scorings.call_count == 2 * sum(isinstance(bits, tuple) for bits in shared)
 
 
 def test_import_does_not_load_scipy():

@@ -42,6 +42,7 @@ from weakmeter import (
 from weakmeter.exactengine import (
     MAX_GRID_POINTS,
     _column_sums,
+    _level_geometry,
     _overlaps,
     _pointer_sums,
     _pointer_terms,
@@ -248,10 +249,10 @@ class TestSelectionFamilies:
             warnings.simplefilter("error")
             for obs, rho, pi in cases:
                 terms = _selection_amplitudes(rho, pi, obs).terms
-                *batch, batch_resid = _pointer_sums(terms, ratios)
+                *batch, batch_resid = _pointer_sums(terms, _overlaps(ratios, terms.spread, terms.span))
                 assert batch_resid.shape == ratios.shape and np.all(batch_resid < 1e-13)
                 for i, r in enumerate(ratios.tolist()):
-                    single = _pointer_sums(terms, r)
+                    single = _pointer_sums(terms, _overlaps(r, terms.spread, terms.span))
                     assert all(type(x) is float for x in single[:3])
                     assert [float(b[i]) for b in (*batch, batch_resid)] == [float(x) for x in single]
         assert sorted({len(obs.eigenvalues) for obs, _, _ in cases}) == list(range(2, 9))
@@ -310,8 +311,8 @@ class TestSelectionCache:
         assert cached == fresh
         # and equal to the uncached contraction that hardy and the optimizer use
         c, eigs = _selection_amplitudes(rho, pi, obs).amplitudes, obs.eigenvalues
-        terms = _pointer_terms(c, eigs, _column_sums(c, eigs))
-        n_val, q_num, p_num, _ = _pointer_sums(terms, gs / 0.7)
+        terms = _pointer_terms(c, _level_geometry(eigs), _column_sums(c, eigs))
+        n_val, q_num, p_num, _ = _pointer_sums(terms, _overlaps(gs / 0.7, terms.spread, terms.span))
         assert [out.delta_q for out in cached] == (gs * (q_num / n_val)).tolist()
         assert [out.delta_p for out in cached] == ((gs / 0.7) * (p_num / n_val) / 0.7).tolist()
         assert [out.postselect_prob for out in cached] == np.minimum(n_val, 1.0).tolist()
@@ -329,6 +330,24 @@ class TestSelectionCache:
         for name in ("errstate", "abs", "minimum"):
             monkeypatch.setattr(np, name, guard)
         assert exact_shifts(MeasurementSetup(obs, rho, pi, 0.7, pointer)) == before
+
+    def test_cached_terms_are_a_fold_on_a_fresh_geometry(self):
+        """The record's terms are the fold of its amplitudes on a level
+        geometry formed afresh, bit for bit: d = 2..8, mixed ranks,
+        Hermitian and projector observables."""
+        rng = np.random.default_rng(35)
+        for case in range(140):
+            dim = 2 + case % 7
+            obs = random_projector_observable(rng, dim) if case % 2 else random_hermitian(rng, dim)
+            rho = random_density(rng, dim, int(rng.integers(1, dim + 1)))
+            pi = random_projector(rng, dim, int(rng.integers(1, dim)))
+            sel = _selection_amplitudes(rho, pi, obs)
+            c, eigs = sel.amplitudes, obs.eigenvalues
+            fresh = _pointer_terms(c, _level_geometry(eigs), _column_sums(c, eigs))
+            cached = sel.terms
+            assert all(a.tobytes() == b.tobytes() for a, b in zip(cached[:2], fresh[:2]))
+            assert cached.weights.shape == fresh.weights.shape == (len(eigs) ** 2, 6)
+            assert cached[2:] == fresh[2:] and all(type(x) is float for x in cached[2:])
 
     def test_cached_arrays_refuse_writes(self):
         obs, rho, pi = self._selection(32)
