@@ -317,7 +317,7 @@ def optimize_pps(
     once with the exact engine's cancellation-free sums, on the call's one
     level geometry and set of overlaps G - 1; `objective` only selects which
     pair is returned.  Only the all-ones frame, which depends on K alone, is
-    kept between calls.  `restarts` (an integer >= 1) and `seed` change
+    kept between calls.  `restarts` (an integer >= 1) and `seed` (>= 0) change
     nothing; they remain only because the perfbench extremal workload passes them.
 
     Selections with postselection probability <= `min_postselect` are
@@ -341,9 +341,9 @@ def optimize_pps(
         Where the displaced pointers cannot be told apart: g / Delta times
         the gap of some two levels below about 4.2e-154, g = 0 included.
     ValidationError
-        When g / Delta overflows, `restarts` is not an integer >= 1 or
-        `min_postselect` a real number in [1e-14, 1), or a constructed shift
-        lies beyond the double range.
+        When g / Delta overflows, `restarts` is not an integer >= 1,
+        `seed` an integer >= 0 or `min_postselect` a real number in
+        [1e-14, 1), or a constructed shift lies beyond the double range.
     InternalConsistencyError
         If no selection clears the floor, or, for projector observables, if
         either shift escapes the closed-form envelope by more than 1e-9
@@ -353,6 +353,8 @@ def optimize_pps(
         raise ValidationError(f"objective must be 'max' or 'min', got {objective!r}")
     if isinstance(restarts, bool) or not isinstance(restarts, (int, np.integer)) or restarts < 1:
         raise ValidationError(f"restarts must be an integer >= 1, got {restarts!r}")
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise ValidationError(f"seed must be an integer >= 0, got {seed!r}")
     g = _check_coupling(g)
     delta = pointer.delta
     # delta_q / Delta depends on g only through g / Delta, so the solve runs

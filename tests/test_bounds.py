@@ -478,9 +478,14 @@ class TestPencilSolve:
         np.testing.assert_array_equal(a.argmax_states[1].amplitudes, b.argmax_states[1].amplitudes)
         c = optimize_pps(obs, 0.7, POINTER, restarts=np.int64(3))
         assert (c.optimizer_best_max, c.optimizer_best_min) == (a.optimizer_best_max, a.optimizer_best_min)
+        d = optimize_pps(obs, 0.7, POINTER, seed=np.int64(5))
+        assert (d.optimizer_best_max, d.optimizer_best_min) == (a.optimizer_best_max, a.optimizer_best_min)
         for bad in (0, -1, "4", None, float("nan"), True, 2.5, np.float64(3.0)):
             with pytest.raises(ValidationError, match="restarts"):
                 optimize_pps(obs, 0.7, POINTER, restarts=bad)
+        for bad in ("abc", None, float("nan"), [1], -1, True, 2.5, np.float64(3.0)):
+            with pytest.raises(ValidationError, match="seed"):
+                optimize_pps(obs, 0.7, POINTER, seed=bad)
 
     def test_floor_bound_qubit_reaches_the_constrained_optimum(self, capsys):
         """At g = 1e-6 Delta the extreme needs N < 1e-12; the best selection
