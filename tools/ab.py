@@ -1,0 +1,230 @@
+"""Interleaved A/B of the benchmark, and a byte diff of the program's outputs.
+
+    python3 tools/ab.py --base <rev> --workload W --seeds a-b [--seconds S] [--out ab.json]
+    python3 tools/ab.py --base <rev> --outputs
+
+The base tree is `git archive <rev>` unpacked into a temporary directory;
+no ref, branch or worktree list is touched.  The other side is this
+checkout as it stands, uncommitted edits included, or `--head <rev>`
+exported the same way.
+
+Benchmark mode runs each tree's own, unchanged perfbench/run.py untraced,
+one pair per seed of a-b, for BENCHMARK.json's `run_seconds` unless
+`--seconds` says otherwise.  Both runs of a pair use that seed, and the side
+that goes first alternates from pair to pair, so a slow stretch of the
+machine lands on both.  For every end-to-end metric of BENCHMARK.json it
+prints both sides' medians and quartiles, the base's interquartile range
+as a share of its median, how many pairs the head wins, and a verdict
+against the metric's bound:
+
+- unresolved: the base's own spread exceeds the bound, so no change can be told;
+- worse: the head's median is worse than the base's by more than the bound;
+- better: the head wins at least 9 pairs in 10, and the medians differ by
+  more than the base's interquartile range;
+- flat: anything else.
+
+`--out` writes the same as JSON.
+
+Outputs mode runs a fixed set of commands in both trees: `run` on both
+bundled scenarios, the default `hardy-sweep` and `info-sweep`, a 200-point
+log `hardy-sweep` over [1e-6, 1e3], `bounds-optimize` for every d in
+{2, 3, 5, 8} and g in {1e-6, 0.02, 1, 1e3}, each with its default flags,
+`--objective min` and `--observable identity`, and the `repr` of every
+`run_suites()` worst margin (the `verify` text rounds them to 3 figures).
+It names every line of stdout, and every exit code, that differs, and
+exits 1 if any does.
+
+Standard library only.  It never writes under perfbench/ or to
+BENCHMARK.json; the benchmark itself writes its result files under each
+tree's perfbench/out/.  A benchmark pair takes about 40 s at the default
+10 s per run, the outputs about 30 s per tree.
+"""
+
+from __future__ import annotations
+
+import argparse
+import io
+import json
+import os
+import statistics
+import subprocess
+import sys
+import tarfile
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+# A claimed gain must win at least this share of the pairs.
+WIN_SHARE = 0.9
+
+_MARGINS = (
+    "from weakmeter.verify import run_suites\n"
+    "for r in run_suites():\n"
+    "    print(r.name, r.passed, r.instances, repr(r.worst_margin), r.detail)\n"
+)
+
+
+def _export(rev: str, into: Path) -> Path:
+    """The files of commit `rev`, unpacked under `into`."""
+    proc = subprocess.run(["git", "archive", "--format=tar", rev], cwd=ROOT, capture_output=True)
+    if proc.returncode != 0:
+        raise SystemExit(f"error: git archive {rev}: {proc.stderr.decode().strip()}")
+    with tarfile.open(fileobj=io.BytesIO(proc.stdout)) as tar:
+        tar.extractall(into, filter="data")
+    return into
+
+
+def _bench_run(tree: Path, workload: str, seed: int, seconds: int) -> dict:
+    """One untraced benchmark run of `tree`: the JSON of its last line."""
+    cmd = [sys.executable, str(tree / "perfbench" / "run.py"), "--workload", workload,
+           "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
+    proc = subprocess.run(cmd, cwd=tree, capture_output=True, text=True)
+    lines = proc.stdout.strip().splitlines()
+    if proc.returncode != 0 or not lines:
+        raise SystemExit(f"error: {' '.join(cmd)} exited {proc.returncode}: {proc.stderr.strip()[-2000:]}")
+    return json.loads(lines[-1])
+
+
+def _spread(values: list[float]) -> dict:
+    q1, _, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return {"median": statistics.median(values), "q1": q1, "q3": q3, "runs": values}
+
+
+def compare(metric: dict, base: list[float], head: list[float]) -> dict:
+    """Both sides of one metric over the pairs, and the verdict against its bound."""
+    sign = 1.0 if metric["better"] == "higher" else -1.0
+    b, h = _spread(base), _spread(head)
+    iqr_share = (b["q3"] - b["q1"]) / abs(b["median"])
+    gain = sign * (h["median"] - b["median"]) / abs(b["median"])
+    wins = sum(sign * (y - x) > 0.0 for x, y in zip(base, head))
+    if iqr_share > metric["bound"]:
+        verdict = "unresolved"
+    elif gain < -metric["bound"]:
+        verdict = "worse"
+    elif wins >= WIN_SHARE * len(base) and gain > iqr_share:
+        verdict = "better"
+    else:
+        verdict = "flat"
+    return {"unit": metric["unit"], "better": metric["better"], "bound": metric["bound"],
+            "base": b, "head": h, "gain": gain, "base_iqr_share": iqr_share,
+            "wins": wins, "pairs": len(base), "verdict": verdict}
+
+
+def _seeds(text: str) -> list[int]:
+    first, _, last = text.partition("-")
+    seeds = list(range(int(first), int(last or first) + 1))
+    if len(seeds) < 2:
+        raise argparse.ArgumentTypeError(f"need two seeds or more, got {text!r}")
+    return seeds
+
+
+def bench(base: Path, head: Path, args: argparse.Namespace) -> dict:
+    spec = json.loads((head / "BENCHMARK.json").read_text())
+    metrics, args.seconds = spec["end_to_end"], args.seconds or spec["run_seconds"]
+    runs = {"base": [], "head": []}
+    for i, seed in enumerate(args.seeds):
+        order = (("base", base), ("head", head)) if i % 2 == 0 else (("head", head), ("base", base))
+        for side, tree in order:
+            runs[side].append(_bench_run(tree, args.workload, seed, args.seconds))
+        pair = {side: runs[side][-1]["metrics"] for side in runs}
+        print(f"# pair {i + 1}/{len(args.seeds)} seed {seed}: throughput "
+              f"{pair['base']['throughput_ops_s']['value']:.6g} -> {pair['head']['throughput_ops_s']['value']:.6g}",
+              file=sys.stderr, flush=True)
+    report = {
+        "workload": args.workload, "seeds": args.seeds, "seconds": args.seconds,
+        "base": args.base, "head": args.head or "working tree",
+        "failed": {side: [r["failed"] for r in done] for side, done in runs.items()},
+        "attempted": {side: [r["attempted"] for r in done] for side, done in runs.items()},
+        "metrics": {
+            m["name"]: compare(m, *([r["metrics"][m["name"]]["value"] for r in runs[side]] for side in ("base", "head")))
+            for m in metrics
+        },
+    }
+    print(f"{args.workload}: {len(args.seeds)} pairs, seeds {args.seeds[0]}-{args.seeds[-1]}, "
+          f"{args.seconds} s per run; base {report['base']}, head {report['head']}")
+    print(f"failed ops: base {report['failed']['base']}, head {report['failed']['head']}")
+    header = ("metric", "base median [q1, q3]", "head median [q1, q3]", "change", "base IQR", "wins", "bound", "verdict")
+    rows = [header]
+    for name, c in report["metrics"].items():
+        b, h = c["base"], c["head"]
+        rows.append((name, f"{b['median']:.4g} [{b['q1']:.4g}, {b['q3']:.4g}]",
+                     f"{h['median']:.4g} [{h['q1']:.4g}, {h['q3']:.4g}]",
+                     f"{c['gain']:+.1%}", f"{c['base_iqr_share']:.1%}", f"{c['wins']}/{c['pairs']}",
+                     f"{c['bound']:.2f}", c["verdict"]))
+    widths = [max(len(row[i]) for row in rows) for i in range(len(header))]
+    for row in rows:
+        print("  ".join(cell.ljust(width) for cell, width in zip(row, widths)).rstrip())
+    print("change: the head's median against the base's, positive where the head is better")
+    return report
+
+
+def _commands() -> list[tuple[str, list[str]]]:
+    """(label, argv after `python`) for every output compared."""
+    cli = ["-m", "weakmeter.cli"]
+    out = [(f"run {name}", [*cli, "run", name]) for name in ("hardy_nono.json", "anomalous_qubit.json")]
+    out += [("hardy-sweep", [*cli, "hardy-sweep"]), ("info-sweep", [*cli, "info-sweep"])]
+    wide = ["--g-min", "1e-6", "--g-max", "1e3", "--points", "200"]
+    out.append(("hardy-sweep " + " ".join(wide), [*cli, "hardy-sweep", *wide]))
+    for dim in (2, 3, 5, 8):
+        for g in ("1e-6", "0.02", "1", "1e3"):
+            for extra in ([], ["--objective", "min"], ["--observable", "identity"]):
+                flags = ["--dim", str(dim), "--g", g, *extra]
+                out.append(("bounds-optimize " + " ".join(flags), [*cli, "bounds-optimize", *flags]))
+    out.append(("run_suites() margins", ["-c", _MARGINS]))
+    return out
+
+
+def _outputs(tree: Path) -> dict[str, tuple[int, list[str]]]:
+    env = dict(os.environ, PYTHONPATH=str(tree / "src"))
+    done = {}
+    for label, argv in _commands():
+        proc = subprocess.run([sys.executable, *argv], cwd=tree, env=env, capture_output=True, text=True)
+        done[label] = (proc.returncode, proc.stdout.splitlines())
+    return done
+
+
+def outputs(base: Path, head: Path) -> int:
+    sides = [_outputs(tree) for tree in (base, head)]
+    lines = differing = 0
+    for label in sides[0]:
+        (code_b, out_b), (code_h, out_h) = sides[0][label], sides[1][label]
+        lines += max(len(out_b), len(out_h))
+        if code_b != code_h:
+            differing += 1
+            print(f"{label}: exit code {code_b} -> {code_h}")
+        for n in range(max(len(out_b), len(out_h))):
+            old = out_b[n] if n < len(out_b) else "<none>"
+            new = out_h[n] if n < len(out_h) else "<none>"
+            if old != new:
+                differing += 1
+                print(f"{label}: line {n + 1}:\n  base {old}\n  head {new}")
+    print(f"{len(sides[0])} commands, {lines} lines of output: "
+          + (f"{differing} differ" if differing else "identical"))
+    return 1 if differing else 0
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description="interleaved benchmark A/B and output diff against a base commit")
+    parser.add_argument("--base", required=True, help="the base commit, e.g. HEAD~1")
+    parser.add_argument("--head", help="a commit to compare instead of this checkout as it stands")
+    parser.add_argument("--workload", help="the benchmark workload to run in pairs")
+    parser.add_argument("--seeds", type=_seeds, help="one seed per pair, as a-b")
+    parser.add_argument("--seconds", type=int, help="seconds per benchmark run (default: BENCHMARK.json's)")
+    parser.add_argument("--out", help="write the benchmark report as JSON here")
+    parser.add_argument("--outputs", action="store_true", help="byte-diff the fixed output set instead")
+    args = parser.parse_args()
+    if not args.outputs and not (args.workload and args.seeds):
+        parser.error("give --workload and --seeds, or --outputs")
+    with tempfile.TemporaryDirectory(prefix="weakmeter-ab-") as tmp:
+        base = _export(args.base, Path(tmp) / "base")
+        head = _export(args.head, Path(tmp) / "head") if args.head else ROOT
+        if args.outputs:
+            return outputs(base, head)
+        report = bench(base, head, args)
+    if args.out:
+        Path(args.out).write_text(json.dumps(report, indent=1) + "\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
