@@ -76,8 +76,6 @@ def build_hardy() -> HardyScenario:
     arm = {"O": p_o.matrix, "NO": p_o.complement().matrix}
     # keys in PATH_LABELS order
     ops = {e + p: ProjectionOperator(np.kron(arm[e], arm[p])) for e, p in product(arm, repeat=2)}
-    total = sum(p.matrix for p in ops.values())
-    assert float(np.max(np.abs(total - np.eye(4)))) == 0.0
     return HardyScenario(pre, post, ops)
 
 
@@ -94,6 +92,10 @@ def closed_form_shifts(g, delta: float) -> dict:
     """
     h = _one_minus_overlap(_ratio(g, delta))
     return {"OO": 0.0 * g, "ONO": g, "NOO": g, "NONO": g * (2.0 * h - 1.0) / (1.0 + 4.0 * h)}
+
+
+def _closed_form_tol(closed, gs, delta: float):
+    return 1e-12 * np.abs(closed) + 1e-14 * np.maximum(gs, delta)
 
 
 @lru_cache(maxsize=1)
@@ -120,9 +122,7 @@ def _probability_rows(gs: np.ndarray, delta: float) -> np.ndarray:
     closed = closed_form_shifts(gs, delta)
     expected = np.array([closed[label] for label in PATH_LABELS])
     shifts = gs * probs
-    tol = 1e-12 * np.abs(expected) + 1e-14 * np.maximum(gs, delta)
-    # written so that a NaN shift fails the check too
-    bad = ~(np.abs(shifts - expected) <= tol)
+    bad = ~(np.abs(shifts - expected) <= _closed_form_tol(expected, gs, delta))  # NaN fails too
     if bad.any():
         k, i = np.argwhere(bad)[0]
         raise InternalConsistencyError(

@@ -262,7 +262,7 @@ def hardy_suite() -> SuiteResult:
     probs = np.array([[pt.prob_oo, pt.prob_ono, pt.prob_noo, pt.prob_nono] for pt in curve])
     closed = hardy.closed_form_shifts(gs, delta)
     for label, prob in zip(hardy.PATH_LABELS, probs.T):
-        tol = 1e-12 * np.abs(closed[label]) + 1e-14 * np.maximum(gs, delta)
+        tol = hardy._closed_form_tol(closed[label], gs, delta)
         margins = (tol - np.abs(prob * gs - closed[label])) / tol
         worst.update(float(np.min(margins)), f"{label} closed-form agreement")
     worst.update((1e-5 - abs(curve[0].prob_nono + 1.0)) / 1e-5, "weak limit -> -1")
@@ -277,7 +277,7 @@ def hardy_suite() -> SuiteResult:
 def info_suite() -> SuiteResult:
     """Route agreement, monotonicity, limits, and the gain/extreme link."""
     worst = _Worst()
-    delta = 1.0
+    delta, tol = 1.0, infogain._ROUTE_TOL
     try:
         curve = infogain.info_curve(0.0, 10.0 * delta, 200, delta)
     except InternalConsistencyError as exc:
@@ -285,7 +285,7 @@ def info_suite() -> SuiteResult:
     for pt in curve:
         rho_r, rho_1, rho_2 = infogain.reduced_device_states(pt.g, delta)
         via = von_neumann_entropy(rho_r) - 0.5 * (von_neumann_entropy(rho_1) + von_neumann_entropy(rho_2))
-        worst.update((1e-12 - abs(via - pt.i_a)) / 1e-12, "entropy route agreement")
+        worst.update((tol - abs(via - pt.i_a)) / tol, "entropy route agreement")
         if pt.i_a < 0.01 and pt.g > 0.0:
             worst.update((-0.9 * delta - pt.q_min) / delta, "low gain implies q_min < -0.9 Delta")
     worst.update(float(curve[0].i_a == 0.0) - 0.5, "zero coupling -> zero gain")

@@ -8,7 +8,6 @@ import time
 from pathlib import Path
 from unittest.mock import Mock
 
-import mpmath
 import numpy as np
 import pytest
 from pytest import approx
@@ -38,6 +37,8 @@ from weakmeter.bounds import _envelope_curve, _ones_frame, k_value
 from weakmeter.cli import main
 from weakmeter.exactengine import _level_geometry, _overlaps, _pointer_sums, _pointer_terms
 from weakmeter.sampling import random_hermitian, random_projector, random_state
+
+import mpref
 
 PATH = HermitianObservable(np.diag([1.0, 0.0]))
 POINTER = GaussianPointer(1.0)
@@ -348,39 +349,6 @@ class TestOptimizer:
         assert result.optimizer_best_min <= min(drawn) + tol
 
 
-def _mp_pencil(eigenvalues, ratio):
-    """(bottom, top) of delta_q / Delta over all selections: ratio times the
-    extreme eigenvalues of the pencil (Q, G), at 60 digits."""
-    with mpmath.workdps(60):
-        a = [mpmath.mpf(float(x)) for x in eigenvalues]
-        r = mpmath.mpf(float(ratio))
-        k = len(a)
-        gram = mpmath.matrix(k, k)
-        q = mpmath.matrix(k, k)
-        for i in range(k):
-            for j in range(k):
-                gram[i, j] = mpmath.exp(-((r * (a[i] - a[j])) ** 2) / 8)
-                q[i, j] = (a[i] + a[j]) / 2 * gram[i, j]
-        inv = mpmath.inverse(mpmath.cholesky(gram))
-        vals = sorted(mpmath.eigsy(inv * q * inv.T)[0])
-        return float(r * vals[0]), float(r * vals[-1])
-
-
-def _mp_shift(eigenvalues, ratio, c):
-    """(delta_q / Delta, N) of a pure selection with amplitudes c, at 60 digits."""
-    with mpmath.workdps(60):
-        a = [mpmath.mpf(float(x)) for x in eigenvalues]
-        r = mpmath.mpf(float(ratio))
-        amps = [mpmath.mpc(complex(x)) for x in c]
-        n_val = q_val = mpmath.mpf(0)
-        for i in range(len(a)):
-            for j in range(len(a)):
-                w = mpmath.re(mpmath.conj(amps[i]) * amps[j]) * mpmath.exp(-((r * (a[i] - a[j])) ** 2) / 8)
-                n_val += w
-                q_val += w * (a[i] + a[j]) / 2
-        return float(r * q_val / n_val), float(n_val)
-
-
 class TestPencilSolve:
     """The extremes over all selections are the top and bottom of the K x K
     pencil (Q, G); optimize_pps solves it and builds selections attaining
@@ -411,14 +379,14 @@ class TestPencilSolve:
             k = int(rng.integers(2, 9))
             obs = random_hermitian(rng, k)
             g = float(np.exp(rng.uniform(np.log(0.3), np.log(30.0))))
-            bottom, top = _mp_pencil(obs.eigenvalues, g)
+            bottom, top = mpref.pencil(obs.eigenvalues, g)
             eigs = obs.eigenvalues
             h = -_overlaps(g, np.abs(eigs[:, None] - eigs), float(eigs[-1] - eigs[0]))
             for objective, sign, ref in (("max", 1.0, top), ("min", -1.0, bottom)):
                 result = optimize_pps(obs, g, POINTER, objective=objective)
                 pre, post = (s.amplitudes for s in result.argmax_states)
                 c = (obs.projectors @ pre) @ post.conj()
-                shift, n_val = _mp_shift(obs.eigenvalues, g, c)
+                shift, _, n_val = mpref.shifts(obs.eigenvalues, mpref.pure_weights(c), g)
                 if n_val > 2e-12:
                     tol = 1e-12 if k <= 5 else 1e-9
                     assert abs(shift - ref) <= tol * abs(ref), (k, g, objective, shift, ref)
@@ -663,7 +631,7 @@ class TestSharedGeometry:
 
 
 def test_import_does_not_load_scipy():
-    """scipy is a test-time oracle only; the package runs on numpy alone."""
+    """The package runs on numpy alone: scipy is no dependency, not even of the tests."""
     src = str(Path(weakmeter.__file__).resolve().parents[1])
     proc = subprocess.run(
         [sys.executable, "-c", "import sys, weakmeter, weakmeter.cli; print('scipy' in sys.modules)"],

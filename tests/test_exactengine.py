@@ -13,11 +13,9 @@ import warnings
 import weakref
 from importlib import resources
 
-import mpmath
 import numpy as np
 import pytest
 from pytest import approx
-from scipy.integrate import quad
 
 from weakmeter import (
     DensityOperator,
@@ -59,28 +57,10 @@ from weakmeter.sampling import (
     random_projector_observable,
 )
 
+import mpref
+
 PATH = HermitianObservable(np.diag([1.0, 0.0]))
 EPS = np.finfo(float).eps
-
-
-def _pointer_wave(q, delta):
-    return (2.0 * np.pi * delta**2) ** -0.25 * np.exp(-(q**2) / (4.0 * delta**2))
-
-
-def _quad_elements(a, a_prime, g, delta):
-    """Overlap elements by brute-force quadrature of the shifted Gaussians."""
-    lim = 12.0 * delta + g * (abs(a) + abs(a_prime))
-
-    def pair(q):
-        return _pointer_wave(q - g * a, delta) * _pointer_wave(q - g * a_prime, delta)
-
-    s = quad(pair, -lim, lim, epsabs=1e-13)[0]
-    q_elem = quad(lambda q: q * pair(q), -lim, lim, epsabs=1e-13)[0]
-    # p acts as -i d/dq on the right factor; the integrand stays real
-    p_imag = quad(
-        lambda q: pair(q) * (q - g * a_prime) / (2.0 * delta**2), -lim, lim, epsabs=1e-13
-    )[0]
-    return s, q_elem, 1j * p_imag
 
 
 def overlap_elements(a, a_prime, g, delta):
@@ -107,7 +87,7 @@ class TestOverlapElements:
     )
     def test_against_quadrature(self, a, a_prime, g, delta):
         s, q_elem, p_elem = overlap_elements(a, a_prime, g, delta)
-        s_ref, q_ref, p_ref = _quad_elements(a, a_prime, g, delta)
+        s_ref, q_ref, p_ref = mpref.pointer_elements(a, a_prime, g, delta)
         assert s == approx(s_ref, abs=1e-10)
         assert q_elem == approx(q_ref, abs=1e-10)
         assert p_elem == approx(p_ref, abs=1e-10)
@@ -461,26 +441,8 @@ def _near_orthogonal_setups(family, rng, n0=1e-9):
     return np.diag(a), (rho + rho.conj().T) / 2, np.outer(f, f.conj())
 
 
-def _mp_shifts(a, rho, pi, g, delta):
-    """delta_q, delta_p and N at 50 digits from the same double inputs, A = diag(a):
-    w(k, l) = Pi_kl rho_lk, G = exp(-g^2 (a_k - a_l)^2 / (8 delta^2)),
-    delta_p = i g sum w (a_k - a_l) / (4 delta^2) G / N."""
-    with mpmath.workdps(50):
-        num_q = num_p = den = mpmath.mpf(0)
-        g_mp, delta_mp = mpmath.mpf(g), mpmath.mpf(delta)
-        for k in range(len(a)):
-            for l in range(len(a)):
-                w = mpmath.mpc(complex(pi[k, l])) * mpmath.mpc(complex(rho[l, k]))
-                ak, al = mpmath.mpf(float(a[k])), mpmath.mpf(float(a[l]))
-                overlap = mpmath.exp(-((g_mp * (ak - al)) ** 2) / (8 * delta_mp**2))
-                den += w * overlap
-                num_q += w * (ak + al) / 2 * overlap
-                num_p += w * 1j * (ak - al) / (4 * delta_mp**2) * overlap
-        return float((g_mp * num_q / den).real), float((g_mp * num_p / den).real), float(den.real)
-
-
 def _near_orthogonal_outcomes(family, g, delta=1.0):
-    """(setup amplitudes, engine outcome, 50-digit (delta_q, delta_p, N)) for
+    """(levels, selection amplitudes, engine outcome, 60-digit (delta_q, delta_p, N)) for
     the 20 draws of one family, all at coupling g."""
     rng = np.random.default_rng({"pure": 11, "two-eigenvector": 12, "near-pure": 13}[family])
     for _ in range(20):
@@ -488,13 +450,14 @@ def _near_orthogonal_outcomes(family, g, delta=1.0):
         obs, rho_op, pi_op = HermitianObservable(a_mat), DensityOperator(rho), ProjectionOperator(pi)
         out = exact_shifts(MeasurementSetup(obs, rho_op, pi_op, g, GaussianPointer(delta)))
         c = _selection_amplitudes(rho_op, pi_op, obs).amplitudes
-        yield obs.eigenvalues, c, out, _mp_shifts(np.diag(a_mat).real, rho, pi, g, delta)
+        weights = mpref.matrix_weights(rho, pi)
+        yield obs.eigenvalues, c, out, mpref.shifts(np.diag(a_mat).real, weights, g, delta)
 
 
 @pytest.mark.parametrize("family", ["pure", "two-eigenvector", "near-pure"])
 def test_delta_q_keeps_relative_precision_near_orthogonality(family):
     """At g = 1e-4 delta and N ~ 1e-9 the relative errors of delta_q, delta_p
-    and N against a 50-digit evaluation stay within 16 eps / N, the rounding
+    and N against a 60-digit evaluation stay within 16 eps / N, the rounding
     of N itself."""
     eps = 2.2e-16
     for _, _, out, (dq, dp, n_ref) in _near_orthogonal_outcomes(family, 1e-4):
@@ -513,7 +476,7 @@ def test_shifts_keep_precision_at_moderate_coupling(family, g):
     per column of amplitudes, plus eps ||c||_1^2 / N for amplitudes factored
     from matrices.  N, and delta_q and delta_p relative to their size plus
     their natural scale (g max|a| and g max|a| / (2 delta^2)), stay within 4
-    units of it against a 50-digit evaluation; the worst before the kernel
+    units of it against a 60-digit evaluation; the worst before the kernel
     coefficients were folded into the weights was 1.3 units."""
     eps, delta = 2.2e-16, 1.0
     for eigs, c, out, (dq, dp, n_ref) in _near_orthogonal_outcomes(family, g, delta):
@@ -527,19 +490,9 @@ def test_shifts_keep_precision_at_moderate_coupling(family, g):
         assert abs(out.delta_p - dp) <= unit * (g * top / (2.0 * delta**2) + abs(dp)), (dp, out.delta_p)
 
 
-def _mp_moments(a, rho, pi):
-    """p = tr(Pi rho), A_w and two_sided at 50 digits from the same double inputs."""
-    with mpmath.workdps(50):
-        a, rho, pi = (mpmath.matrix([[mpmath.mpc(complex(e)) for e in row] for row in m]) for m in (a, rho, pi))
-        a_rho = a * rho
-        traces = [mpmath.fsum(pi[k, l] * x[l, k] for k in range(pi.rows) for l in range(pi.rows))
-                  for x in (rho, a_rho, a_rho * a)]  # tr(Pi X)
-        return float(traces[0].real), complex(traces[1] / traces[0]), float((traces[2] / traces[0]).real)
-
-
 @pytest.mark.parametrize("family", ["pure", "two-eigenvector", "near-pure"])
 def test_weak_moments_keep_relative_precision_near_orthogonality(family):
-    """p, A_w and two_sided against a 50-digit evaluation for tr(Pi rho) from
+    """p, A_w and two_sided against a 60-digit evaluation for tr(Pi rho) from
     1e-4 down to 1e-12.  eigh factors rho and Pi with a backward error of a
     few eps, so p carries an absolute error of a few eps and the relative
     error 8 eps / p bounds all three: A_w and two_sided inherit p's through
@@ -550,7 +503,7 @@ def test_weak_moments_keep_relative_precision_near_orthogonality(family):
         for _ in range(20):
             a_mat, rho, pi = _near_orthogonal_setups(family, rng, n0)
             m = weak_moments(DensityOperator(rho), ProjectionOperator(pi), HermitianObservable(a_mat))
-            want = _mp_moments(a_mat, rho, pi)
+            want = mpref.moments(np.diag(a_mat).real, mpref.matrix_weights(rho, pi))
             got = (m.postselect_prob, m.weak_value.as_complex, m.two_sided)
             for name, value, ref in zip(("p", "A_w", "two_sided"), got, want):
                 assert abs(value - ref) <= 8.0 * eps / want[0] * abs(ref), (name, n0, value, ref)

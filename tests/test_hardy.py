@@ -26,7 +26,7 @@ class TestScenario:
     def test_projectors_resolve_identity(self):
         hardy = build_hardy()
         total = sum(p.matrix for p in hardy.operators.values())
-        np.testing.assert_allclose(total, np.eye(4), atol=1e-15)
+        np.testing.assert_array_equal(total, np.eye(4))
         assert all(p.rank == 1 for p in hardy.operators.values())
 
     def test_selection_probability_is_one_twelfth(self):

@@ -6,7 +6,6 @@ even path mixture is the entropy of the evenly mixed device state, since
 the branch states stay pure.
 """
 
-import mpmath
 import numpy as np
 import pytest
 from pytest import approx
@@ -20,6 +19,8 @@ from weakmeter import (
     infogain,
 )
 from weakmeter.infogain import information_gain, reduced_device_states
+
+import mpref
 
 
 def _overlap(g, delta=1.0):
@@ -107,15 +108,11 @@ class TestInformationGain:
 
     def test_relative_precision_against_mpmath(self):
         """Down to g = 1e-7 Delta, where the meter learns almost nothing,
-        I_a stays within 4 eps relative of h2((1 + G)/2) taken at 50 digits."""
+        I_a stays within 4 eps relative of h2((1 + G)/2) taken at 60 digits."""
         eps = np.finfo(float).eps
         for g in np.geomspace(1e-7, 12.0, 400):
-            got = information_gain(float(g)).i_a
-            with mpmath.workdps(50):
-                overlap = mpmath.exp(-(mpmath.mpf(float(g)) ** 2) / 8)
-                lam, rest = (1 + overlap) / 2, (1 - overlap) / 2
-                ref = -(lam * mpmath.log(lam) + rest * mpmath.log(rest)) / mpmath.log(2)
-                assert abs(got - ref) <= 4 * eps * ref, (g, got, float(ref))
+            got, ref = information_gain(float(g)).i_a, mpref.mixture_entropy(g)
+            assert abs(got - ref) <= 4 * eps * ref, (g, got, float(ref))
 
     def test_fields_are_python_floats(self):
         res = information_gain(1.0)

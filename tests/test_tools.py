@@ -1,0 +1,87 @@
+"""The verdict logic of tools/ab.py, on synthetic pairs: no benchmark runs here."""
+
+import argparse
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+_spec = importlib.util.spec_from_file_location("ab", Path(__file__).resolve().parents[1] / "tools" / "ab.py")
+ab = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(ab)
+
+HIGHER = {"name": "throughput_ops_s", "unit": "ops/s", "better": "higher", "bound": 0.25}
+LOWER = {"name": "latency_p50_s", "unit": "s", "better": "lower", "bound": 0.25}
+# ten base runs whose quartiles lie 1.5% of the median apart
+BASE = [100.0, 101.0, 99.0, 100.0, 102.0, 98.0, 100.0, 101.0, 99.0, 100.0]
+
+
+def _scaled(factor, base=BASE):
+    return [factor * x for x in base]
+
+
+@pytest.mark.parametrize("metric, factor", [(HIGHER, 1.1), (LOWER, 0.9)])
+def test_a_clear_gain_in_either_direction_is_better(metric, factor):
+    got = ab.compare(metric, BASE, _scaled(factor))
+    assert (got["verdict"], got["wins"], got["pairs"]) == ("better", 10, 10)
+    assert got["gain"] == pytest.approx(0.1)
+    assert got["base_iqr_share"] == pytest.approx(0.015)
+
+
+@pytest.mark.parametrize("metric, factor", [(HIGHER, 0.7), (LOWER, 1.3)])
+def test_a_loss_beyond_the_bound_is_worse(metric, factor):
+    got = ab.compare(metric, BASE, _scaled(factor))
+    assert (got["verdict"], got["wins"]) == ("worse", 0)
+    assert got["gain"] == pytest.approx(-0.3)
+
+
+@pytest.mark.parametrize("metric, factor", [(HIGHER, 0.8), (LOWER, 1.2)])
+def test_a_loss_within_the_bound_is_flat(metric, factor):
+    assert ab.compare(metric, BASE, _scaled(factor))["verdict"] == "flat"
+
+
+def test_a_base_spread_beyond_the_bound_is_unresolved():
+    base = [60.0, 140.0, 100.0, 50.0, 150.0, 70.0, 130.0, 100.0, 55.0, 145.0]
+    for head in (_scaled(2.0, base), _scaled(0.5, base)):
+        got = ab.compare(HIGHER, base, head)
+        assert got["base_iqr_share"] > HIGHER["bound"]
+        assert got["verdict"] == "unresolved"
+
+
+@pytest.mark.parametrize("losses, verdict", [(0, "better"), (1, "better"), (2, "flat")])
+def test_a_gain_must_win_nine_pairs_in_ten(losses, verdict):
+    head = _scaled(1.1)
+    head[:losses] = BASE[:losses]  # a tie wins for neither side
+    got = ab.compare(HIGHER, BASE, head)
+    assert (got["wins"], got["verdict"]) == (10 - losses, verdict)
+
+
+@pytest.mark.parametrize("factor, verdict", [(1.005, "flat"), (1.02, "better")])
+def test_a_gain_must_exceed_the_base_interquartile_range(factor, verdict):
+    got = ab.compare(HIGHER, BASE, _scaled(factor))
+    assert got["wins"] == 10
+    assert got["verdict"] == verdict
+
+
+def test_the_report_carries_both_sides_quartiles():
+    got = ab.compare(LOWER, BASE, _scaled(0.9))
+    assert (got["base"]["median"], got["base"]["q1"], got["base"]["q3"]) == (100.0, 99.25, 100.75)
+    assert got["head"]["runs"] == _scaled(0.9)
+    assert (got["unit"], got["better"], got["bound"]) == ("s", "lower", 0.25)
+
+
+@pytest.mark.parametrize("text, seeds", [("1-10", list(range(1, 11))), ("231-232", [231, 232])])
+def test_seeds_parse_an_inclusive_range(text, seeds):
+    assert ab._seeds(text) == seeds
+
+
+@pytest.mark.parametrize("text", ["5", "5-5", "7-3"])
+def test_fewer_than_two_seeds_are_refused(text):
+    with pytest.raises(argparse.ArgumentTypeError):
+        ab._seeds(text)
+
+
+@pytest.mark.parametrize("text", ["x", "1-y", ""])
+def test_seeds_that_are_not_integers_are_refused(text):
+    with pytest.raises(ValueError):
+        ab._seeds(text)

@@ -1,7 +1,9 @@
-"""Interleaved A/B of the benchmark, and a byte diff of the program's outputs.
+"""Interleaved A/B of the benchmark, a byte diff of the program's outputs,
+and a record of this checkout's benchmark figures.
 
     python3 tools/ab.py --base <rev> --workload W --seeds a-b [--seconds S] [--out ab.json]
     python3 tools/ab.py --base <rev> --outputs
+    python3 tools/ab.py --record BENCH_<n>.json
 
 The base tree is `git archive <rev>` unpacked into a temporary directory;
 no ref, branch or worktree list is touched.  The other side is this
@@ -34,10 +36,26 @@ log `hardy-sweep` over [1e-6, 1e3], `bounds-optimize` for every d in
 It names every line of stdout, and every exit code, that differs, and
 exits 1 if any does.
 
-Standard library only.  It never writes under perfbench/ or to
-BENCHMARK.json; the benchmark itself writes its result files under each
-tree's perfbench/out/.  A benchmark pair takes about 40 s at the default
-10 s per run, the outputs about 30 s per tree.
+Record mode runs every workload of BENCHMARK.json in this checkout once
+per seed of SEEDS, for `run_seconds`, then times the Tier-1 suite and
+`weakmeter verify` WALL_RUNS times each, interleaved, so that a slow stretch
+of the machine lands on both.  It writes, with the commit and whether src/
+differs from it:
+
+- per workload and end-to-end metric, the median and quartiles over the
+  seeds of the scaled figure and of the unscaled one, with every run's value;
+- per run, the speed-gauge readings that scaled it;
+- the python and numpy versions and the source digest the runs reported;
+- whether the runs' interpreters write bytecode: without it every fresh
+  interpreter compiles weakmeter from source, which `cli` ops and set-up
+  pay, so `cli` walls from machines that differ in it do not compare;
+- every Tier-1 and `verify` wall with its exit code, and the median of each.
+
+Every mode reads a benchmark run through the result.json it writes under
+its tree's perfbench/out/.  Standard library only; nothing is written under
+perfbench/ or to BENCHMARK.json by this tool.  A benchmark pair takes about
+40 s at the default 10 s per run, the outputs about 30 s per tree, a record
+8 to 9 minutes; run nothing else meanwhile.
 """
 
 from __future__ import annotations
@@ -51,11 +69,16 @@ import subprocess
 import sys
 import tarfile
 import tempfile
+import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 # A claimed gain must win at least this share of the pairs.
 WIN_SHARE = 0.9
+SEEDS = (1, 2, 3)
+WALL_RUNS = 3
+TIER1 = [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors", "-p", "no:cacheprovider"]
+VERIFY = [sys.executable, "-m", "weakmeter.cli", "verify"]
 
 _MARGINS = (
     "from weakmeter.verify import run_suites\n"
@@ -74,15 +97,21 @@ def _export(rev: str, into: Path) -> Path:
     return into
 
 
+def _env(tree: Path) -> dict:
+    """The environment with `tree`'s src/ first on PYTHONPATH."""
+    path = os.pathsep.join(filter(None, (str(tree / "src"), os.environ.get("PYTHONPATH"))))
+    return dict(os.environ, PYTHONPATH=path)
+
+
 def _bench_run(tree: Path, workload: str, seed: int, seconds: int) -> dict:
-    """One untraced benchmark run of `tree`: the JSON of its last line."""
+    """One untraced benchmark run of `tree`: the result.json it writes."""
     cmd = [sys.executable, str(tree / "perfbench" / "run.py"), "--workload", workload,
            "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
     proc = subprocess.run(cmd, cwd=tree, capture_output=True, text=True)
-    lines = proc.stdout.strip().splitlines()
-    if proc.returncode != 0 or not lines:
+    if proc.returncode != 0:
         raise SystemExit(f"error: {' '.join(cmd)} exited {proc.returncode}: {proc.stderr.strip()[-2000:]}")
-    return json.loads(lines[-1])
+    result = tree / "perfbench" / "out" / f"{workload}-seed{seed}-trace0" / "result.json"
+    return json.loads(result.read_text())
 
 
 def _spread(values: list[float]) -> dict:
@@ -175,10 +204,9 @@ def _commands() -> list[tuple[str, list[str]]]:
 
 
 def _outputs(tree: Path) -> dict[str, tuple[int, list[str]]]:
-    env = dict(os.environ, PYTHONPATH=str(tree / "src"))
     done = {}
     for label, argv in _commands():
-        proc = subprocess.run([sys.executable, *argv], cwd=tree, env=env, capture_output=True, text=True)
+        proc = subprocess.run([sys.executable, *argv], cwd=tree, env=_env(tree), capture_output=True, text=True)
         done[label] = (proc.returncode, proc.stdout.splitlines())
     return done
 
@@ -203,9 +231,64 @@ def outputs(base: Path, head: Path) -> int:
     return 1 if differing else 0
 
 
+def _timed(cmd: list[str]) -> dict:
+    """Wall time, exit code and last output line of one command run from the root."""
+    start = time.perf_counter()
+    proc = subprocess.run(cmd, cwd=ROOT, env=_env(ROOT), capture_output=True, text=True)
+    lines = proc.stdout.strip().splitlines()
+    return {"wall_s": time.perf_counter() - start, "exit": proc.returncode,
+            "last_line": lines[-1] if lines else proc.stderr.strip()[-200:]}
+
+
+def _record_workload(workload: str, seconds: int, names: list[str]) -> dict:
+    results = [_bench_run(ROOT, workload, seed, seconds) for seed in SEEDS]
+    return {
+        "correct": all(r["correct"] for r in results),
+        "attempted": [r["attempted"] for r in results],
+        "failed": [r["failed"] for r in results],
+        "metrics": {name: dict(unit=results[0]["metrics"][name]["unit"],
+                               **_spread([r["metrics"][name]["value"] for r in results]))
+                    for name in names},
+        "unscaled": {name: _spread([r["details"]["unscaled"][name] for r in results])
+                     for name in names if name in results[0]["details"]["unscaled"]},
+        "gauge": [{"seed": seed, "readings": r["details"]["gauge_readings"],
+                   "median": r["details"]["gauge_median"], "setup": r["details"]["setup_gauge"]}
+                  for seed, r in zip(SEEDS, results)],
+        "provenance": {key: results[0]["provenance"][key] for key in ("python", "numpy", "source_sha256")},
+    }
+
+
+def record() -> dict:
+    """This checkout's benchmark figures, and its Tier-1 and `verify` walls."""
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    git = [subprocess.run(["git", *cmd], cwd=ROOT, capture_output=True, text=True).stdout.strip()
+           for cmd in (["rev-parse", "HEAD"], ["status", "--porcelain", "src"])]
+    probe = [sys.executable, "-c", "import sys; print(sys.flags.dont_write_bytecode)"]
+    flag = subprocess.run(probe, cwd=ROOT, env=_env(ROOT), capture_output=True, text=True, check=True).stdout
+    names = [m["name"] for m in spec["end_to_end"]]
+    report = {
+        "commit": git[0], "src_differs_from_commit": bool(git[1]),
+        "seeds": list(SEEDS), "run_seconds": spec["run_seconds"],
+        "bytecode": {"dont_write_bytecode": int(flag),
+                     "PYTHONDONTWRITEBYTECODE": os.environ.get("PYTHONDONTWRITEBYTECODE")},
+        "workloads": {w["name"]: _record_workload(w["name"], spec["run_seconds"], names)
+                      for w in spec["workloads"]},
+    }
+    walls = {"tier1": [], "verify": []}
+    for _ in range(WALL_RUNS):
+        walls["tier1"].append(_timed(TIER1))
+        walls["verify"].append(_timed(VERIFY))
+    for name, runs in walls.items():
+        report[name] = {"median_wall_s": statistics.median(r["wall_s"] for r in runs), "runs": runs}
+    return report
+
+
 def main() -> int:
-    parser = argparse.ArgumentParser(description="interleaved benchmark A/B and output diff against a base commit")
-    parser.add_argument("--base", required=True, help="the base commit, e.g. HEAD~1")
+    parser = argparse.ArgumentParser(description="interleaved benchmark A/B and output diff against a base "
+                                                 "commit, or a record of this checkout's figures")
+    mode = parser.add_mutually_exclusive_group(required=True)
+    mode.add_argument("--base", help="the base commit, e.g. HEAD~1")
+    mode.add_argument("--record", metavar="OUT", help="record this checkout's figures here, e.g. BENCH_<n>.json")
     parser.add_argument("--head", help="a commit to compare instead of this checkout as it stands")
     parser.add_argument("--workload", help="the benchmark workload to run in pairs")
     parser.add_argument("--seeds", type=_seeds, help="one seed per pair, as a-b")
@@ -213,6 +296,11 @@ def main() -> int:
     parser.add_argument("--out", help="write the benchmark report as JSON here")
     parser.add_argument("--outputs", action="store_true", help="byte-diff the fixed output set instead")
     args = parser.parse_args()
+    if args.record:
+        if args.head or args.workload or args.seeds or args.seconds or args.out or args.outputs:
+            parser.error("--record takes no other option")
+        Path(args.record).write_text(json.dumps(record(), indent=1) + "\n")
+        return 0
     if not args.outputs and not (args.workload and args.seeds):
         parser.error("give --workload and --seeds, or --outputs")
     with tempfile.TemporaryDirectory(prefix="weakmeter-ab-") as tmp:
