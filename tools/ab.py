@@ -55,7 +55,7 @@ Every mode reads a benchmark run through the result.json it writes under
 its tree's perfbench/out/.  Standard library only; nothing is written under
 perfbench/ or to BENCHMARK.json by this tool.  A benchmark pair takes about
 40 s at the default 10 s per run, the outputs about 30 s per tree, a record
-8 to 9 minutes; run nothing else meanwhile.
+4 to 9 minutes; run nothing else meanwhile.
 """
 
 from __future__ import annotations
