@@ -19,12 +19,11 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from importlib import resources
 from pathlib import Path
 
 import numpy as np
 
-from .bounds import optimize_pps
+from . import SUITE_NAMES
 from .errors import (
     ContractError,
     DegenerateDenominatorError,
@@ -35,12 +34,10 @@ from .errors import (
     ValidationError,
 )
 from .exactengine import MAX_SWEEP_POINTS, GaussianPointer, exact_shifts, grid_shifts
-from .hardy import probability_curve
-from .infogain import info_curve
 from .qcore import HermitianObservable, ProjectionOperator
-from .scenario import load_scenario, parse_scenario
-from .verify import SUITE_NAMES, run_suites
-from .weakvalue import jozsa_shifts, second_order_shifts, weak_moments
+
+# Every subcommand calls the engine above.  Each handler imports the rest of
+# what it calls, so that a subcommand loads only the modules it uses.
 
 EXIT_OK = 0
 EXIT_INVARIANT = 1
@@ -64,21 +61,29 @@ def _emit(text: str, out: str) -> None:
 
 
 def _resolve_scenario(name: str):
-    p = Path(name)
-    if p.is_file():
-        return load_scenario(p)
-    bundled = resources.files("weakmeter").joinpath("scenarios", name)
-    if bundled.is_file():
-        return parse_scenario(json.loads(bundled.read_text()))
+    from importlib import resources
+
+    from .scenario import load_scenario, parse_scenario
+
+    bundled = resources.files("weakmeter").joinpath("scenarios")
+    try:
+        on_disk = Path(name).is_file()
+        in_bundle = not on_disk and bundled.joinpath(name).is_file()
+    except OSError as exc:  # e.g. a name longer than the file system allows
+        raise ValidationError(f"scenario: cannot look up {name!r}: {exc.strerror or exc}") from None
+    if on_disk:
+        return load_scenario(name)
+    if in_bundle:
+        return parse_scenario(json.loads(bundled.joinpath(name).read_text(encoding="utf-8")))
     raise ValidationError(
         f"scenario: {name!r} is neither a file nor a bundled scenario "
-        "(bundled: " + ", ".join(sorted(
-            e.name for e in resources.files("weakmeter").joinpath("scenarios").iterdir()
-        )) + ")"
+        "(bundled: " + ", ".join(sorted(e.name for e in bundled.iterdir())) + ")"
     )
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
+    from .weakvalue import jozsa_shifts, second_order_shifts, weak_moments
+
     setup, grid = _resolve_scenario(args.scenario)
     moments = weak_moments(setup.preselection, setup.postselection, setup.observable)
     outcome = exact_shifts(setup)
@@ -119,6 +124,8 @@ def _write_sweep_csv(out: str, units: str, header: list[str], rows: list[list[fl
 
 
 def _cmd_hardy_sweep(args: argparse.Namespace) -> int:
+    from .hardy import probability_curve
+
     curve = probability_curve(args.g_min, args.g_max, args.points, args.delta, args.spacing)
     _write_sweep_csv(
         args.out,
@@ -130,6 +137,8 @@ def _cmd_hardy_sweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_info_sweep(args: argparse.Namespace) -> int:
+    from .infogain import info_curve
+
     if args.g_min <= 0.0:
         raise ValidationError("--g-min must be > 0 (the extreme q_min is undefined at g = 0)")
     curve = info_curve(args.g_min, args.g_max, args.points, args.delta)
@@ -159,6 +168,8 @@ def _canonical_observable(kind: str, dim: int) -> tuple[HermitianObservable, str
 
 
 def _cmd_bounds_optimize(args: argparse.Namespace) -> int:
+    from .bounds import optimize_pps
+
     observable, label = _canonical_observable(args.observable, args.dim)
     pointer = GaussianPointer(args.delta)
     result = optimize_pps(observable, args.g, pointer, objective=args.objective)
@@ -189,6 +200,8 @@ def _cmd_bounds_optimize(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
+    from .verify import run_suites
+
     results = run_suites(args.suite)
     failed = [r for r in results if not r.passed]
     for r in results:

@@ -156,13 +156,17 @@ def load_scenario(path: str | Path) -> tuple[MeasurementSetup, GridSpec | None]:
     """Read and parse a scenario file."""
     p = Path(path)
     try:
-        text = p.read_text()
+        text = p.read_text(encoding="utf-8")
     except OSError as exc:
         raise ValidationError(f"scenario: cannot read {p}: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"scenario: {p} is not UTF-8 text: {exc.reason} at byte {exc.start}") from None
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ValidationError(f"scenario: {p} is not valid JSON: {exc}") from None
+    except RecursionError:
+        raise ValidationError(f"scenario: {p} nests too deeply to parse") from None
     return parse_scenario(data)
 
 

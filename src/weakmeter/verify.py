@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import hardy, infogain
+from . import SUITE_NAMES, hardy, infogain
 from .bounds import check_weak_bounds, k_value, optimize_pps
 from .errors import InternalConsistencyError, OrthogonalSelectionError, ValidationError
 from .exactengine import GaussianPointer, GridSpec, MeasurementSetup, exact_shifts, grid_shifts
@@ -27,8 +27,6 @@ from .sampling import (
 )
 from .scenario import setup_to_json
 from .weakvalue import schwarz_gap, weak_moments
-
-SUITE_NAMES = ("schwarz", "bounds", "oracle", "hardy", "info")
 
 
 @dataclass

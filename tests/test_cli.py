@@ -2,14 +2,19 @@
 
 import json
 import math
+import os
+import re
 import subprocess
 import sys
 import tracemalloc
 from importlib import resources
+from pathlib import Path
 
 import pytest
 from pytest import approx
 
+import weakmeter
+from weakmeter import SUITE_NAMES
 from weakmeter.cli import _fmt, main
 from weakmeter.exactengine import MAX_SWEEP_POINTS
 
@@ -120,6 +125,25 @@ class TestRun:
         code, _, err = _run(capsys, "run", str(path))
         assert code == 3
         assert err.startswith("error:")
+
+    def test_a_scenario_that_is_not_utf8_exits_2(self, capsys, tmp_path):
+        path = tmp_path / "not_utf8.json"
+        path.write_bytes(b"\xff\xfe")
+        code, _, err = _run(capsys, "run", str(path))
+        assert code == 2
+        assert err.startswith("error: scenario:") and "not UTF-8" in err
+
+    def test_a_scenario_nested_past_the_parser_exits_2(self, capsys, tmp_path):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100_000 + "]" * 100_000)
+        code, _, err = _run(capsys, "run", str(path))
+        assert code == 2
+        assert err.startswith("error: scenario:") and "nests too deeply" in err
+
+    def test_a_name_too_long_for_the_file_system_exits_2(self, capsys):
+        code, _, err = _run(capsys, "run", "s" * 300 + ".json")
+        assert code == 2
+        assert err.startswith("error: scenario:")
 
 
 class TestSweepCSV:
@@ -413,6 +437,48 @@ class TestFlagErrors:
 
     def test_no_subcommand(self, capsys):
         assert _run(capsys)[0] == 2
+
+    def test_an_unknown_suite_is_refused_with_the_suites_listed(self, capsys):
+        code, _, err = _run(capsys, "verify", "--suite", "nope")
+        assert code == 2
+        assert "argument --suite: invalid choice: 'nope'" in err
+        listed = re.search(r"\(choose from (.*)\)", err).group(1)
+        assert [choice.strip(" '") for choice in listed.split(",")] == [*SUITE_NAMES, "all"]
+
+
+def _loaded_modules(code, *argv):
+    """The weakmeter modules a fresh interpreter holds after `code`."""
+    src = str(Path(weakmeter.__file__).resolve().parents[1])
+    report = "print(*sorted(m for m in sys.modules if m.split('.')[0] == 'weakmeter'))"
+    proc = subprocess.run(
+        [sys.executable, "-c", f"import sys\n{code}\n{report}", *argv],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert proc.returncode == 0, proc.stderr
+    return set(proc.stdout.splitlines()[-1].split())
+
+
+def test_import_loads_only_the_errors():
+    assert _loaded_modules("import weakmeter") == {"weakmeter", "weakmeter.errors"}
+
+
+@pytest.mark.parametrize(
+    "argv, calls",
+    [
+        (["run", "anomalous_qubit.json"], {"scenario", "weakvalue"}),
+        (["hardy-sweep", "--points", "2"], {"hardy"}),
+        (["info-sweep", "--points", "2"], {"infogain", "bounds", "weakvalue"}),
+        (["bounds-optimize"], {"bounds", "weakvalue"}),
+    ],
+)
+def test_a_subcommand_loads_only_the_modules_it_calls(argv, calls):
+    """Every subcommand loads the package, its errors, the CLI and the
+    engine; past those, only the modules it calls."""
+    base = {"weakmeter", "weakmeter.errors", "weakmeter.cli", "weakmeter.exactengine", "weakmeter.qcore"}
+    loaded = _loaded_modules("from weakmeter.cli import main\nmain(sys.argv[1:])", *argv)
+    assert loaded == base | {f"weakmeter.{name}" for name in calls}
 
 
 def test_console_entry_point():

@@ -1,5 +1,5 @@
-"""The public surface: what `import weakmeter` exports, and what the
-benchmark under perfbench/ reads from the package.
+"""The public surface: what `import weakmeter` exports, how its names
+resolve, and what the benchmark under perfbench/ reads from the package.
 
 The benchmark's sources are read, not imported, so that this test holds
 them to the package without depending on how they run.
@@ -7,8 +7,13 @@ them to the package without depending on how they run.
 
 import ast
 import importlib
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
+
+import pytest
 
 import weakmeter
 
@@ -37,6 +42,62 @@ def test_all_is_exactly_the_public_surface():
     assert set(weakmeter.__all__) == PUBLIC | {"__version__"}
     for name in weakmeter.__all__:
         assert getattr(weakmeter, name) is not None, name
+
+
+def _fresh(code):
+    """Stdout of `code` run in a fresh interpreter, where no name has resolved yet."""
+    src = str(Path(weakmeter.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src}
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+def test_every_name_resolves_to_its_home_modules_object():
+    code = (
+        "import importlib, weakmeter\n"
+        "for name in weakmeter.__all__:\n"
+        "    obj = getattr(weakmeter, name)\n"
+        "    home = {'SUITE_NAMES': 'weakmeter.verify', '__version__': 'weakmeter'}.get(name) or obj.__module__\n"
+        "    print(name, home, getattr(importlib.import_module(home), name) is obj)\n"
+    )
+    rows = [line.split() for line in _fresh(code).splitlines()]
+    assert [name for name, _, _ in rows] == weakmeter.__all__
+    assert all(home.startswith("weakmeter") and same == "True" for _, home, same in rows), rows
+
+
+def test_star_import_binds_every_name():
+    names = _fresh("ns = {}\nexec('from weakmeter import *', ns)\nprint(*sorted(set(ns) - {'__builtins__'}))")
+    assert names.split() == sorted(weakmeter.__all__)
+    assert len(names.split()) == 39
+
+
+def test_dir_lists_every_name_before_any_resolves():
+    listed = _fresh("import weakmeter\nprint(*dir(weakmeter))").split()
+    assert set(weakmeter.__all__) <= set(listed)
+
+
+def test_a_submodule_is_an_attribute_of_the_package():
+    assert _fresh("import weakmeter\nprint(weakmeter.qcore.spectral_decompose.__name__)").strip() == (
+        "spectral_decompose"
+    )
+
+
+def test_a_name_is_its_modules_object_even_if_the_module_is_patched_before_first_use():
+    """Names bind when their module loads, as an eager import binds them,
+    so a patch undone later (a tracer's, a test's) leaves none behind."""
+    code = (
+        "import weakmeter.exactengine as engine, weakmeter\n"
+        "original, engine.exact_shifts = engine.exact_shifts, None\n"
+        "print(weakmeter.exact_shifts is original)"
+    )
+    assert _fresh(code).strip() == "True"
+
+
+def test_an_unknown_name_raises_attribute_error_naming_it():
+    with pytest.raises(AttributeError, match="'nope'"):
+        weakmeter.nope  # noqa: B018
 
 
 def _workload_names():

@@ -1,12 +1,17 @@
-"""The verdict logic of tools/ab.py, on synthetic pairs: no benchmark runs here."""
+"""The verdict logic of tools/ab.py on synthetic pairs, and its diff of two
+synthetic records: no benchmark runs here."""
 
 import argparse
 import importlib.util
+import json
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-_spec = importlib.util.spec_from_file_location("ab", Path(__file__).resolve().parents[1] / "tools" / "ab.py")
+ROOT = Path(__file__).resolve().parents[1]
+_spec = importlib.util.spec_from_file_location("ab", ROOT / "tools" / "ab.py")
 ab = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(ab)
 
@@ -85,3 +90,61 @@ def test_fewer_than_two_seeds_are_refused(text):
 def test_seeds_that_are_not_integers_are_refused(text):
     with pytest.raises(ValueError):
         ab._seeds(text)
+
+
+def _record(tmp_path, name, factor, gauge):
+    """A benchmark record as `--record` writes it, with one workload whose
+    op times are `factor` times a base and read at speed `gauge`."""
+
+    def spread(x, unit=None):
+        return {**({"unit": unit} if unit else {}), "median": x, "q1": x, "q3": x, "runs": [x] * 3}
+
+    unscaled = {"setup_s": 0.2 * factor, "throughput_ops_s": 5.0 / factor}
+    record = {
+        "commit": f"{name:0<40}",
+        "workloads": {"cli": {
+            "metrics": {"setup_s": spread(unscaled["setup_s"] / gauge, "s"),
+                        "throughput_ops_s": spread(unscaled["throughput_ops_s"] * gauge, "ops/s"),
+                        "peak_rss_mb": spread(40.0, "MB")},
+            "unscaled": {m: spread(x) for m, x in unscaled.items()},
+            "gauge": [{"seed": seed, "readings": 20, "median": gauge, "setup": [gauge, 1.5 * gauge, gauge]}
+                      for seed in (1, 2, 3)],
+        }},
+        "tier1": {"median_wall_s": 30.0 * factor, "runs": []},
+        "verify": {"median_wall_s": 7.0 * factor, "runs": []},
+    }
+    path = tmp_path / f"BENCH_{name}.json"
+    path.write_text(json.dumps(record))
+    return path
+
+
+def test_diff_shows_scaled_and_unscaled_medians_with_their_gauges(tmp_path):
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    a = json.loads(_record(tmp_path, "a", 1.0, 0.9).read_text())
+    b = json.loads(_record(tmp_path, "b", 0.8, 1.2).read_text())
+    got = ab.diff(a, b, spec)
+    cli = got["workloads"]["cli"]
+    assert list(cli) == ["setup_s", "throughput_ops_s", "peak_rss_mb"]
+    setup = cli["setup_s"]
+    assert (setup["a"], setup["b"]) == pytest.approx((0.2 / 0.9, 0.16 / 1.2))
+    assert setup["change"] == pytest.approx(1.0 - 0.16 / 1.2 / (0.2 / 0.9))  # lower is better
+    assert setup["unscaled"] == pytest.approx([0.2, 0.16])
+    assert setup["gauge"] == [0.9, 1.2]  # the median of the set-up readings
+    throughput = cli["throughput_ops_s"]
+    assert throughput["change"] == pytest.approx((5.0 / 0.8 * 1.2) / (5.0 * 0.9) - 1.0)
+    assert throughput["gauge"] == [0.9, 1.2]
+    assert cli["peak_rss_mb"]["unscaled"] == [None, None] and cli["peak_rss_mb"]["gauge"] == [None, None]
+    assert got["walls"]["tier1"] == {"a": 30.0, "b": 24.0, "change": pytest.approx(0.2)}
+    assert got["walls"]["verify"]["change"] == pytest.approx(0.2)
+
+
+def test_diff_prints_every_row_and_runs_nothing(tmp_path):
+    paths = [str(_record(tmp_path, name, f, 1.0)) for name, f in (("a", 1.0), ("b", 0.5))]
+    proc = subprocess.run([sys.executable, str(ROOT / "tools" / "ab.py"), "--diff", *paths],
+                          capture_output=True, text=True, cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    rows = {tuple(line.split()[:2]): line.split()[2:] for line in proc.stdout.splitlines()}
+    assert rows[("cli", "setup_s")] == ["(s)", "0.2", "0.1", "+50.0%", "0.2", "0.1", "1", "1"]
+    assert rows[("cli", "throughput_ops_s")][1:4] == ["5", "10", "+100.0%"]
+    assert rows[("tier1", "median")] == ["wall", "(s)", "30", "15", "+50.0%"]
+    assert not (tmp_path / "perfbench").exists()

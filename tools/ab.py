@@ -1,9 +1,10 @@
 """Interleaved A/B of the benchmark, a byte diff of the program's outputs,
-and a record of this checkout's benchmark figures.
+a record of this checkout's benchmark figures, and a diff of two records.
 
     python3 tools/ab.py --base <rev> --workload W --seeds a-b [--seconds S] [--out ab.json]
     python3 tools/ab.py --base <rev> --outputs
     python3 tools/ab.py --record BENCH_<n>.json
+    python3 tools/ab.py --diff BENCH_a.json BENCH_b.json
 
 The base tree is `git archive <rev>` unpacked into a temporary directory;
 no ref, branch or worktree list is touched.  The other side is this
@@ -51,11 +52,20 @@ differs from it:
   pay, so `cli` walls from machines that differ in it do not compare;
 - every Tier-1 and `verify` wall with its exit code, and the median of each.
 
-Every mode reads a benchmark run through the result.json it writes under
-its tree's perfbench/out/.  Standard library only; nothing is written under
-perfbench/ or to BENCHMARK.json by this tool.  A benchmark pair takes about
-40 s at the default 10 s per run, the outputs about 30 s per tree, a record
-4 to 9 minutes; run nothing else meanwhile.
+Diff mode reads two records and runs nothing.  Per workload and
+end-to-end metric it prints both scaled medians, the change from the first
+to the second (positive where the second is better), both unscaled
+medians, and the median gauge readings that scaled them: the MIXED
+readings around the set-ups for `setup_s`, the workload's own gauge for
+the other timings.  Then it prints the Tier-1 and `verify` walls.  Records
+taken on different days compare only through these gauges; claims need
+benchmark mode's pairs.
+
+Every mode that runs the benchmark reads a run through the result.json it
+writes under its tree's perfbench/out/.  Standard library only; nothing is
+written under perfbench/ or to BENCHMARK.json by this tool.  A benchmark
+pair takes about 40 s at the default 10 s per run, the outputs about 30 s
+per tree, a record 4 to 9 minutes; run nothing else meanwhile.
 """
 
 from __future__ import annotations
@@ -283,12 +293,74 @@ def record() -> dict:
     return report
 
 
+def _gauge(workload: dict, metric: str) -> float | None:
+    """The median gauge reading behind one metric of a recorded workload."""
+    if metric not in workload["unscaled"]:
+        return None  # peak_rss_mb is not scaled
+    if metric == "setup_s":
+        return statistics.median(r for run in workload["gauge"] for r in run["setup"])
+    return statistics.median(run["median"] for run in workload["gauge"])
+
+
+def _wall(record: dict, name: str) -> float:
+    walls = record[name]
+    return walls.get("median_wall_s", walls.get("wall_s"))  # the oldest records hold one run's wall
+
+
+def diff(a: dict, b: dict, spec: dict) -> dict:
+    """Two records side by side: per workload both have, every end-to-end
+    metric of `spec` both hold, and the Tier-1 and `verify` walls."""
+    workloads = {}
+    for name in (w for w in a["workloads"] if w in b["workloads"]):
+        wa, wb = a["workloads"][name], b["workloads"][name]
+        rows = workloads[name] = {}
+        for metric in spec["end_to_end"]:
+            m = metric["name"]
+            if m not in wa["metrics"] or m not in wb["metrics"]:
+                continue
+            sign = 1.0 if metric["better"] == "higher" else -1.0
+            x, y = wa["metrics"][m]["median"], wb["metrics"][m]["median"]
+            rows[m] = {
+                "unit": metric["unit"], "a": x, "b": y, "change": sign * (y - x) / abs(x),
+                "unscaled": [w["unscaled"][m]["median"] if m in w["unscaled"] else None for w in (wa, wb)],
+                "gauge": [_gauge(w, m) for w in (wa, wb)],
+            }
+    walls = {}
+    for name in ("tier1", "verify"):
+        x, y = _wall(a, name), _wall(b, name)
+        walls[name] = {"a": x, "b": y, "change": (x - y) / x}
+    return {"commits": [a["commit"], b["commit"]], "workloads": workloads, "walls": walls}
+
+
+def _print_diff(report: dict, names: list[str]) -> None:
+    def num(x):
+        return "-" if x is None else f"{x:.4g}"
+
+    for side, path, commit in zip("ab", names, report["commits"]):
+        print(f"{side}: {path} (commit {commit[:12]})")
+    header = ("workload", "metric", "a", "b", "change", "a unscaled", "b unscaled", "a gauge", "b gauge")
+    rows = [header]
+    for workload, metrics in report["workloads"].items():
+        for m, r in metrics.items():
+            rows.append((workload, f"{m} ({r['unit']})", num(r["a"]), num(r["b"]), f"{r['change']:+.1%}",
+                         *map(num, r["unscaled"]), *map(num, r["gauge"])))
+    for name, r in report["walls"].items():
+        rows.append((name, "median wall (s)", num(r["a"]), num(r["b"]), f"{r['change']:+.1%}", "", "", "", ""))
+    widths = [max(len(row[i]) for row in rows) for i in range(len(header))]
+    for row in rows:
+        print("  ".join(cell.ljust(width) for cell, width in zip(row, widths)).rstrip())
+    print("change: b's median against a's, positive where b is better; a and b are the unscaled "
+          "figures scaled to the reference speed by the gauge readings")
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description="interleaved benchmark A/B and output diff against a base "
-                                                 "commit, or a record of this checkout's figures")
+                                                 "commit, a record of this checkout's figures, or a diff of "
+                                                 "two records")
     mode = parser.add_mutually_exclusive_group(required=True)
     mode.add_argument("--base", help="the base commit, e.g. HEAD~1")
     mode.add_argument("--record", metavar="OUT", help="record this checkout's figures here, e.g. BENCH_<n>.json")
+    mode.add_argument("--diff", nargs=2, metavar=("A", "B"), help="compare two records; runs nothing")
     parser.add_argument("--head", help="a commit to compare instead of this checkout as it stands")
     parser.add_argument("--workload", help="the benchmark workload to run in pairs")
     parser.add_argument("--seeds", type=_seeds, help="one seed per pair, as a-b")
@@ -296,8 +368,15 @@ def main() -> int:
     parser.add_argument("--out", help="write the benchmark report as JSON here")
     parser.add_argument("--outputs", action="store_true", help="byte-diff the fixed output set instead")
     args = parser.parse_args()
+    others = args.head or args.workload or args.seeds or args.seconds or args.out or args.outputs
+    if args.diff:
+        if others:
+            parser.error("--diff takes no other option")
+        spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+        _print_diff(diff(*(json.loads(Path(p).read_text()) for p in args.diff), spec), args.diff)
+        return 0
     if args.record:
-        if args.head or args.workload or args.seeds or args.seconds or args.out or args.outputs:
+        if others:
             parser.error("--record takes no other option")
         Path(args.record).write_text(json.dumps(record(), indent=1) + "\n")
         return 0
