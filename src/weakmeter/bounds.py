@@ -41,7 +41,7 @@ from .exactengine import (
     _TINY,
     _check_coupling,
     _column_sums,
-    _level_geometry,
+    _level_facts,
     _pointer_sums,
     _pointer_terms,
     _ratio,
@@ -191,10 +191,13 @@ def _envelope_near(g, x):
     return (g / 2.0) * (1.0 + spread), (g / 2.0) * (1.0 - spread)
 
 
-def _phase_canonical(v: np.ndarray) -> np.ndarray:
-    idx = int(np.argmax(np.abs(v) > 1e-12 * float(np.max(np.abs(v)))))
-    phase = v[idx] / abs(v[idx])
-    return v * np.conj(phase)
+def _phase_canonical(v: np.ndarray) -> StateVector:
+    """The state of v with its first amplitude above 1e-12 of the largest
+    turned real positive."""
+    size = np.abs(v)
+    idx = int(np.argmax(size > 1e-12 * float(np.max(size))))
+    # the scalar abs, not size[idx]: numpy's array loop may round it differently
+    return StateVector._built(v * np.conj(v[idx] / abs(v[idx])))
 
 
 # The unit roundoff of a double.
@@ -314,10 +317,14 @@ def optimize_pps(
         f = sum_k sqrt|c_k| e_k,    i = sum_k sign(c_k) sqrt|c_k| e_k
 
     has exactly those amplitudes.  Each direction's selection is scored
-    once with the exact engine's cancellation-free sums, on the call's one
-    level geometry and set of overlaps G - 1; `objective` only selects which
-    pair is returned.  Only the all-ones frame, which depends on K alone, is
-    kept between calls.  `restarts` (an integer >= 1) and `seed` (>= 0) change
+    once with the exact engine's cancellation-free sums, on the observable's
+    level geometry and the call's one set of overlaps G - 1; `objective`
+    only selects which pair is returned, and its states are built and
+    checked in one step.  What does not depend on g is kept between calls:
+    the all-ones frame, per K, and the observable object's geometry, e_k and
+    projector verdict, in the record :func:`.exactengine._level_facts` keeps
+    for the last few observables.  Every call solves the pencil and scores
+    its selections afresh.  `restarts` (an integer >= 1) and `seed` (>= 0) change
     nothing; they remain only because the perfbench extremal workload passes them.
 
     Selections with postselection probability <= `min_postselect` are
@@ -368,12 +375,12 @@ def optimize_pps(
             f"min_postselect must be a real number in [{ORTHOGONALITY_FLOOR!r}, 1), got {min_postselect!r}"
         )
 
-    eigs, pstack = observable.eigenvalues, observable.projectors
-    k, geometry = len(eigs), _level_geometry(eigs)
+    eigs, pstack, facts = observable.eigenvalues, observable.projectors, _level_facts(observable)
+    k, geometry, units = len(eigs), facts.geometry, facts.units
     ratio, h = _told_apart(ratio, geometry.spread, geometry.span)  # h = 1 - G, -h the scorings' overlaps
 
     # closed-form envelope where one exists
-    if observable.is_projector():
+    if facts.is_projector:
         if k == 2:  # levels 0 and 1 within 1e-10, told apart above at this ratio
             x = 0.25 * ratio * ratio
             env_max, env_min = map(float, (_envelope_far if x > _LN2 else _envelope_near)(g, x))
@@ -381,10 +388,6 @@ def optimize_pps(
             env_max = env_min = g * float(eigs[0])
     else:
         env_max = env_min = float("nan")
-
-    cols = np.argmax(pstack.diagonal(axis1=1, axis2=2).real, axis=1)  # e_k: P_k's largest column
-    units = pstack[np.arange(k), :, cols]
-    units /= np.linalg.norm(units, axis=1, keepdims=True)
 
     def selection(c: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
         root = np.sqrt(np.abs(c))
@@ -408,5 +411,4 @@ def optimize_pps(
         )
 
     pre, post = top if objective == "max" else bottom
-    arg_states = (StateVector(_phase_canonical(pre)), StateVector(_phase_canonical(post)))
-    return ExtremePair(env_max, env_min, best_max, best_min, arg_states)
+    return ExtremePair(env_max, env_min, best_max, best_min, (_phase_canonical(pre), _phase_canonical(post)))

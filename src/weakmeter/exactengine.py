@@ -21,16 +21,19 @@ decomposed once by its own class, is contracted into pure-state amplitudes
 p = |S0|^2 are formed once (:func:`_column_sums`) for the pointer sums and
 the weak moments of :mod:`.weakvalue` alike, so as g -> 0 the exact shifts
 are the first-order ones bit for bit.  The g-independent terms are the
-observable's level geometry (:func:`_level_geometry`) and each selection's
-fold of its weights on it (:func:`_pointer_terms`), formed once per
-selection, so a coupling costs only the overlaps, as G - 1 in pointer
-units, where only g / Delta enters (the caller's :func:`_overlaps`, the one
-such step, or :func:`_told_apart` where the pointers must be told apart),
-and one contraction (:func:`_pointer_sums`), for one coupling or a batch.
-The extremal search in :mod:`.bounds` scores both of its selections on one
-geometry and one set of overlaps; the which-path sweep in :mod:`.hardy`
-calls the same contraction.  The closed forms elsewhere take g / Delta,
-validated and saturated, from :func:`_ratio`.
+observable's level geometry (:func:`_level_geometry`), formed once per
+observable object and kept in its record of facts (:func:`_level_facts`),
+and each selection's fold of its weights on it (:func:`_pointer_terms`),
+formed once per selection.  So a coupling costs only the overlaps, as G - 1
+in pointer units, where only g / Delta enters (the caller's
+:func:`_overlaps`, the one such step, or :func:`_told_apart` where the
+pointers must be told apart), and one contraction (:func:`_pointer_sums`),
+for one coupling or a batch.  The extremal search in :mod:`.bounds` reads
+the same record, for the geometry, the unit vectors of its selections and
+the projector verdict, and scores both of its selections on that geometry
+and one set of overlaps; the which-path sweep in :mod:`.hardy` calls the
+same contraction.  The closed forms elsewhere take g / Delta, validated and
+saturated, from :func:`_ratio`.
 """
 
 from __future__ import annotations
@@ -279,7 +282,8 @@ def _column_sums(c: np.ndarray, eigenvalues: np.ndarray) -> tuple[np.ndarray, np
 
 class _LevelGeometry(NamedTuple):
     """An observable's level-pair geometry, over the pairs (k, l) flattened:
-    every selection of the observable folds on it.  None is kept between calls."""
+    every selection of the observable folds on it.  Arrays read-only; it is
+    formed once per observable object, in its :class:`_LevelFacts` record."""
 
     coef: np.ndarray  # (K^2, 3, 1): the kernel coefficients [1, (a + a')/2, (a - a')/4]
     spread: np.ndarray  # (K^2,): |a - a'|
@@ -292,8 +296,51 @@ def _level_geometry(eigenvalues: np.ndarray) -> _LevelGeometry:
     da = eigenvalues[:, None] - eigenvalues[None, :]
     coef = np.array([np.ones_like(da), (eigenvalues[:, None] + eigenvalues[None, :]) / 2.0, da / 4.0])
     lo, hi = eigenvalues[0].item(), eigenvalues[-1].item()
+    coef, spread = coef.reshape(3, -1).T[:, :, None], np.abs(da).ravel()
+    coef.flags.writeable = spread.flags.writeable = False  # every selection and search shares them
     # kernel entries are at most max(1, |a|): h <= 1, |qker| <= |a|, |pker| <= |a| / 2
-    return _LevelGeometry(coef.reshape(3, -1).T[:, :, None], np.abs(da).ravel(), hi - lo, max(1.0, -lo, hi))
+    return _LevelGeometry(coef, spread, hi - lo, max(1.0, -lo, hi))
+
+
+@dataclass(frozen=True, eq=False)
+class _LevelFacts:
+    """What an observable's searches and selections read that does not depend
+    on g, each formed on first use; arrays read-only.  `geometry` is the
+    :class:`_LevelGeometry`, `units` a unit vector e_k in the range of each
+    eigenprojector P_k (P_k's largest column, normalized), one per row, and
+    `is_projector` the observable's :meth:`.HermitianObservable.is_projector`."""
+
+    observable: HermitianObservable
+
+    @cached_property
+    def geometry(self) -> _LevelGeometry:
+        return _level_geometry(self.observable.eigenvalues)
+
+    @cached_property
+    def units(self) -> np.ndarray:
+        pstack = self.observable.projectors
+        cols = np.argmax(pstack.diagonal(axis1=1, axis2=2).real, axis=1)
+        units = pstack[np.arange(len(pstack)), :, cols]
+        units /= np.linalg.norm(units, axis=1, keepdims=True)
+        units.flags.writeable = False
+        return units
+
+    @cached_property
+    def is_projector(self) -> bool:
+        return self.observable.is_projector()
+
+
+# Observables whose facts are kept at once.  Observables are frozen and hash
+# by identity; the cache's references keep a key's id from being reused.
+_LEVEL_FACTS_CACHE_SIZE = 16
+
+
+@lru_cache(maxsize=_LEVEL_FACTS_CACHE_SIZE)
+def _level_facts(observable: HermitianObservable) -> _LevelFacts:
+    """The observable object's one :class:`_LevelFacts` record, so that a
+    scan over g, and every selection of the observable, form its geometry
+    once, whichever asks first.  The last few observables stay cached."""
+    return _LevelFacts(observable)
 
 
 class _PointerTerms(NamedTuple):
@@ -359,24 +406,25 @@ class _Selection:
 
     `amplitudes` are the c[k, r] of :func:`_selection_amplitudes`.  Their
     column sums (:func:`_column_sums`), the pointer-sum terms folded on them
-    and a level geometry of the record's own (:func:`_pointer_terms`) and the
-    weak moments' rows (`sums`) are each formed on first use.
+    and the observable's level geometry (:func:`_pointer_terms`,
+    :func:`_level_facts`) and the weak moments' rows (`sums`) are each formed
+    on first use.
     """
 
     amplitudes: np.ndarray
-    eigenvalues: np.ndarray
+    observable: HermitianObservable
 
     @cached_property
     def column_sums(self) -> tuple[np.ndarray, np.ndarray, float]:
         # read-only here, where every reader shares them; the optimizer's are scratch
-        s0, s1, _ = sums = _column_sums(self.amplitudes, self.eigenvalues)
+        s0, s1, _ = sums = _column_sums(self.amplitudes, self.observable.eigenvalues)
         s0.flags.writeable = s1.flags.writeable = False
         return sums
 
     @cached_property
     def terms(self) -> _PointerTerms:
-        terms = _pointer_terms(self.amplitudes, _level_geometry(self.eigenvalues), self.column_sums)
-        terms.weights.flags.writeable = terms.spread.flags.writeable = False  # shared, unlike the optimizer's
+        terms = _pointer_terms(self.amplitudes, _level_facts(self.observable).geometry, self.column_sums)
+        terms.weights.flags.writeable = False  # shared, unlike the optimizer's
         return terms
 
     @cached_property
@@ -384,7 +432,8 @@ class _Selection:
         """Rows (S0, S1, S2), S_n = sum_k a_k^n c[k, r], and p = |S0|^2; S2 is formed
         only here, and overflows past levels 1e153, so readers check levels first."""
         s0, s1, prob = self.column_sums
-        s2 = (self.eigenvalues * self.eigenvalues) @ self.amplitudes
+        eigs = self.observable.eigenvalues
+        s2 = (eigs * eigs) @ self.amplitudes
         s2.flags.writeable = False
         return (s0, s1, s2), prob
 
@@ -418,7 +467,7 @@ def _selection_amplitudes(
     amplitudes = pi.bras @ observable.projectors @ (rho.kets.T * np.sqrt(rho.weights))
     c = amplitudes.reshape(len(eigs), -1)
     c.flags.writeable = False
-    return _Selection(c, eigs)
+    return _Selection(c, observable)
 
 
 def exact_shifts(setup: MeasurementSetup) -> MeasurementOutcome:

@@ -103,7 +103,8 @@ class StateVector:
             raise ValidationError(f"state vector: dimension must be >= 2, got {a.shape[0]}")
         if not np.all(np.isfinite(a.view(float))):
             raise ValidationError("state vector: non-finite amplitude")
-        norm = float(np.linalg.norm(a))
+        with np.errstate(over="ignore"):  # a norm past the double range reads as inf
+            norm = float(np.linalg.norm(a))
         if abs(norm - 1.0) > _ATOL_NORM:
             raise ValidationError(f"state vector: norm {norm!r} differs from 1 by more than 1e-12")
         object.__setattr__(self, "amplitudes", _freeze(a))
@@ -111,6 +112,21 @@ class StateVector:
     @property
     def dimension(self) -> int:
         return self.amplitudes.shape[0]
+
+    @classmethod
+    def _built(cls, amplitudes: np.ndarray) -> "StateVector":
+        """A complex 1-d array of d >= 2 that the library built as a unit
+        vector, kept without a copy and marked read-only: the caller gives
+        up the array.  One vdot checks what the public constructor checks of
+        its values: a non-finite amplitude makes the norm NaN or inf, and the
+        norm must be 1 within 1e-12 (ValidationError)."""
+        norm = float(np.sqrt(np.vdot(amplitudes, amplitudes).real))
+        if not abs(norm - 1.0) <= _ATOL_NORM:  # NaN fails too
+            raise ValidationError(f"state vector: norm {norm!r} differs from 1 by more than 1e-12")
+        amplitudes.flags.writeable = False
+        state = object.__new__(cls)
+        object.__setattr__(state, "amplitudes", amplitudes)
+        return state
 
     @classmethod
     def normalized(cls, amplitudes: object) -> "StateVector":

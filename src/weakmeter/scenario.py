@@ -33,11 +33,27 @@ from .qcore import DensityOperator, HermitianObservable, ProjectionOperator, Sta
 
 _TOP_FIELDS = {"dimension", "observable", "preselect", "postselect", "g", "delta", "pointer_grid"}
 
+# Integer literals of more digits are refused as they are read.  A double
+# holds at most 309 integer digits, and no setting of
+# sys.set_int_max_str_digits stops int() short of 640.
+_MAX_INT_DIGITS = 640
+
+
+def _parse_int(literal: str) -> int:
+    """json's hook for integer literals: past _MAX_INT_DIGITS digits, a ValidationError."""
+    digits = len(literal) - literal.startswith("-")
+    if digits > _MAX_INT_DIGITS:
+        raise ValidationError(f"scenario: an integer literal of {digits} digits exceeds {_MAX_INT_DIGITS}")
+    return int(literal)
+
 
 def _as_number(node: object, path: str) -> float:
     if isinstance(node, bool) or not isinstance(node, (int, float)):
         raise ValidationError(f"{path}: expected a number, got {type(node).__name__}")
-    return float(node)
+    try:
+        return float(node)
+    except OverflowError:  # an int past the double range
+        raise ValidationError(f"{path}: integer of {node.bit_length()} bits lies beyond the double range") from None
 
 
 def _as_int(node: object, path: str) -> int:
@@ -162,7 +178,7 @@ def load_scenario(path: str | Path) -> tuple[MeasurementSetup, GridSpec | None]:
     except UnicodeDecodeError as exc:
         raise ValidationError(f"scenario: {p} is not UTF-8 text: {exc.reason} at byte {exc.start}") from None
     try:
-        data = json.loads(text)
+        data = json.loads(text, parse_int=_parse_int)
     except json.JSONDecodeError as exc:
         raise ValidationError(f"scenario: {p} is not valid JSON: {exc}") from None
     except RecursionError:

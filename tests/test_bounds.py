@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -45,6 +46,15 @@ POINTER = GaussianPointer(1.0)
 EPS = np.finfo(float).eps
 # g / Delta where 1 - G = (g / Delta)^2 / 8 of levels 1 apart is the smallest normal double
 TOLD_APART = float(np.sqrt(8.0 * np.finfo(float).tiny))
+
+
+@pytest.fixture
+def fresh_facts():
+    """An empty cache of observable records before and after the test, for
+    tests that count or replace what a record forms."""
+    exactengine._level_facts.cache_clear()
+    yield
+    exactengine._level_facts.cache_clear()
 
 
 def _which_path(dim):
@@ -421,7 +431,7 @@ class TestPencilSolve:
         setup = MeasurementSetup(obs, pre.density(), post.projector(), 1.0, POINTER)
         assert exact_shifts(setup).postselect_prob > 0.99
 
-    def test_one_pencil_solve_serves_both_directions(self, monkeypatch):
+    def test_one_pencil_solve_serves_both_directions(self, monkeypatch, fresh_facts):
         """Where the floor does not bind, one whitening and one eigensolve of
         the q-form give both extremes, on every call; the frame (one qr) is
         formed once per K.  The unchanged eigh count on the second call
@@ -477,25 +487,34 @@ def _pair_bits(pair):
     return (floats.tobytes(), *(state.amplitudes.tobytes() for state in pair.argmax_states))
 
 
+def _draw_observable(rng):
+    """A maker of fresh objects of one seeded observable: d = 2..8, Hermitian,
+    `from_projector` or projector-matrix."""
+    dim = int(rng.integers(2, 9))
+    kind = int(rng.integers(3))
+    if kind == 0:
+        matrix = random_hermitian(rng, dim).matrix
+        return lambda: HermitianObservable(matrix)
+    pi = random_projector(rng, dim, int(rng.integers(1, dim)))
+    if kind == 1:
+        return lambda: HermitianObservable.from_projector(pi)
+    return lambda: HermitianObservable(pi.matrix)
+
+
+def _draw_search(rng):
+    """(g, pointer, kwargs): g / Delta log-uniform in [1e-8, 1e3], a drawn
+    width, objective and one of three floors."""
+    pointer = GaussianPointer(float(rng.choice([0.5, 1.0, 2.0])))
+    g = pointer.delta * float(10.0 ** rng.uniform(-8.0, 3.0))
+    kwargs = {"objective": str(rng.choice(["max", "min"])), "min_postselect": float(rng.choice([1e-14, 1e-12, 1e-8]))}
+    return g, pointer, kwargs
+
+
 def _search_cases(seed, count):
-    """`count` seeded optimize_pps inputs: d = 2..8, Hermitian, `from_projector`
-    and projector-matrix observables, g / Delta log-uniform in [1e-8, 1e3],
-    both objectives and three floors, with many bound by the floor."""
+    """`count` seeded optimize_pps inputs (:func:`_draw_observable`,
+    :func:`_draw_search`), with many bound by the floor."""
     rng = np.random.default_rng(seed)
-    cases = []
-    while len(cases) < count:
-        dim = int(rng.integers(2, 9))
-        kind = int(rng.integers(3))
-        if kind == 0:
-            obs = random_hermitian(rng, dim)
-        else:
-            pi = random_projector(rng, dim, int(rng.integers(1, dim)))
-            obs = HermitianObservable.from_projector(pi) if kind == 1 else HermitianObservable(pi.matrix)
-        pointer = GaussianPointer(float(rng.choice([0.5, 1.0, 2.0])))
-        g = pointer.delta * float(10.0 ** rng.uniform(-8.0, 3.0))
-        kwargs = {"objective": str(rng.choice(["max", "min"])), "min_postselect": float(rng.choice([1e-14, 1e-12, 1e-8]))}
-        cases.append((obs, g, pointer, kwargs))
-    return cases
+    return [(_draw_observable(rng)(), *_draw_search(rng)) for _ in range(count)]
 
 
 def _search_bits(cases):
@@ -514,7 +533,7 @@ class TestFrameCache:
     with K levels; every call still solves the pencil and scores both
     selections, bit for bit as with a frame formed per call."""
 
-    def test_searches_match_the_per_call_frame_bit_for_bit(self, monkeypatch):
+    def test_searches_match_the_per_call_frame_bit_for_bit(self, monkeypatch, fresh_facts):
         """600 seeded searches (:func:`_search_cases`), many bound by the floor."""
         cases = _search_cases(25, 600)
         cached = _search_bits(cases)
@@ -569,11 +588,15 @@ class TestFrameCache:
 
 
 class TestSharedGeometry:
-    """One search forms the observable's level geometry and the overlaps
-    G - 1 once: the floor test, the pencil's kernels and both scorings read
-    them, bit for bit as when each scoring formed its own."""
+    """An observable object's level geometry is formed once, and each search
+    forms the overlaps G - 1 once: the floor test, the pencil's kernels and
+    both scorings read them, bit for bit as when each scoring formed its own."""
 
-    def test_one_geometry_and_one_overlap_step_per_search(self, monkeypatch):
+    def test_one_geometry_and_one_overlap_step_per_search(self, monkeypatch, fresh_facts):
+        """Searches at four couplings, floor-free and floor-bound, Hermitian
+        and projector observables: the first search of each observable forms
+        its one geometry, the later ones form none, and every search forms
+        its overlaps once and folds both scorings on that geometry."""
         made, folded_on = [], []
 
         def geometry(eigenvalues):
@@ -585,26 +608,26 @@ class TestSharedGeometry:
             return _pointer_terms(c, shared, sums)
 
         overlaps = Mock(wraps=exactengine._overlaps)
-        monkeypatch.setattr(bounds, "_level_geometry", geometry)
+        monkeypatch.setattr(exactengine, "_level_geometry", geometry)
         monkeypatch.setattr(bounds, "_pointer_terms", fold)
         monkeypatch.setattr(exactengine, "_overlaps", overlaps)
-        # floor-free and floor-bound searches, Hermitian and projector observables
         for obs in (random_hermitian(np.random.default_rng(6), 4), _which_path(3), PATH):
+            made.clear()
             for g in (1e-6, 0.02, 1.0, 1e3):
-                made.clear()
                 folded_on.clear()
                 overlaps.reset_mock()
                 optimize_pps(obs, g, POINTER)
                 assert (len(made), overlaps.call_count) == (1, 1)
                 assert len(folded_on) == 2 and all(shared is made[0] for shared in folded_on)
 
-    def test_searches_match_a_geometry_per_scoring_bit_for_bit(self, monkeypatch):
+    def test_searches_match_a_geometry_per_scoring_bit_for_bit(self, monkeypatch, fresh_facts):
         """600 seeded searches (:func:`_search_cases`, another seed): every
         ExtremePair field keeps its bytes when each scoring folds on a
         geometry of its own and forms its overlaps from g / Delta."""
         cases = _search_cases(28, 600)
         assert sorted({obs.matrix.shape[0] for obs, *_ in cases}) == list(range(2, 9))
         shared = _search_bits(cases)
+        exactengine._level_facts.cache_clear()  # so that each case's record forms its geometry below
         now, scorings = {}, Mock()
 
         def geometry(eigenvalues):
@@ -622,12 +645,95 @@ class TestSharedGeometry:
             scorings()
             return _pointer_sums(terms, _overlaps(now["ratio"], terms.spread, terms.span))
 
-        monkeypatch.setattr(bounds, "_level_geometry", geometry)
+        monkeypatch.setattr(exactengine, "_level_geometry", geometry)
         monkeypatch.setattr(bounds, "_told_apart", told_apart)
         monkeypatch.setattr(bounds, "_pointer_terms", per_scoring_terms)
         monkeypatch.setattr(bounds, "_pointer_sums", per_scoring_sums)
         assert _search_bits(cases) == shared
         assert scorings.call_count == 2 * sum(isinstance(bits, tuple) for bits in shared)
+
+
+def _reused_cases(seed, count, couplings=3):
+    """`count` // `couplings` seeded observables, each a maker of fresh
+    objects (:func:`_draw_observable`) with `couplings` searches (:func:`_draw_search`)."""
+    rng = np.random.default_rng(seed)
+    return [(_draw_observable(rng), [_draw_search(rng) for _ in range(couplings)])
+            for _ in range(count // couplings)]
+
+
+class TestLevelFacts:
+    """Each observable object keeps one record of what does not depend on g
+    (:func:`.exactengine._level_facts`): its geometry, its unit vectors e_k
+    and its projector verdict, formed once whichever caller asks first, and
+    shared read-only.  A reused observable searches as a fresh one does."""
+
+    def test_a_reused_observable_searches_as_a_fresh_one_bit_for_bit(self, fresh_facts):
+        """600 seeded searches, 200 observables at 3 couplings each (d = 2..8,
+        Hermitian and projector observables, many bound by the floor): each
+        ExtremePair keeps its bytes against a search on a fresh object of
+        the same observable, whose record is formed for that search alone."""
+        cases = _reused_cases(33, 600)
+        assert sorted({make().dimension for make, _ in cases}) == list(range(2, 9))
+        assert sum(make().is_projector() for make, _ in cases) > 100
+        floor_bound = 0
+        for make, searches in cases:
+            reused = make()
+            for g, pointer, kwargs in searches:
+                fresh = make()
+                try:
+                    want = _pair_bits(optimize_pps(fresh, g, pointer, **kwargs))
+                except UndefinedExtremeError as exc:
+                    with pytest.raises(UndefinedExtremeError, match=re.escape(str(exc))):
+                        optimize_pps(reused, g, pointer, **kwargs)
+                    continue
+                assert _pair_bits(optimize_pps(reused, g, pointer, **kwargs)) == want
+                floor_bound += g / pointer.delta < 0.05 and fresh.eigenvalues.size > 2
+        assert floor_bound > 30
+
+    def test_the_record_is_formed_once_per_observable(self, monkeypatch, fresh_facts):
+        """Across couplings, and across the engine's selections and the
+        search in either order, the geometry, e_k and the projector verdict
+        are formed once per observable object."""
+        made, verdicts, is_projector = Mock(wraps=_level_geometry), Mock(), HermitianObservable.is_projector
+
+        def verdict(obs):
+            verdicts()
+            return is_projector(obs)
+
+        monkeypatch.setattr(exactengine, "_level_geometry", made)
+        monkeypatch.setattr(HermitianObservable, "is_projector", verdict)
+        rng = np.random.default_rng(34)
+        for search_first in (True, False):
+            for obs in (random_hermitian(rng, 5), _which_path(4)):
+                made.reset_mock()
+                verdicts.reset_mock()
+                setup = MeasurementSetup(obs, random_state(rng, obs.dimension).density(),
+                                         ProjectionOperator.identity(obs.dimension), 0.3, POINTER)
+                if not search_first:
+                    exact_shifts(setup)
+                facts = exactengine._level_facts(obs)
+                seen = []
+                for g in (1e-3, 0.3, 2.0, 50.0):
+                    optimize_pps(obs, g, POINTER)
+                    seen.append((facts.geometry, facts.units))
+                exact_shifts(setup)
+                assert made.call_count == 1 and verdicts.call_count == 1
+                assert all(geometry is seen[0][0] and units is seen[0][1] for geometry, units in seen)
+                assert exactengine._selection_amplitudes(
+                    setup.preselection, setup.postselection, obs).terms.spread is facts.geometry.spread
+
+    def test_the_record_refuses_writes(self, fresh_facts):
+        facts = exactengine._level_facts(random_hermitian(np.random.default_rng(35), 4))
+        for array in (facts.geometry.coef, facts.geometry.spread, facts.units):
+            assert not array.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                array[...] = 0.0
+
+    def test_the_argmax_states_are_read_only_and_unit(self):
+        pair = optimize_pps(random_hermitian(np.random.default_rng(36), 6), 0.4, POINTER)
+        for state in pair.argmax_states:
+            assert not state.amplitudes.flags.writeable
+            assert abs(np.linalg.norm(state.amplitudes) - 1.0) <= 1e-12
 
 
 def test_import_does_not_load_scipy():

@@ -140,6 +140,22 @@ class TestRun:
         assert code == 2
         assert err.startswith("error: scenario:") and "nests too deeply" in err
 
+    def test_an_integer_past_the_double_range_exits_2(self, capsys, tmp_path):
+        path = tmp_path / "huge.json"
+        text = resources.files("weakmeter").joinpath("scenarios", "anomalous_qubit.json").read_text()
+        path.write_text(text.replace('"g": 0.05', '"g": 1' + "0" * 400))
+        code, out, err = _run(capsys, "run", str(path))
+        assert (code, out) == (2, "")
+        assert err == "error: g: integer of 1329 bits lies beyond the double range\n"
+
+    def test_an_integer_literal_past_4300_digits_exits_2(self, capsys, tmp_path):
+        path = tmp_path / "long.json"
+        text = resources.files("weakmeter").joinpath("scenarios", "anomalous_qubit.json").read_text()
+        path.write_text(text.replace('"dimension": 2', '"dimension": ' + "9" * 5001))
+        code, out, err = _run(capsys, "run", str(path))
+        assert (code, out) == (2, "")
+        assert err == "error: scenario: an integer literal of 5001 digits exceeds 640\n"
+
     def test_a_name_too_long_for_the_file_system_exits_2(self, capsys):
         code, _, err = _run(capsys, "run", "s" * 300 + ".json")
         assert code == 2

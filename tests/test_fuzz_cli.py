@@ -11,6 +11,7 @@ import contextlib
 import io
 import json
 import math
+import re
 import tempfile
 import warnings
 from importlib import resources
@@ -231,3 +232,50 @@ def test_bounds_optimize(g, delta, dim, objective, observable):
         "bounds-optimize", _flag("g", g), _flag("delta", delta), f"--dim={dim}",
         f"--objective={objective}", f"--observable={observable}",
     ])
+
+
+# Tokens of a scenario's text: a number, a key with its colon, a bracket.
+_NUMBER = re.compile(r"-?(?:0|[1-9]\d*)(?:\.\d+)?(?:[eE][+-]?\d+)?")
+_KEY = re.compile(r'"[a-z_]+"\s*:')
+_BRACKET = re.compile(r"[\[\]{}]")
+# What a number is replaced by: integers past the double range, inside it but
+# past its squares, and past int()'s 4300 digits; the literals Python's json
+# reads beyond JSON; the extremes of the double range; and values of the
+# wrong type.
+_REPLACEMENTS = ["1" + "0" * 400, "-1" + "0" * 300, "9" * 5001, "NaN", "-Infinity", "1e400",
+                 "5e-324", "true", "null", '"x"']
+_MUTATIONS = ["replace", "replace", "wrap", "drop-bracket", "duplicate-bracket", "duplicate-key"]
+
+
+def _mutate(text, mutation, index, replacement):
+    """`text` with one token-level `mutation` at the index-th token of its kind (modulo their count)."""
+    pattern = {"replace": _NUMBER, "wrap": _NUMBER, "duplicate-key": _KEY}.get(mutation, _BRACKET)
+    token = list(pattern.finditer(text))[index % len(pattern.findall(text))]
+    start, end = token.span()
+    new = {
+        "replace": replacement,
+        "wrap": f"[{token[0]}]",
+        "drop-bracket": "",
+        "duplicate-bracket": token[0] * 2,
+        # the copy comes first, so the original value is the one read
+        "duplicate-key": f"{token[0]} {replacement}, {token[0]}",
+    }[mutation]
+    return text[:start] + new + text[end:]
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(
+    name=st.sampled_from(["anomalous_qubit.json", "hardy_nono.json"]),
+    mutation=st.sampled_from(_MUTATIONS),
+    index=st.integers(0, 10**6),
+    replacement=st.sampled_from(_REPLACEMENTS),
+)
+def test_run_on_a_mutated_scenario_text(name, mutation, index, replacement):
+    """One token-level mutation of a bundled scenario's text: a number
+    replaced or wrapped in a list, a bracket dropped or doubled, or a key
+    given twice.  Every mutant exits 0, 2 or 3 with at most one error line."""
+    text = resources.files("weakmeter").joinpath("scenarios", name).read_text()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / name
+        path.write_text(_mutate(text, mutation, index, replacement))
+        _exits_cleanly(["run", str(path)])

@@ -40,6 +40,39 @@ class TestStateVector:
         with pytest.raises(ValueError):
             s.amplitudes[0] = 5.0
 
+    @pytest.mark.parametrize("amplitudes, match", [
+        ([1.0, np.nan], "non-finite"), ([np.inf, 0.0], "non-finite"), ([1.0], "dimension"),
+        ([[1.0, 0.0]], "1-d"), ([0.6, 0.8 + 3e-12], "norm"),
+    ])
+    def test_the_public_constructor_keeps_every_check(self, amplitudes, match):
+        with pytest.raises(ValidationError, match=match):
+            StateVector(amplitudes)
+
+    def test_a_library_built_vector_is_taken_without_a_copy(self):
+        a = StateVector.normalized(RNG.normal(size=5) + 1j * RNG.normal(size=5)).amplitudes.copy()
+        s = StateVector._built(a)
+        assert s.amplitudes is a and not a.flags.writeable
+        assert s.amplitudes.tobytes() == StateVector(a).amplitudes.tobytes()
+
+    @pytest.mark.parametrize("scale, accepted", [(1.0 + 5e-13, True), (1.0 - 5e-13, True),
+                                                 (1.0 + 3e-12, False), (1.0 - 3e-12, False), (1e200, False)])
+    def test_a_library_built_vector_keeps_the_norm_check(self, scale, accepted):
+        unit = StateVector.normalized(RNG.normal(size=4) + 1j * RNG.normal(size=4)).amplitudes
+        for build in (StateVector, StateVector._built):
+            if accepted:
+                build(unit * scale)
+            else:
+                with pytest.raises(ValidationError, match="norm"):
+                    build(unit * scale)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0.0, np.nan)])
+    def test_a_library_built_vector_keeps_the_finiteness_check(self, bad):
+        a = np.array([0.6, 0.8, 0.0], dtype=complex)
+        a[2] = bad
+        with pytest.raises(ValidationError):
+            StateVector._built(a)
+        assert a.flags.writeable  # refused before it is frozen
+
     def test_density_and_projector_agree(self):
         s = StateVector.normalized(RNG.normal(size=3) + 1j * RNG.normal(size=3))
         np.testing.assert_allclose(s.density().matrix, s.projector().matrix, atol=1e-15)

@@ -1,6 +1,7 @@
 """Scenario JSON parsing: field-path errors and round-tripping."""
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -97,6 +98,22 @@ class TestFieldPathErrors:
         with pytest.raises(ValidationError):
             parse_scenario(_qubit_scenario(preselect=[[1.0, 0.0], [1.0, 0.0]]))
 
+    @pytest.mark.parametrize("key, path", [
+        ("g", "g"), ("delta", "delta"),
+        ("observable", "observable[0][0][0]"), ("preselect", "preselect[1][1]"),
+    ])
+    def test_an_integer_past_the_double_range_names_its_field(self, key, path):
+        data = _qubit_scenario()
+        huge = -(10**400) if key == "g" else 10**400
+        if key == "observable":
+            data[key][0][0][0] = huge
+        elif key == "preselect":
+            data[key][1][1] = huge
+        else:
+            data[key] = huge
+        with pytest.raises(ValidationError, match=rf"^{re.escape(path)}: integer of 1329 bits lies beyond"):
+            parse_scenario(data)
+
     def test_grid_rejects_odd_point_count(self):
         data = _qubit_scenario(pointer_grid={"half_width": 12.0, "num_points": 2000})
         with pytest.raises(ValidationError):
@@ -125,6 +142,25 @@ class TestRoundTrip:
     def test_load_missing_file(self, tmp_path):
         with pytest.raises(ValidationError):
             load_scenario(tmp_path / "absent.json")
+
+    @pytest.mark.parametrize("digits", [641, 5001])
+    def test_an_over_long_integer_literal_is_refused_as_it_is_read(self, tmp_path, digits):
+        """Past 640 digits, in any field; past 4300, int() itself would raise."""
+        path = tmp_path / "long.json"
+        for key in ("dimension", "g"):
+            text = json.dumps(_qubit_scenario(**{key: 7})).replace(f'"{key}": 7', f'"{key}": ' + "9" * digits)
+            path.write_text(text)
+            with pytest.raises(ValidationError, match=f"^scenario: an integer literal of {digits} digits exceeds 640"):
+                load_scenario(path)
+
+    def test_integers_up_to_the_limit_load(self, tmp_path):
+        path = tmp_path / "long.json"
+        path.write_text(json.dumps(_qubit_scenario(delta=1)).replace('"delta": 1', '"delta": 1' + "0" * 300))
+        setup, _ = load_scenario(path)
+        assert setup.pointer.delta == 1e300
+        path.write_text(json.dumps(_qubit_scenario()).replace('"g": 0.05', '"g": -' + "9" * 640))
+        with pytest.raises(ValidationError, match="^g: integer of 2127 bits"):
+            load_scenario(path)
 
     def test_load_invalid_json(self, tmp_path):
         path = tmp_path / "broken.json"

@@ -1,5 +1,6 @@
-"""The verdict logic of tools/ab.py on synthetic pairs, and its diff of two
-synthetic records: no benchmark runs here."""
+"""The verdict logic of tools/ab.py on synthetic pairs, its diff of two
+synthetic records, and the library searches its outputs mode compares: no
+benchmark runs here."""
 
 import argparse
 import importlib.util
@@ -148,3 +149,33 @@ def test_diff_prints_every_row_and_runs_nothing(tmp_path):
     assert rows[("cli", "throughput_ops_s")][1:4] == ["5", "10", "+100.0%"]
     assert rows[("tier1", "median")] == ["wall", "(s)", "30", "15", "+50.0%"]
     assert not (tmp_path / "perfbench").exists()
+
+
+def test_the_outputs_include_seeded_library_searches_up_to_k_8():
+    """The search set runs in this tree: one line per search, K up to 8, and
+    each observable object at several couplings."""
+    label, argv = ab._commands()[-1]
+    assert label == "optimize_pps searches"
+    proc = subprocess.run([sys.executable, *argv], cwd=ROOT, env=ab._env(ROOT), capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert len(lines) == ab.SEARCH_OBSERVABLES * ab.SEARCH_COUPLINGS
+    heads = [line.split(":")[0].split() for line in lines]  # observable n d=.. K=.. search m g=..
+    assert {head[3] for head in heads} == {f"K={k}" for k in range(2, 9)}
+    per_observable = {}
+    for head in heads:
+        per_observable.setdefault(head[1], set()).add(head[6])
+    assert all(len(couplings) == ab.SEARCH_COUPLINGS for couplings in per_observable.values())
+    # four ExtremePair floats and two amplitude byte strings, or the refusal
+    fields = [line.split(": ", 1)[1].split() for line in lines]
+    assert all(len(f) == 6 or f[0] == "UndefinedExtremeError" for f in fields)
+
+
+def test_a_changed_search_byte_is_reported(monkeypatch, capsys):
+    base = {"optimize_pps searches": (0, ["observable 0 d=2 K=2 search 0 g=1.0: 1.0 0.0 0.5 -0.5 00ff 0100"])}
+    head = {"optimize_pps searches": (0, ["observable 0 d=2 K=2 search 0 g=1.0: 1.0 0.0 0.5 -0.5 01ff 0100"])}
+    sides = iter([base, head])
+    monkeypatch.setattr(ab, "_outputs", lambda tree: next(sides))
+    assert ab.outputs(ROOT, ROOT) == 1
+    out = capsys.readouterr().out
+    assert "optimize_pps searches: line 1:" in out and out.rstrip().endswith("1 differ")

@@ -32,10 +32,13 @@ Outputs mode runs a fixed set of commands in both trees: `run` on both
 bundled scenarios, the default `hardy-sweep` and `info-sweep`, a 200-point
 log `hardy-sweep` over [1e-6, 1e3], `bounds-optimize` for every d in
 {2, 3, 5, 8} and g in {1e-6, 0.02, 1, 1e3}, each with its default flags,
-`--objective min` and `--observable identity`, and the `repr` of every
-`run_suites()` worst margin (the `verify` text rounds them to 3 figures).
-It names every line of stdout, and every exit code, that differs, and
-exits 1 if any does.
+`--objective min` and `--observable identity`, the `repr` of every
+`run_suites()` worst margin (the `verify` text rounds them to 3 figures),
+and a fixed, seeded set of library searches (`optimize_pps`) with K up to
+8, each observable object reused at several couplings: the `repr` of every
+`ExtremePair` float and the bytes of its argmax amplitudes
+(`bounds-optimize` reaches only K <= 2).  It names every line of stdout,
+and every exit code, that differs, and exits 1 if any does.
 
 Record mode runs every workload of BENCHMARK.json in this checkout once
 per seed of SEEDS, for `run_seconds`, then times the Tier-1 suite and
@@ -95,6 +98,39 @@ _MARGINS = (
     "for r in run_suites():\n"
     "    print(r.name, r.passed, r.instances, repr(r.worst_margin), r.detail)\n"
 )
+
+# The library searches compared: SEARCH_OBSERVABLES seeded observables, d = 2..8
+# in turn (K up to 8), Hermitian, `from_projector` and projector-matrix in
+# turn, each object searched at SEARCH_COUPLINGS couplings g / Delta
+# log-uniform in [1e-8, 1e3], with a drawn width, objective and floor.  One
+# line per search: the `repr` of every ExtremePair float and the bytes of the
+# argmax amplitudes, or the UndefinedExtremeError message.
+SEARCH_OBSERVABLES, SEARCH_COUPLINGS = 84, 4
+_SEARCHES = f"""
+import numpy as np
+from weakmeter import GaussianPointer, HermitianObservable, UndefinedExtremeError, optimize_pps
+from weakmeter.sampling import random_hermitian, random_projector
+rng = np.random.default_rng(3300)
+for n in range({SEARCH_OBSERVABLES}):
+    dim, kind = 2 + n % 7, n % 3
+    if kind == 0:
+        obs = random_hermitian(rng, dim)
+    else:
+        pi = random_projector(rng, dim, int(rng.integers(1, dim)))
+        obs = HermitianObservable.from_projector(pi) if kind == 1 else HermitianObservable(pi.matrix)
+    for m in range({SEARCH_COUPLINGS}):
+        pointer = GaussianPointer(float(rng.choice([0.5, 1.0, 2.0])))
+        g = pointer.delta * float(10.0 ** rng.uniform(-8.0, 3.0))
+        objective, floor = str(rng.choice(["max", "min"])), float(rng.choice([1e-14, 1e-12, 1e-8]))
+        head = f"observable {{n}} d={{dim}} K={{obs.eigenvalues.size}} search {{m}} g={{g!r}}:"
+        try:
+            r = optimize_pps(obs, g, pointer, objective=objective, min_postselect=floor)
+        except UndefinedExtremeError as exc:
+            print(head, "UndefinedExtremeError", exc)
+            continue
+        floats = (r.q_max, r.q_min, r.optimizer_best_max, r.optimizer_best_min)
+        print(head, *map(repr, floats), *(s.amplitudes.tobytes().hex() for s in r.argmax_states))
+"""
 
 
 def _export(rev: str, into: Path) -> Path:
@@ -210,6 +246,7 @@ def _commands() -> list[tuple[str, list[str]]]:
                 flags = ["--dim", str(dim), "--g", g, *extra]
                 out.append(("bounds-optimize " + " ".join(flags), [*cli, "bounds-optimize", *flags]))
     out.append(("run_suites() margins", ["-c", _MARGINS]))
+    out.append(("optimize_pps searches", ["-c", _SEARCHES]))
     return out
 
 
